@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import bounds as bounds_mod
 from . import montecarlo, oracles
@@ -288,8 +289,8 @@ def _active_fields(records: list[TrialRecord]) -> tuple[str, ...]:
     return _MANDATORY_FIELDS + extra
 
 
-def emit(records: list[TrialRecord], fmt: str, path: str | None) -> None:
-    text = render_csv(records) if fmt == "csv" else render_json(records)
+def _write(text: str, path: str | None) -> None:
+    """The one output sink: machine output to `path`, or stdout if None."""
     if path is None:
         sys.stdout.write(text)
         return
@@ -298,6 +299,10 @@ def emit(records: list[TrialRecord], fmt: str, path: str | None) -> None:
             fh.write(text)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}", EXIT_IO)
+
+
+def emit(records: list[TrialRecord], fmt: str, path: str | None) -> None:
+    _write(render_csv(records) if fmt == "csv" else render_json(records), path)
 
 
 def _note(line: str) -> None:
@@ -427,7 +432,7 @@ def _cmd_coupling(args) -> int:
         "pearson_p": report.pearson_p, "chi2_p": report.chi2_p,
         "alpha": report.alpha, "all_ok": report.all_ok,
     }
-    _emit_report(payload, args)
+    _write(json.dumps(payload, indent=2) + "\n", args.out)
     if not report.all_ok:
         _note("FAIL: coupling checks did not pass")
         return EXIT_VERIFY
@@ -442,15 +447,7 @@ def _cmd_bounds(args) -> int:
         lines = _evaluate_bound(args, op)
     except ValueError as exc:
         raise CliError(f"bad value for --op {op}: {exc}", EXIT_USAGE)
-    out = "\n".join(lines) + "\n"
-    if args.out is not None:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(out)
-        except OSError as exc:
-            raise CliError(f"cannot write {args.out}: {exc}", EXIT_IO)
-    else:
-        sys.stdout.write(out)
+    _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -557,47 +554,19 @@ def _cmd_oracle(args) -> int:
         vectors=int(_get(args, "trials", _DEFAULTS["trials"])),
         master_seed=int(_get(args, "seed")),
     )
-    fmt = _get(args, "format")
-    if fmt == "json":
-        payload = [
-            {
-                "family": c.family, "n": c.n, "operation": c.operation,
-                "trials": c.trials, "agreed": c.agreed,
-            }
-            for c in checks
-        ]
-        _emit_report(payload, args)
+    if _get(args, "format") == "json":
+        text = json.dumps([asdict(c) for c in checks], indent=2) + "\n"
     else:
-        for c in checks:
-            line = f"{c.family} n={c.n} {c.operation}: {c.agreed}/{c.trials}"
-            if args.out is None:
-                print(line)
-        if args.out is not None:
-            _emit_report(
-                [f"{c.family} n={c.n} {c.operation}: {c.agreed}/{c.trials}"
-                 for c in checks],
-                args,
-            )
+        text = "".join(
+            f"{c.family} n={c.n} {c.operation}: {c.agreed}/{c.trials}\n"
+            for c in checks
+        )
+    _write(text, args.out)
     bad = [c for c in checks if c.agreed != c.trials]
     if bad:
         _note(f"FAIL: {len(bad)} oracle comparisons disagreed")
         return EXIT_VERIFY
     return EXIT_OK
-
-
-def _emit_report(payload, args) -> None:
-    if isinstance(payload, list) and payload and isinstance(payload[0], str):
-        text = "\n".join(payload) + "\n"
-    else:
-        text = json.dumps(payload, indent=2) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise CliError(f"cannot write {args.out}: {exc}", EXIT_IO)
 
 
 def main(argv=None) -> int:

@@ -10,6 +10,10 @@ distance at most r.  They satisfy the duality
 
     cheapest_within_distance(r) <= L  <=>  defect_under_budget(L) <= r.
 
+Each family finds both witnesses in its own budget_witness and
+distance_witness methods; this module checks the arguments, reports
+canonical totals, and adds the concentration certificates below.
+
 The defect is 1-Lipschitz in every single weight and certified by its
 witness: the witness has at most ell elements, total weight <= L, and patch
 distance equal to the defect, so freezing the witness weights caps the
@@ -28,14 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import (
-    ExplicitFamily,
-    Family,
-    MatchingFamily,
-    SolveResult,
-    SpanningTreeFamily,
-    WeightAssignment,
-)
+from .families import Family, SolveResult, WeightAssignment
 from .rngs import stream
 
 __all__ = [
@@ -70,19 +67,7 @@ def defect_under_budget(fam: Family, w: WeightAssignment, budget: float) -> Dual
     budget = float(budget)
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    if isinstance(fam, SpanningTreeFamily):
-        chosen = fam.budget_forest(w, budget)
-        witness = tuple(sorted(chosen))
-        defect = (fam.n - 1) - len(chosen)
-    elif isinstance(fam, MatchingFamily):
-        costs, matchings = fam.assignment_ladder(w)
-        k = int(np.nonzero(costs <= budget)[0].max())
-        witness = matchings[k]
-        defect = fam.n - k
-    elif isinstance(fam, ExplicitFamily):
-        defect, witness = _explicit_budget_scan(fam, w, budget)
-    else:
-        raise TypeError(f"no defect solver for {type(fam).__name__}")
+    defect, witness = fam.budget_witness(w, budget)
     return DualResult(
         budget=budget, defect=int(defect), witness=witness,
         weight_used=w.total(witness),
@@ -94,56 +79,8 @@ def cheapest_within_distance(fam: Family, w: WeightAssignment, r: int) -> SolveR
     r = int(r)
     if not 0 <= r <= fam.ell:
         raise ValueError(f"distance r={r} outside [0, {fam.ell}]")
-    if isinstance(fam, SpanningTreeFamily):
-        chosen = fam._greedy_forest(w, fam.n - 1 - r)
-        witness = tuple(sorted(chosen))
-    elif isinstance(fam, MatchingFamily):
-        _, matchings = fam.assignment_ladder(w)
-        witness = matchings[fam.n - r]
-    elif isinstance(fam, ExplicitFamily):
-        witness = _explicit_distance_scan(fam, w, r)
-    else:
-        raise TypeError(f"no distance solver for {type(fam).__name__}")
+    witness = fam.distance_witness(w, r)
     return SolveResult(value=w.total(witness), witness=witness)
-
-
-def _explicit_budget_scan(fam: ExplicitFamily, w: WeightAssignment, budget: float):
-    """Per-member cheapest-prefix scan.
-
-    Any optimal affordable G may be replaced by its intersection with the
-    member realizing its patch distance (same distance, no dearer), so it
-    suffices to keep, for each member, the longest affordable cheap prefix.
-    """
-    fam._check_weights(w)
-    best = None
-    for member in fam.members:
-        member_arr = np.asarray(member, dtype=np.intp)
-        order = member_arr[np.argsort(w.values[member_arr], kind="stable")]
-        kept: list[int] = []
-        for e in order:
-            step = kept + [int(e)]
-            # Affordability in the same index-ordered sum that totals report.
-            if w.total(step) > budget:
-                break  # canonical prefix totals only grow
-            kept = step
-        cand = (len(member) - len(kept), tuple(sorted(kept)))
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
-def _explicit_distance_scan(fam: ExplicitFamily, w: WeightAssignment, r: int):
-    fam._check_weights(w)
-    best = None
-    for member in fam.members:
-        keep = max(len(member) - r, 0)
-        member_arr = np.asarray(member, dtype=np.intp)
-        order = member_arr[np.argsort(w.values[member_arr], kind="stable")]
-        witness = tuple(sorted(int(e) for e in order[:keep]))
-        cand = (w.total(witness), witness)
-        if best is None or cand < best:
-            best = cand
-    return best[1]
 
 
 def talagrand_product_bound(t: float) -> float:

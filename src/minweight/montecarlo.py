@@ -187,7 +187,7 @@ def _trial(
         w = WeightAssignment(weights.sample(spec, rng, size))
         res = patching.exact_patch(fam, g, w)
         comp_cost = None
-        if isinstance(fam, SpanningTreeFamily) and config.r > 0:
+        if config.family == "trees" and config.r > 0:
             comp_cost = patching.component_patch(fam, g, w).cost
         return TrialRecord(
             trial=i, n=n, q=spec.q, seed=sid,

@@ -23,10 +23,8 @@ import numpy as np
 from .families import (
     ExplicitFamily,
     Family,
-    MatchingFamily,
     SpanningTreeFamily,
     WeightAssignment,
-    prufer_decode,
 )
 from .rngs import stream
 from .weights import WeightSpec, sample
@@ -157,21 +155,6 @@ def min_outgoing_edge_count(fam: Family, subset) -> int:
     return smallest
 
 
-def _random_member(fam: Family, rng: np.random.Generator) -> tuple[int, ...]:
-    """A uniform member: random Prufer tree / permutation / member index."""
-    if isinstance(fam, SpanningTreeFamily):
-        if fam.n == 2:
-            return (0,)
-        seq = rng.integers(0, fam.n, size=fam.n - 2)
-        return tuple(sorted(fam.edge_indices(prufer_decode(seq, fam.n))))
-    if isinstance(fam, MatchingFamily):
-        perm = rng.permutation(fam.n)
-        return tuple(sorted(i * fam.n + int(perm[i]) for i in range(fam.n)))
-    if isinstance(fam, ExplicitFamily):
-        return fam.members[int(rng.integers(len(fam.members)))]
-    raise TypeError(f"no member sampler for {type(fam).__name__}")
-
-
 def sample_depleted_set(
     fam: Family,
     spec: WeightSpec,
@@ -191,7 +174,7 @@ def sample_depleted_set(
     if not 0 <= r <= fam.ell:
         raise ValueError(f"removal count r={r} outside [0, {fam.ell}]")
     if strategy is GStrategy.REMOVE_FROM_RANDOM_MEMBER:
-        member = _random_member(fam, rng)
+        member = fam.random_member(rng)
         aux = None
     else:
         aux = WeightAssignment(sample(spec, rng, fam.ground.size))

@@ -144,6 +144,21 @@ class TestRecordEmission:
         code2, stdout_text, _ = invoke(self.ARGS, capsys)
         assert target.read_text() == stdout_text
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--trials", "1"],
+        ["oracle", "--trials", "1", "--format", "json"],
+        ["coupling", "--s", "0.5", "--trials", "400"],
+        ["bounds", "--op", "ab-min", "--a", "4", "--b", "1", "--p", "1"],
+    ])
+    def test_report_out_file_matches_stdout(self, argv, tmp_path, capsys):
+        target = tmp_path / "report.out"
+        code, out, _ = invoke(argv + ["--out", str(target)], capsys)
+        assert code == EXIT_OK
+        assert out == ""
+        code2, stdout_text, _ = invoke(argv, capsys)
+        assert code2 == EXIT_OK
+        assert target.read_bytes() == stdout_text.encode()
+
     def test_dual_activates_extra_columns(self, capsys):
         code, out, _ = invoke(
             ["dual", "--n", "8", "--L", "1.0", "--r", "2", "--trials", "4"],

@@ -115,6 +115,19 @@ class TestDefectUnderBudget:
         assert defects[-1] == 0
 
 
+@pytest.mark.parametrize("fam", [
+    SpanningTreeFamily(5),
+    MatchingFamily(3),
+    ExplicitFamily(4, [(0, 1), (2, 3)]),
+], ids=["tree", "matching", "explicit"])
+def test_wrong_weight_length_rejected(fam):
+    w = WeightAssignment([0.3, 0.1, 0.2])
+    with pytest.raises(ValueError):
+        defect_under_budget(fam, w, 1.0)
+    with pytest.raises(ValueError):
+        cheapest_within_distance(fam, w, 1)
+
+
 class TestCheapestWithinDistance:
     def test_r_zero_is_min_weight(self):
         for fam in (SpanningTreeFamily(7), MatchingFamily(5)):

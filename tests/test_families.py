@@ -227,6 +227,16 @@ class TestMatchingFamily:
         # two edges sharing a column leave max matching 1
         assert fam.min_patch_size((0, 4)) == 3
 
+    def test_min_patch_size_on_long_augmenting_chain(self):
+        # Row i may use columns i and i+1, the last row columns n-1 and 0:
+        # a greedy row-by-row search must augment along the whole chain.
+        n = 1100
+        fam = MatchingFamily(n)
+        diagonal = [i * n + i for i in range(n)]
+        chain = diagonal + [i * n + i + 1 for i in range(n - 1)] + [(n - 1) * n]
+        assert fam.min_patch_size(chain) == 0
+        assert fam.min_patch_size(diagonal[:-1]) == 1
+
     def test_assignment_ladder_structure(self):
         fam = MatchingFamily(6)
         w = _draw(fam, (42,))
