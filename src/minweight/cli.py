@@ -601,7 +601,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+        # A trial that rejected its arguments is a usage error, not a failed check.
+        return EXIT_USAGE if isinstance(exc.__cause__, ValueError) else EXIT_VERIFY
 
 
 if __name__ == "__main__":

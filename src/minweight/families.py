@@ -28,6 +28,7 @@ so equal witnesses give bit-equal values.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 from abc import ABC, abstractmethod
@@ -278,11 +279,10 @@ class SpanningTreeFamily(Family):
         values = w.values
         order = np.argsort(values, kind="stable")
         chosen = self._kruskal(values, order, self.n - 1)
-        kept = 0
-        for k in range(1, len(chosen) + 1):
-            if w.total(chosen[:k]) > budget:
-                break  # canonical prefix totals only grow
-            kept = k
+        # Canonical prefix totals only grow, so the affordable ones lead.
+        kept = bisect.bisect_right(
+            range(1, len(chosen) + 1), budget, key=lambda k: w.total(chosen[:k])
+        )
         return chosen[:kept]
 
     def min_weight(self, w: WeightAssignment) -> SolveResult:
@@ -398,7 +398,13 @@ def prufer_decode(seq, n: int) -> list[tuple[int, int]]:
 
 class MatchingFamily(Family):
     """Perfect matchings of K_{n,n}.  Element i*n + j is the edge from left
-    vertex i to right vertex j; ell = n."""
+    vertex i to right vertex j; ell = n.
+
+    Every weighted solver is a minimum-weight k-matching from _k_matching,
+    one call to scipy's linear_sum_assignment: k = n for the optimum and
+    the completion, k = n - r for distance r, and a bisection over k for a
+    budget.
+    """
 
     def __init__(self, n: int) -> None:
         n = int(n)
@@ -409,11 +415,25 @@ class MatchingFamily(Family):
         self.ground = GroundSet(size=n * n, labels=labels)
         self.ell = n
 
+    def _k_matching(self, values: np.ndarray, k: int) -> tuple[int, ...]:
+        """Minimum-weight matching with exactly k edges, as a sorted edge tuple.
+
+        The n x n costs are padded with n - k dummy rows and columns: dummy
+        to real costs 0 and dummy to dummy is forbidden, so every assignment
+        pairs each dummy with a real vertex and keeps exactly k real edges.
+        """
+        n = self.n
+        size = 2 * n - k
+        cost = np.zeros((size, size))
+        cost[:n, :n] = values.reshape(n, n)
+        cost[n:, n:] = np.inf
+        rows, cols = linear_sum_assignment(cost)
+        real = (rows < n) & (cols < n)
+        return tuple(sorted((rows[real] * n + cols[real]).tolist()))
+
     def min_weight(self, w: WeightAssignment) -> SolveResult:
         self._check_weights(w)
-        cost = w.values.reshape(self.n, self.n)
-        rows, cols = linear_sum_assignment(cost)
-        witness = tuple(sorted(int(i) * self.n + int(j) for i, j in zip(rows, cols)))
+        witness = self._k_matching(w.values, self.n)
         return SolveResult(value=w.total(witness), witness=witness)
 
     def min_patch_size(self, subset) -> int:
@@ -431,96 +451,32 @@ class MatchingFamily(Family):
         idx = self._check_subset(subset)
         masked = w.values.copy()
         masked[idx] = 0.0
-        rows, cols = linear_sum_assignment(masked.reshape(self.n, self.n))
-        in_subset = np.zeros(self.ground.size, dtype=bool)
-        in_subset[idx] = True
-        patch = tuple(
-            sorted(
-                int(i) * self.n + int(j)
-                for i, j in zip(rows, cols)
-                if not in_subset[int(i) * self.n + int(j)]
-            )
-        )
+        patch = tuple(sorted(set(self._k_matching(masked, self.n)) - set(idx.tolist())))
         return w.total(patch), patch
 
     def assignment_ladder(self, w: WeightAssignment):
         """Minimum-weight k-matchings for every cardinality k = 0..n.
 
-        Successive shortest augmenting paths with node potentials; after the
-        k-th augmentation the flow is a minimum-cost k-matching over all row
-        and column subsets.  Returns (costs, matchings): costs[k] is the
-        canonical value and matchings[k] the sorted edge tuple.
+        Returns (costs, matchings): matchings[k] is the sorted edge tuple
+        from _k_matching and costs[k] its canonical value.
         """
         self._check_weights(w)
-        n = self.n
-        cost = w.values.reshape(n, n)
-        row_pot = np.zeros(n)
-        col_pot = np.zeros(n)
-        match_row = np.full(n, -1, dtype=np.intp)
-        match_col = np.full(n, -1, dtype=np.intp)
-        costs = [0.0]
-        matchings: list[tuple[int, ...]] = [()]
-        for _ in range(n):
-            reduced = cost + row_pot[:, None] - col_pot[None, :]
-            free = match_row < 0
-            free_idx = np.nonzero(free)[0]
-            dist = reduced[free_idx].min(axis=0)
-            src = free_idx[reduced[free_idx].argmin(axis=0)]
-            prev_col = np.full(n, -1, dtype=np.intp)
-            done = np.zeros(n, dtype=bool)
-            target = -1
-            while True:
-                masked = np.where(done, np.inf, dist)
-                j0 = int(masked.argmin())
-                done[j0] = True
-                if match_col[j0] < 0:
-                    target = j0
-                    break
-                i0 = int(match_col[j0])
-                cand = dist[j0] + reduced[i0]
-                better = ~done & (cand < dist)
-                dist[better] = cand[better]
-                src[better] = i0
-                prev_col[better] = j0
-            reach = dist[target]
-            # Potentials shift by min(dist, reach): reached nodes by their
-            # distance, the rest by the path length.  Free rows stay at 0.
-            col_pot += np.minimum(dist, reach)
-            row_shift = np.full(n, reach)
-            row_shift[free] = 0.0
-            matched = np.nonzero(~free)[0]
-            if matched.size:
-                mcols = match_row[matched]
-                row_shift[matched] = np.where(
-                    done[mcols], np.minimum(dist[mcols], reach), reach
-                )
-            row_pot += row_shift
-            j = target
-            while True:
-                i = int(src[j])
-                match_col[j] = i
-                prev = int(prev_col[j])
-                match_row[i] = j
-                if prev < 0:
-                    break
-                j = prev
-            edges = tuple(
-                sorted(
-                    int(i) * n + int(match_row[i])
-                    for i in np.nonzero(match_row >= 0)[0]
-                )
-            )
-            matchings.append(edges)
-            costs.append(w.total(edges))
-        return np.asarray(costs), matchings
+        matchings = [self._k_matching(w.values, k) for k in range(self.n + 1)]
+        return np.asarray([w.total(m) for m in matchings]), matchings
 
     def budget_witness(self, w: WeightAssignment, budget: float) -> tuple[int, tuple]:
-        costs, matchings = self.assignment_ladder(w)
-        k = int(np.nonzero(costs <= budget)[0].max())
-        return self.n - k, matchings[k]
+        self._check_weights(w)
+        # Non-negative weights make the optimum nondecreasing in k: dropping
+        # an edge from an optimal (k+1)-matching gives a k-matching.
+        k = bisect.bisect_right(
+            range(1, self.n + 1), budget,
+            key=lambda k: w.total(self._k_matching(w.values, k)),
+        )
+        return self.n - k, self._k_matching(w.values, k)
 
     def distance_witness(self, w: WeightAssignment, r: int) -> tuple[int, ...]:
-        return self.assignment_ladder(w)[1][self.n - r]
+        self._check_weights(w)
+        return self._k_matching(w.values, self.n - r)
 
     def random_member(self, rng: np.random.Generator) -> tuple[int, ...]:
         perm = rng.permutation(self.n)
@@ -611,14 +567,11 @@ class ExplicitFamily(Family):
         for member in self._members:
             member_arr = np.asarray(member, dtype=np.intp)
             order = member_arr[np.argsort(w.values[member_arr], kind="stable")]
-            kept: list[int] = []
-            for e in order:
-                step = kept + [int(e)]
-                # Affordability in the same index-ordered sum that totals report.
-                if w.total(step) > budget:
-                    break  # canonical prefix totals only grow
-                kept = step
-            cand = (len(member) - len(kept), tuple(sorted(kept)))
+            # Canonical prefix totals only grow, so the affordable ones lead.
+            kept = bisect.bisect_right(
+                range(1, len(order) + 1), budget, key=lambda k: w.total(order[:k])
+            )
+            cand = (len(member) - kept, tuple(sorted(order[:kept].tolist())))
             if best is None or cand < best:
                 best = cand
         return best

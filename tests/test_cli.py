@@ -104,6 +104,15 @@ class TestExitCodes:
             EXIT_USAGE
         assert invoke(["bounds"], capsys)[0] == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["patch", "--n", "5", "--r", "10", "--trials", "1"],
+        ["dual", "--n", "5", "--L", "-1", "--trials", "1"],
+    ], ids=["patch-r-too-large", "dual-negative-budget"])
+    def test_bad_trial_arguments_are_usage_errors(self, argv, capsys):
+        code, _, err = invoke(argv, capsys)
+        assert code == EXIT_USAGE
+        assert "trial 0" in err
+
 
 class TestRecordEmission:
     ARGS = ["mst", "--n", "8", "--trials", "3", "--seed", "5"]

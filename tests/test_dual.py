@@ -243,18 +243,27 @@ class TestMatchingLadderNecessity:
         assert res.witness == (1, 2)
         assert oracle_defect_under_budget(fam, w, budget) == 0
 
-    def test_ladder_matches_oracle_everywhere(self):
+    @pytest.mark.parametrize("make", [
+        _draw,
+        lambda fam, key: WeightAssignment(
+            stream(*key).integers(0, 3, fam.ground.size).astype(float)
+        ),
+        lambda fam, key: WeightAssignment(
+            stream(*key).choice([1e-300, 1.0, 1e300], fam.ground.size)
+        ),
+    ], ids=["uniform", "zeros-and-ties", "extreme"])
+    def test_ladder_matches_oracle_everywhere(self, make):
         for n in (2, 3, 4, 5):
             fam = MatchingFamily(n)
             for trial in range(10):
-                w = _draw(fam, (83, n, trial))
+                w = make(fam, (83, n, trial))
                 full = fam.min_weight(w).value
                 for frac in (0.0, 0.3, 0.6, 0.9, 1.0, 1.3):
                     budget = frac * full
-                    assert (
-                        defect_under_budget(fam, w, budget).defect
-                        == oracle_defect_under_budget(fam, w, budget)
-                    )
+                    res = defect_under_budget(fam, w, budget)
+                    assert res.defect == oracle_defect_under_budget(fam, w, budget)
+                    assert res.weight_used <= budget
+                    assert fam.min_patch_size(res.witness) == res.defect
                 for r in range(n + 1):
                     assert (
                         cheapest_within_distance(fam, w, r).value
