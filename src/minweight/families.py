@@ -223,49 +223,54 @@ class SpanningTreeFamily(Family):
 
     # -- solvers ---------------------------------------------------------
 
-    def _sorted_candidates(self, values: np.ndarray) -> np.ndarray:
-        """Edge indices in (weight, index) order; possibly a cheap prefix.
+    def _in_weight_order(self, values: np.ndarray, scan):
+        """Run `scan` on edge indices in (weight, index) order.
 
-        When a prefix is returned it provably contains every edge the full
-        scan would accept, because selection puts the k smallest weights
-        first; callers must fall back to the full order if the scan does not
-        finish inside the prefix.
+        Every tree solver reads the edges through this method.  Above the
+        threshold `scan` first gets only the head of the order: the k
+        cheapest weights plus every weight tied with the k-th, which is
+        exactly a prefix of the full order.  If `scan` returns None (the
+        head was too short), it runs again on the full order.
         """
         size = values.size
-        if size <= self._PARTITION_THRESHOLD:
-            return np.argsort(values, kind="stable")
-        k = min(size, 8 * self.n * max(1, int(np.log(self.n))) + 64)
-        cand = np.argpartition(values, k - 1)[:k]
-        return cand[np.lexsort((cand, values[cand]))]
+        if size > self._PARTITION_THRESHOLD:
+            k = min(size, 8 * self.n * max(1, int(np.log(self.n))) + 64)
+            kth = np.partition(values, k - 1)[k - 1]
+            cand = np.flatnonzero(values <= kth)
+            result = scan(cand[np.argsort(values[cand], kind="stable")])
+            if result is not None:
+                return result
+        return scan(np.argsort(values, kind="stable"))
 
-    def _kruskal(self, values: np.ndarray, order: np.ndarray, max_edges: int,
-                 budget: float | None = None):
-        """Accept acyclic edges in `order` until max_edges or budget stops."""
-        dsu = _DisjointSets(self.n)
-        chosen: list[int] = []
-        total = 0.0
-        eu, ev = self.edge_u, self.edge_v
-        for idx in order:
-            if len(chosen) == max_edges:
-                break
-            i = int(idx)
-            if budget is not None and total + values[i] > budget:
-                # Ascending order: no later edge fits either.
-                break
-            if dsu.union(int(eu[i]), int(ev[i])):
-                chosen.append(i)
-                total += values[i]
-        return chosen
+    def _greedy_forest(self, w: WeightAssignment, parts: int, subset=()):
+        """Kruskal over the weight order, started from `subset`'s edges.
 
-    def _greedy_forest(self, w: WeightAssignment, max_edges: int) -> list[int]:
-        values = w.values
-        order = self._sorted_candidates(values)
-        chosen = self._kruskal(values, order, max_edges)
-        if len(chosen) < max_edges and order.size < values.size:
-            # Prefix did not finish the forest; redo with the full order.
-            order = np.argsort(values, kind="stable")
-            chosen = self._kruskal(values, order, max_edges)
-        return chosen
+        Unions the subset's edges, then accepts each edge of the order that
+        joins two components until at most `parts` components remain.
+        Returns the accepted edges in acceptance order (their first k form
+        the cheapest k-edge forest extending the subset), or None if the
+        order runs out first.
+        """
+        seed = np.asarray(subset, dtype=np.intp)
+        seed_u, seed_v = self.edge_u[seed].tolist(), self.edge_v[seed].tolist()
+
+        def scan(order: np.ndarray):
+            dsu = _DisjointSets(self.n)
+            for u, v in zip(seed_u, seed_v):
+                dsu.union(u, v)
+            chosen: list[int] = []
+            # Blocks of n edges: only the part the loop reaches becomes lists.
+            for start in range(0, order.size, self.n):
+                block = order[start:start + self.n]
+                us, vs = self.edge_u[block].tolist(), self.edge_v[block].tolist()
+                for i, u, v in zip(block.tolist(), us, vs):
+                    if dsu.count <= parts:
+                        return chosen
+                    if dsu.union(u, v):
+                        chosen.append(i)
+            return chosen if dsu.count <= parts else None
+
+        return self._in_weight_order(w.values, scan)
 
     def budget_forest(self, w: WeightAssignment, budget: float) -> list[int]:
         """Largest affordable prefix of the greedy forest.
@@ -276,9 +281,7 @@ class SpanningTreeFamily(Family):
         budget equal to an attained value stays affordable bit-for-bit.
         """
         self._check_weights(w)
-        values = w.values
-        order = np.argsort(values, kind="stable")
-        chosen = self._kruskal(values, order, self.n - 1)
+        chosen = self._greedy_forest(w, 1)
         # Canonical prefix totals only grow, so the affordable ones lead.
         kept = bisect.bisect_right(
             range(1, len(chosen) + 1), budget, key=lambda k: w.total(chosen[:k])
@@ -287,8 +290,7 @@ class SpanningTreeFamily(Family):
 
     def min_weight(self, w: WeightAssignment) -> SolveResult:
         self._check_weights(w)
-        chosen = self._greedy_forest(w, self.n - 1)
-        witness = tuple(sorted(chosen))
+        witness = tuple(sorted(self._greedy_forest(w, 1)))
         return SolveResult(value=w.total(witness), witness=witness)
 
     def budget_witness(self, w: WeightAssignment, budget: float) -> tuple[int, tuple]:
@@ -297,7 +299,7 @@ class SpanningTreeFamily(Family):
 
     def distance_witness(self, w: WeightAssignment, r: int) -> tuple[int, ...]:
         self._check_weights(w)
-        return tuple(sorted(self._greedy_forest(w, self.n - 1 - r)))
+        return tuple(sorted(self._greedy_forest(w, r + 1)))
 
     def random_member(self, rng: np.random.Generator) -> tuple[int, ...]:
         """Decode a uniform Prufer sequence (Cayley's bijection)."""
@@ -321,37 +323,15 @@ class SpanningTreeFamily(Family):
         return int(comp.max())
 
     def cheapest_completion(self, subset, w: WeightAssignment):
+        """Kruskal started from the subset's edges.
+
+        Its accepted edges are the minimum spanning tree of K_n with each
+        component of the subset contracted to one vertex, the cheapest patch.
+        """
         self._check_weights(w)
         idx = self._check_subset(subset)
-        comp = self.component_labels(idx)
-        c = int(comp.max()) + 1
-        if c == 1:
-            return 0.0, ()
-        cu = comp[self.edge_u]
-        cv = comp[self.edge_v]
-        cross = np.nonzero(cu != cv)[0]
-        lo = np.minimum(cu[cross], cv[cross])
-        hi = np.maximum(cu[cross], cv[cross])
-        key = lo * c + hi
-        vals = w.values[cross]
-        order = np.lexsort((cross, vals, key))
-        key_sorted = key[order]
-        first = np.ones(key_sorted.size, dtype=bool)
-        first[1:] = key_sorted[1:] != key_sorted[:-1]
-        reps = cross[order][first]  # cheapest edge for each component pair
-        # Minimum spanning tree of the contracted graph over the reps.
-        rep_vals = w.values[reps]
-        rep_order = np.argsort(rep_vals, kind="stable")
-        dsu = _DisjointSets(c)
-        patch: list[int] = []
-        for pos in rep_order:
-            if len(patch) == c - 1:
-                break
-            e = int(reps[pos])
-            if dsu.union(int(comp[self.edge_u[e]]), int(comp[self.edge_v[e]])):
-                patch.append(e)
-        patch_t = tuple(sorted(patch))
-        return w.total(patch_t), patch_t
+        patch = tuple(sorted(self._greedy_forest(w, 1, subset=idx)))
+        return w.total(patch), patch
 
     def enumerate_members(self):
         """All n^(n-2) labeled spanning trees, via Prufer sequences (n <= 7)."""

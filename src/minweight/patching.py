@@ -93,8 +93,10 @@ def component_patch(fam: Family, subset, w: WeightAssignment) -> PatchResult:
     """Per-component heuristic patch (spanning trees only).
 
     One edge per non-largest component: the cheapest edge toward any later
-    component in the size ordering.  Uses exactly min_patch_size(subset)
-    edges; cost dominates the exact patch.
+    component in the size ordering.  It scans the family's (weight, index)
+    edge order and keeps, for each source position, the first cross edge.
+    Uses exactly min_patch_size(subset) edges; cost dominates the exact
+    patch.
     """
     if not isinstance(fam, SpanningTreeFamily):
         raise TypeError("component_patch is defined for spanning-tree families")
@@ -105,21 +107,20 @@ def component_patch(fam: Family, subset, w: WeightAssignment) -> PatchResult:
     if c == 1:
         return PatchResult(cost=0.0, patch=(), method=PatchMethod.COMPONENT)
     pos = _component_order(fam, comp)
-    pu = pos[comp[fam.edge_u]]
-    pv = pos[comp[fam.edge_v]]
-    cross = np.nonzero(pu != pv)[0]
-    source = np.minimum(pu[cross], pv[cross])
-    vals = w.values[cross]
-    order = np.lexsort((cross, vals, source))
-    src_sorted = source[order]
-    first = np.ones(src_sorted.size, dtype=bool)
-    first[1:] = src_sorted[1:] != src_sorted[:-1]
-    chosen = cross[order][first]
-    # Complete graph: every non-largest position has outgoing edges, so the
-    # patch has exactly c - 1 entries.
-    patch = tuple(sorted(int(e) for e in chosen))
-    if len(patch) != c - 1:
+
+    def first_per_source(order: np.ndarray):
+        pu = pos[comp[fam.edge_u[order]]]
+        pv = pos[comp[fam.edge_v[order]]]
+        cross = pu != pv
+        # Complete graph: each of the c - 1 non-largest positions has an
+        # outgoing edge, so only a short head of the order can miss one.
+        sources, first = np.unique(np.minimum(pu, pv)[cross], return_index=True)
+        return order[cross][first] if sources.size == c - 1 else None
+
+    chosen = fam._in_weight_order(w.values, first_per_source)
+    if chosen is None:
         raise RuntimeError("component patch size mismatch; solver bug")
+    patch = tuple(sorted(chosen.tolist()))
     _verify_patch(fam, idx, patch)
     return PatchResult(cost=w.total(patch), patch=patch,
                        method=PatchMethod.COMPONENT)

@@ -16,6 +16,7 @@ from minweight.families import (
     prufer_decode,
 )
 from minweight.oracles import oracle_min_weight
+from minweight.patching import component_patch
 from minweight.rngs import stream
 from minweight.weights import BaseLaw, WeightSpec, sample
 
@@ -24,6 +25,22 @@ SPEC = WeightSpec(q=1.0, base=BaseLaw.UNIFORM_POWER)
 
 def _draw(fam, key):
     return WeightAssignment(sample(SPEC, stream(*key), fam.ground.size))
+
+
+# (n, weight maker) pairs whose ground sets exceed the partial-selection
+# threshold, so tree solvers first scan only the head of the weight order.
+HEAD_CASES = {
+    "uniform": (100, lambda fam, rng: rng.random(fam.ground.size)),
+    "half-zero": (200, lambda fam, rng: np.where(
+        rng.random(fam.ground.size) < 0.5, 0.0, rng.random(fam.ground.size)
+    )),
+    "all-ones": (200, lambda fam, rng: np.ones(fam.ground.size)),
+    # The 3321 edges inside vertices 0..81 outnumber the head (3264 edges),
+    # so no scan can finish inside the head and every solver needs the
+    # full order.
+    "cheap-clique": (100, lambda fam, rng: np.where(fam.edge_v < 82, 1e-3, 1.0)
+                     * rng.random(fam.ground.size)),
+}
 
 
 class TestWeightAssignment:
@@ -142,6 +159,10 @@ class TestSpanningTreeFamily:
         assert fam.edge_index(5, 2) == fam.edge_index(2, 5)
         with pytest.raises(ValueError):
             fam.edge_index(3, 3)
+
+    def test_distance_beyond_ell_is_empty(self):
+        fam = SpanningTreeFamily(4)
+        assert fam.distance_witness(_draw(fam, (36,)), fam.ell + 1) == ()
 
     def test_budget_forest_prefix_property(self):
         # raising the budget only ever extends the kept forest
@@ -324,3 +345,33 @@ class TestTieHandling:
             got = fam.min_weight(w)
             value, _ = oracle_min_weight(fam, w)
             assert got.value == value
+
+    def test_ties_prefer_smallest_index_above_threshold(self):
+        # Equal weights: Kruskal in index order picks the star at vertex 0.
+        fam = SpanningTreeFamily(200)
+        assert fam.ground.size > SpanningTreeFamily._PARTITION_THRESHOLD
+        res = fam.min_weight(WeightAssignment(np.ones(fam.ground.size)))
+        assert res.witness == tuple(range(199))
+
+    @pytest.mark.parametrize("case", list(HEAD_CASES))
+    def test_head_of_order_matches_full_order(self, case, monkeypatch):
+        n, make = HEAD_CASES[case]
+        fam = SpanningTreeFamily(n)
+        rng = stream(46, n)
+        w = WeightAssignment(make(fam, rng))
+        # Vertex n-1 is isolated in g, so only edges to it can finish g.
+        g = tuple(e for e in fam.random_member(rng)[5:] if fam.edge_v[e] != n - 1)
+
+        def solve():
+            opt = fam.min_weight(w)
+            return (
+                opt,
+                fam.distance_witness(w, 3),
+                fam.budget_forest(w, 0.5 * opt.value),
+                fam.cheapest_completion(g, w),
+                component_patch(fam, g, w),
+            )
+
+        head = solve()
+        monkeypatch.setattr(SpanningTreeFamily, "_PARTITION_THRESHOLD", 10**9)
+        assert solve() == head

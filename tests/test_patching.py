@@ -29,6 +29,12 @@ def _draw(fam, key):
     return WeightAssignment(sample(SPEC, stream(*key), fam.ground.size))
 
 
+def _half_zero(fam, key):
+    rng = stream(*key)
+    zero = rng.random(fam.ground.size) < 0.5
+    return WeightAssignment(np.where(zero, 0.0, rng.random(fam.ground.size)))
+
+
 def _random_subset(fam, rng):
     size = int(rng.integers(0, fam.ground.size + 1))
     return tuple(sorted(rng.choice(fam.ground.size, size, replace=False)))
@@ -54,16 +60,26 @@ class TestExactPatch:
         assert res.cost == 0.2
         assert res.patch == (fam.edge_index(0, 2),)
 
+    @pytest.mark.parametrize("make", [
+        _draw,
+        lambda fam, key: WeightAssignment(
+            stream(*key).integers(0, 3, fam.ground.size).astype(float)
+        ),
+        _half_zero,
+        lambda fam, key: WeightAssignment(
+            stream(*key).choice([1e-300, 1.0, 1e300], fam.ground.size)
+        ),
+    ], ids=["uniform", "zeros-and-ties", "half-zero", "extreme"])
     @pytest.mark.parametrize("maker", [
         lambda: SpanningTreeFamily(5),
         lambda: MatchingFamily(4),
         lambda: ExplicitFamily(8, [(0, 1, 2), (2, 3, 4), (4, 5, 6, 7)]),
     ])
-    def test_matches_enumeration(self, maker):
+    def test_matches_enumeration(self, maker, make):
         fam = maker()
         rng = stream(52)
         for trial in range(30):
-            w = _draw(fam, (52, trial))
+            w = make(fam, (52, trial))
             g = _random_subset(fam, rng)
             got = exact_patch(fam, g, w)
             cost, _ = oracle_cheapest_completion(fam, g, w)
@@ -91,6 +107,21 @@ class TestExactPatch:
             res = exact_patch(fam, g, w)
             assert len(res.patch) == 4
             assert res.cost <= 4.0
+
+    @pytest.mark.parametrize("r", [1, 5, 20])
+    def test_seeded_kruskal_above_threshold(self, r):
+        # Distinct weights make the minimum spanning tree unique, so the
+        # cheapest way to finish it minus r edges is those r edges.
+        fam = SpanningTreeFamily(150)
+        assert fam.ground.size > SpanningTreeFamily._PARTITION_THRESHOLD
+        w = _draw(fam, (66, r))
+        opt = fam.min_weight(w).witness
+        removed = tuple(sorted(stream(67, r).choice(opt, r, replace=False).tolist()))
+        g = tuple(e for e in opt if e not in removed)
+        exact = exact_patch(fam, g, w)
+        assert exact.patch == removed
+        assert exact.cost == w.total(removed)
+        assert component_patch(fam, g, w).cost >= exact.cost
 
 
 class TestComponentPatch:
