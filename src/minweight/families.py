@@ -227,14 +227,16 @@ class SpanningTreeFamily(Family):
         """Run `scan` on edge indices in (weight, index) order.
 
         Every tree solver reads the edges through this method.  Above the
-        threshold `scan` first gets only the head of the order: the k
-        cheapest weights plus every weight tied with the k-th, which is
-        exactly a prefix of the full order.  If `scan` returns None (the
-        head was too short), it runs again on the full order.
+        threshold `scan` first gets only the head of the order: the
+        k = 2 n floor(ln n) + 64 cheapest weights plus every weight tied with
+        the k-th, which is exactly a prefix of the full order.  If `scan`
+        returns None (the head was too short), it runs again on the full order.
         """
         size = values.size
         if size > self._PARTITION_THRESHOLD:
-            k = min(size, 8 * self.n * max(1, int(np.log(self.n))) + 64)
+            # The random graph process connects by (n/2)(ln n + c) edges except with
+            # probability ~e^-c (Erdos-Renyi); this k gives c > 11 (min 11.9, n=148).
+            k = min(size, 2 * self.n * max(1, int(np.log(self.n))) + 64)
             kth = np.partition(values, k - 1)[k - 1]
             cand = np.flatnonzero(values <= kth)
             result = scan(cand[np.argsort(values[cand], kind="stable")])
@@ -456,7 +458,7 @@ class MatchingFamily(Family):
 
     def distance_witness(self, w: WeightAssignment, r: int) -> tuple[int, ...]:
         self._check_weights(w)
-        return self._k_matching(w.values, self.n - r)
+        return self._k_matching(w.values, max(self.n - r, 0))
 
     def random_member(self, rng: np.random.Generator) -> tuple[int, ...]:
         perm = rng.permutation(self.n)

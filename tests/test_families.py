@@ -16,7 +16,7 @@ from minweight.families import (
     prufer_decode,
 )
 from minweight.oracles import oracle_min_weight
-from minweight.patching import component_patch
+from minweight.patching import GStrategy, component_patch, sample_depleted_set
 from minweight.rngs import stream
 from minweight.weights import BaseLaw, WeightSpec, sample
 
@@ -27,6 +27,28 @@ def _draw(fam, key):
     return WeightAssignment(sample(SPEC, stream(*key), fam.ground.size))
 
 
+def _count_scans(monkeypatch):
+    """Record, per call of the tree edge order, how many times it ran `scan`
+    (1: the head sufficed, 2: the scan fell back to the full order)."""
+    runs: list[int] = []
+    original = SpanningTreeFamily._in_weight_order
+
+    def counted(self, values, scan):
+        calls = 0
+
+        def counting_scan(order):
+            nonlocal calls
+            calls += 1
+            return scan(order)
+
+        result = original(self, values, counting_scan)
+        runs.append(calls)
+        return result
+
+    monkeypatch.setattr(SpanningTreeFamily, "_in_weight_order", counted)
+    return runs
+
+
 # (n, weight maker) pairs whose ground sets exceed the partial-selection
 # threshold, so tree solvers first scan only the head of the weight order.
 HEAD_CASES = {
@@ -35,7 +57,7 @@ HEAD_CASES = {
         rng.random(fam.ground.size) < 0.5, 0.0, rng.random(fam.ground.size)
     )),
     "all-ones": (200, lambda fam, rng: np.ones(fam.ground.size)),
-    # The 3321 edges inside vertices 0..81 outnumber the head (3264 edges),
+    # The 3321 edges inside vertices 0..81 outnumber the head (864 edges),
     # so no scan can finish inside the head and every solver needs the
     # full order.
     "cheap-clique": (100, lambda fam, rng: np.where(fam.edge_v < 82, 1e-3, 1.0)
@@ -258,6 +280,10 @@ class TestMatchingFamily:
         assert fam.min_patch_size(chain) == 0
         assert fam.min_patch_size(diagonal[:-1]) == 1
 
+    def test_distance_beyond_ell_is_empty(self):
+        fam = MatchingFamily(3)
+        assert fam.distance_witness(_draw(fam, (37,)), fam.ell + 1) == ()
+
     def test_assignment_ladder_structure(self):
         fam = MatchingFamily(6)
         w = _draw(fam, (42,))
@@ -372,6 +398,34 @@ class TestTieHandling:
                 component_patch(fam, g, w),
             )
 
+        scans = _count_scans(monkeypatch)
         head = solve()
+        if case == "cheap-clique":
+            # All five solvers really fell back to the full order.
+            assert scans == [2] * 5
         monkeypatch.setattr(SpanningTreeFamily, "_PARTITION_THRESHOLD", 10**9)
         assert solve() == head
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("base", list(BaseLaw), ids=[b.value for b in BaseLaw])
+    @pytest.mark.parametrize("n", [100, 400])
+    def test_head_suffices_on_iid_weights(self, n, base, q, monkeypatch):
+        # The head is sized so that i.i.d. weights essentially never need the
+        # full order; a fallback here means it was cut too short.
+        fam = SpanningTreeFamily(n)
+        spec = WeightSpec(q=q, base=base)
+        strategies = list(GStrategy)
+        scans = _count_scans(monkeypatch)
+        for draw in range(20):
+            rng = stream(47, n, list(BaseLaw).index(base), int(2 * q), draw)
+            g = sample_depleted_set(
+                fam, spec, 1 + draw, strategies[draw % len(strategies)], rng
+            )
+            w = WeightAssignment(sample(spec, rng, fam.ground.size))
+            opt = fam.min_weight(w)
+            fam.distance_witness(w, n // 10)
+            fam.budget_forest(w, 0.5 * opt.value)
+            fam.cheapest_completion(g, w)
+            component_patch(fam, g, w)
+        assert len(scans) >= 5 * 20
+        assert set(scans) == {1}
