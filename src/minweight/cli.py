@@ -2,7 +2,8 @@
 
 Machine output (CSV/JSON records) goes to stdout or --out; human-readable
 summaries and verification results go to stderr.  Exit codes: 0 success,
-1 verification failure, 2 bad flags, 3 bad config file, 4 output I/O error.
+1 verification failure, 2 bad flags, 3 bad config file, 4 output I/O error,
+5 internal error (a solver bug or a crash inside a trial).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import asdict
 
 from . import bounds as bounds_mod
@@ -23,6 +25,7 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 _RECORD_FIELDS = (
     "trial", "n", "q", "seed", "value", "defect", "near_value", "patch_cost",
@@ -602,7 +605,11 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         # A trial that rejected its arguments is a usage error, not a failed check.
-        return EXIT_USAGE if isinstance(exc.__cause__, ValueError) else EXIT_VERIFY
+        if isinstance(exc.__cause__, ValueError):
+            return EXIT_USAGE
+        # Anything else is a bug, not a failed check: keep its type and traceback.
+        traceback.print_exception(exc.__cause__ or exc, file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

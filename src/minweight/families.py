@@ -24,6 +24,10 @@ reaches it only through them:
 Determinism: all tie-breaks prefer the smallest element index; solver values
 are canonical sums (witness weights added in ascending element-index order),
 so equal witnesses give bit-equal values.
+
+A weight vector keeps the tree edge order and Kruskal chain of the last tree
+family that read it, so the solvers of one trial sort and scan it once; the
+memo cannot go stale because a WeightAssignment never changes.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ class GroundSet:
 class WeightAssignment:
     """Non-negative weights for every ground-set element.  Immutable."""
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "_tree_order")
 
     def __init__(self, values) -> None:
         arr = np.ascontiguousarray(values, dtype=float)
@@ -84,6 +88,7 @@ class WeightAssignment:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "_tree_order", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("WeightAssignment is immutable")
@@ -105,6 +110,21 @@ class SolveResult:
 
     value: float
     witness: tuple[int, ...]
+
+
+@dataclass(slots=True, eq=False)
+class _TreeOrder:
+    """A weight vector's tree edge order and Kruskal chain for one family.
+
+    head is the partial-selection prefix of the (weight, index) order (None
+    at or below the threshold), full the whole order once a scan needed it,
+    chain the edges `_greedy_forest` accepts without a seed.
+    """
+
+    family: Family
+    head: np.ndarray | None
+    full: np.ndarray | None = None
+    chain: tuple[int, ...] | None = None
 
 
 class _DisjointSets:
@@ -223,7 +243,26 @@ class SpanningTreeFamily(Family):
 
     # -- solvers ---------------------------------------------------------
 
-    def _in_weight_order(self, values: np.ndarray, scan):
+    def _order_memo(self, w: WeightAssignment) -> _TreeOrder:
+        """The memo of `w` for this family, made (head sorted) on first use."""
+        memo = w._tree_order
+        if memo is not None and memo.family is self:
+            return memo
+        values = w.values
+        head = None
+        if values.size > self._PARTITION_THRESHOLD:
+            # The random graph process connects by (n/2)(ln n + c) edges except with
+            # probability ~e^-c (Erdos-Renyi); this k gives c > 11 (min 11.9, n=148).
+            k = min(values.size, 2 * self.n * max(1, int(np.log(self.n))) + 64)
+            kth = np.partition(values, k - 1)[k - 1]
+            cand = np.flatnonzero(values <= kth)
+            head = cand[np.argsort(values[cand], kind="stable")]
+            head.flags.writeable = False
+        memo = _TreeOrder(self, head)
+        object.__setattr__(w, "_tree_order", memo)
+        return memo
+
+    def _in_weight_order(self, w: WeightAssignment, scan):
         """Run `scan` on edge indices in (weight, index) order.
 
         Every tree solver reads the edges through this method.  Above the
@@ -231,27 +270,26 @@ class SpanningTreeFamily(Family):
         k = 2 n floor(ln n) + 64 cheapest weights plus every weight tied with
         the k-th, which is exactly a prefix of the full order.  If `scan`
         returns None (the head was too short), it runs again on the full order.
+        Both orders are sorted once per weight vector.
         """
-        size = values.size
-        if size > self._PARTITION_THRESHOLD:
-            # The random graph process connects by (n/2)(ln n + c) edges except with
-            # probability ~e^-c (Erdos-Renyi); this k gives c > 11 (min 11.9, n=148).
-            k = min(size, 2 * self.n * max(1, int(np.log(self.n))) + 64)
-            kth = np.partition(values, k - 1)[k - 1]
-            cand = np.flatnonzero(values <= kth)
-            result = scan(cand[np.argsort(values[cand], kind="stable")])
+        memo = self._order_memo(w)
+        if memo.head is not None:
+            result = scan(memo.head)
             if result is not None:
                 return result
-        return scan(np.argsort(values, kind="stable"))
+        if memo.full is None:
+            memo.full = np.argsort(w.values, kind="stable")
+            memo.full.flags.writeable = False
+        return scan(memo.full)
 
-    def _greedy_forest(self, w: WeightAssignment, parts: int, subset=()):
+    def _greedy_forest(self, w: WeightAssignment, subset=()):
         """Kruskal over the weight order, started from `subset`'s edges.
 
         Unions the subset's edges, then accepts each edge of the order that
-        joins two components until at most `parts` components remain.
-        Returns the accepted edges in acceptance order (their first k form
-        the cheapest k-edge forest extending the subset), or None if the
-        order runs out first.
+        joins two components until one component remains.  Returns the
+        accepted edges in acceptance order (their first k form the cheapest
+        k-edge forest extending the subset), or None if the order runs out
+        first.
         """
         seed = np.asarray(subset, dtype=np.intp)
         seed_u, seed_v = self.edge_u[seed].tolist(), self.edge_v[seed].tolist()
@@ -266,13 +304,24 @@ class SpanningTreeFamily(Family):
                 block = order[start:start + self.n]
                 us, vs = self.edge_u[block].tolist(), self.edge_v[block].tolist()
                 for i, u, v in zip(block.tolist(), us, vs):
-                    if dsu.count <= parts:
+                    if dsu.count == 1:
                         return chosen
                     if dsu.union(u, v):
                         chosen.append(i)
-            return chosen if dsu.count <= parts else None
+            return chosen if dsu.count == 1 else None
 
-        return self._in_weight_order(w.values, scan)
+        return self._in_weight_order(w, scan)
+
+    def _chain(self, w: WeightAssignment) -> tuple[int, ...]:
+        """The unseeded Kruskal chain of `w`, computed once per weight vector.
+
+        Its first k edges are the minimum-weight k-edge forest, so the
+        optimum, every budget prefix and every distance witness read it.
+        """
+        memo = self._order_memo(w)
+        if memo.chain is None:
+            memo.chain = tuple(self._greedy_forest(w))
+        return memo.chain
 
     def budget_forest(self, w: WeightAssignment, budget: float) -> list[int]:
         """Largest affordable prefix of the greedy forest.
@@ -283,16 +332,16 @@ class SpanningTreeFamily(Family):
         budget equal to an attained value stays affordable bit-for-bit.
         """
         self._check_weights(w)
-        chosen = self._greedy_forest(w, 1)
+        chosen = self._chain(w)
         # Canonical prefix totals only grow, so the affordable ones lead.
         kept = bisect.bisect_right(
             range(1, len(chosen) + 1), budget, key=lambda k: w.total(chosen[:k])
         )
-        return chosen[:kept]
+        return list(chosen[:kept])
 
     def min_weight(self, w: WeightAssignment) -> SolveResult:
         self._check_weights(w)
-        witness = tuple(sorted(self._greedy_forest(w, 1)))
+        witness = tuple(sorted(self._chain(w)))
         return SolveResult(value=w.total(witness), witness=witness)
 
     def budget_witness(self, w: WeightAssignment, budget: float) -> tuple[int, tuple]:
@@ -301,7 +350,7 @@ class SpanningTreeFamily(Family):
 
     def distance_witness(self, w: WeightAssignment, r: int) -> tuple[int, ...]:
         self._check_weights(w)
-        return tuple(sorted(self._greedy_forest(w, r + 1)))
+        return tuple(sorted(self._chain(w)[:max(self.n - 1 - r, 0)]))
 
     def random_member(self, rng: np.random.Generator) -> tuple[int, ...]:
         """Decode a uniform Prufer sequence (Cayley's bijection)."""
@@ -332,7 +381,7 @@ class SpanningTreeFamily(Family):
         """
         self._check_weights(w)
         idx = self._check_subset(subset)
-        patch = tuple(sorted(self._greedy_forest(w, 1, subset=idx)))
+        patch = tuple(sorted(self._greedy_forest(w, subset=idx)))
         return w.total(patch), patch
 
     def enumerate_members(self):

@@ -117,7 +117,7 @@ def component_patch(fam: Family, subset, w: WeightAssignment) -> PatchResult:
         sources, first = np.unique(np.minimum(pu, pv)[cross], return_index=True)
         return order[cross][first] if sources.size == c - 1 else None
 
-    chosen = fam._in_weight_order(w.values, first_per_source)
+    chosen = fam._in_weight_order(w, first_per_source)
     if chosen is None:
         raise RuntimeError("component patch size mismatch; solver bug")
     patch = tuple(sorted(chosen.tolist()))

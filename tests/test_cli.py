@@ -12,6 +12,7 @@ import pytest
 
 from minweight.cli import (
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
@@ -20,6 +21,7 @@ from minweight.cli import (
     render_csv,
     render_json,
 )
+from minweight.families import SpanningTreeFamily
 from minweight.montecarlo import ExperimentConfig, run
 
 
@@ -112,6 +114,18 @@ class TestExitCodes:
         code, _, err = invoke(argv, capsys)
         assert code == EXIT_USAGE
         assert "trial 0" in err
+
+    def test_solver_bug_is_internal_error(self, monkeypatch, capsys):
+        # An empty patch never completes a depleted set: _verify_patch raises.
+        monkeypatch.setattr(
+            SpanningTreeFamily, "cheapest_completion", lambda self, g, w: (0.0, ())
+        )
+        code, _, err = invoke(["patch", "--n", "8", "--r", "2", "--trials", "1"],
+                              capsys)
+        assert code == EXIT_INTERNAL
+        assert "trial 0" in err
+        assert "Traceback" in err
+        assert "RuntimeError: patch failed to complete the subset" in err
 
 
 class TestRecordEmission:
