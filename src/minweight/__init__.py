@@ -45,8 +45,6 @@ from .families import (
     SolveResult,
     SpanningTreeFamily,
     WeightAssignment,
-    min_patch_size,
-    min_weight,
 )
 from .montecarlo import (
     ASSIGNMENT_LIMIT,
@@ -104,7 +102,6 @@ __all__ = [
     # families
     "GroundSet", "WeightAssignment", "SolveResult", "Family",
     "SpanningTreeFamily", "MatchingFamily", "ExplicitFamily",
-    "min_weight", "min_patch_size",
     # patching
     "GStrategy", "PatchResult", "PatchabilityEstimate",
     "exact_patch", "component_patch", "min_outgoing_edge_count",

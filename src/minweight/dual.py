@@ -10,9 +10,10 @@ distance at most r.  They satisfy the duality
 
     cheapest_within_distance(r) <= L  <=>  defect_under_budget(L) <= r.
 
-Each family finds both witnesses in its own budget_witness and
-distance_witness methods; this module checks the arguments, reports
-canonical totals, and adds the concentration certificates below.
+Each family finds the distance witness in its own distance_witness
+method, and Family.budget_witness, shared by every family, inverts it for
+the budget witness; this module checks the arguments, reports canonical
+totals, and adds the concentration certificates below.
 
 The defect is 1-Lipschitz in every single weight and certified by its
 witness: the witness has at most ell elements, total weight <= L, and patch

@@ -8,18 +8,20 @@ concrete families are provided:
 * perfect matchings of the complete bipartite graph K_{n,n} (the n^2 edges),
 * an explicit list of members over an abstract ground set (N <= 24).
 
-A family is one class implementing seven methods, and every other module
-reaches it only through them:
+A family is one class implementing six methods:
 
 * min_weight(w): the optimum and its witness;
 * min_patch_size(G): the fewest elements that must be added to G so that it
   contains a member (Hamming distance to the upward closure);
 * cheapest_completion(G, w): the cheapest such addition;
-* budget_witness(w, L): the smallest patch distance of a subset of total
-  weight <= L, with a witness;
 * distance_witness(w, r): the cheapest subset at patch distance <= r;
 * random_member(rng): a uniformly random member;
 * enumerate_members(): every member (small instances only).
+
+The base class adds budget_witness(w, L), the smallest patch distance of a
+subset of total weight <= L with a witness, written once for every family
+as the inverse of distance_witness.  Every other module reaches a family
+only through these seven methods.
 
 Determinism: all tie-breaks prefer the smallest element index; solver values
 are canonical sums (witness weights added in ascending element-index order),
@@ -51,8 +53,6 @@ __all__ = [
     "SpanningTreeFamily",
     "MatchingFamily",
     "ExplicitFamily",
-    "min_weight",
-    "min_patch_size",
 ]
 
 _EXPLICIT_MAX_GROUND = 24
@@ -179,15 +179,6 @@ class Family(ABC):
         """
 
     @abstractmethod
-    def budget_witness(self, w: WeightAssignment, budget: float) -> tuple[int, tuple]:
-        """Smallest patch distance among subsets of total weight <= budget.
-
-        Returns (defect, witness): the witness is a sorted index tuple of at
-        most ell elements, affordable under the canonical sum, whose patch
-        distance equals the defect.
-        """
-
-    @abstractmethod
     def distance_witness(self, w: WeightAssignment, r: int) -> tuple[int, ...]:
         """Cheapest subset (sorted indices) at patch distance at most r."""
 
@@ -199,12 +190,36 @@ class Family(ABC):
     def enumerate_members(self):
         """All members as sorted index tuples (small instances only)."""
 
+    def budget_witness(self, w: WeightAssignment, budget: float) -> tuple[int, tuple]:
+        """Smallest patch distance among subsets of total weight <= budget.
+
+        Returns (defect, witness): the witness is a sorted index tuple of at
+        most ell elements, affordable under the canonical sum, whose patch
+        distance equals the defect.  By duality the defect is the smallest r
+        whose distance witness is affordable; witness totals do not grow with
+        r, so the affordable r < ell form a suffix and a bisect finds it.  At
+        r = ell the empty set is always affordable.
+        """
+        self._check_weights(w)
+        witnesses: dict[int, tuple[int, ...]] = {}
+
+        def affordable(r: int) -> bool:
+            witnesses[r] = self.distance_witness(w, r)
+            return w.total(witnesses[r]) <= budget
+
+        defect = bisect.bisect_left(range(self.ell), True, key=affordable)
+        return defect, witnesses.get(defect, ())
+
     def _check_weights(self, w: WeightAssignment) -> None:
         if len(w) != self.ground.size:
             raise ValueError(
                 f"weight vector has {len(w)} entries, ground set has "
                 f"{self.ground.size}"
             )
+
+    def _check_distance(self, r: int) -> None:
+        if r < 0:
+            raise ValueError(f"patch distance must be non-negative, got {r}")
 
     def _check_subset(self, subset) -> np.ndarray:
         if isinstance(subset, np.ndarray):
@@ -324,32 +339,19 @@ class SpanningTreeFamily(Family):
         return memo.chain
 
     def budget_forest(self, w: WeightAssignment, budget: float) -> list[int]:
-        """Largest affordable prefix of the greedy forest.
-
-        The k cheapest greedy edges form the minimum-weight forest of every
-        size k, so the budget stop reduces to a prefix scan.  Affordability
-        uses the same index-ordered subset sum that `total` reports, so a
-        budget equal to an attained value stays affordable bit-for-bit.
-        """
-        self._check_weights(w)
-        chosen = self._chain(w)
-        # Canonical prefix totals only grow, so the affordable ones lead.
-        kept = bisect.bisect_right(
-            range(1, len(chosen) + 1), budget, key=lambda k: w.total(chosen[:k])
-        )
-        return list(chosen[:kept])
+        """Largest affordable prefix of the greedy forest, in chain order."""
+        # Kept only as a trace target of perfbench/tracing.py and a test subject.
+        defect, _ = self.budget_witness(w, budget)
+        return list(self._chain(w)[:self.n - 1 - defect])
 
     def min_weight(self, w: WeightAssignment) -> SolveResult:
         self._check_weights(w)
         witness = tuple(sorted(self._chain(w)))
         return SolveResult(value=w.total(witness), witness=witness)
 
-    def budget_witness(self, w: WeightAssignment, budget: float) -> tuple[int, tuple]:
-        chosen = self.budget_forest(w, budget)
-        return (self.n - 1) - len(chosen), tuple(sorted(chosen))
-
     def distance_witness(self, w: WeightAssignment, r: int) -> tuple[int, ...]:
         self._check_weights(w)
+        self._check_distance(r)
         return tuple(sorted(self._chain(w)[:max(self.n - 1 - r, 0)]))
 
     def random_member(self, rng: np.random.Generator) -> tuple[int, ...]:
@@ -433,8 +435,7 @@ class MatchingFamily(Family):
 
     Every weighted solver is a minimum-weight k-matching from _k_matching,
     one call to scipy's linear_sum_assignment: k = n for the optimum and
-    the completion, k = n - r for distance r, and a bisection over k for a
-    budget.
+    the completion, and k = n - r for distance r.
     """
 
     def __init__(self, n: int) -> None:
@@ -495,18 +496,9 @@ class MatchingFamily(Family):
         matchings = [self._k_matching(w.values, k) for k in range(self.n + 1)]
         return np.asarray([w.total(m) for m in matchings]), matchings
 
-    def budget_witness(self, w: WeightAssignment, budget: float) -> tuple[int, tuple]:
-        self._check_weights(w)
-        # Non-negative weights make the optimum nondecreasing in k: dropping
-        # an edge from an optimal (k+1)-matching gives a k-matching.
-        k = bisect.bisect_right(
-            range(1, self.n + 1), budget,
-            key=lambda k: w.total(self._k_matching(w.values, k)),
-        )
-        return self.n - k, self._k_matching(w.values, k)
-
     def distance_witness(self, w: WeightAssignment, r: int) -> tuple[int, ...]:
         self._check_weights(w)
+        self._check_distance(r)
         return self._k_matching(w.values, max(self.n - r, 0))
 
     def random_member(self, rng: np.random.Generator) -> tuple[int, ...]:
@@ -586,29 +578,9 @@ class ExplicitFamily(Family):
                 best = cand
         return best[0], best[1]
 
-    def budget_witness(self, w: WeightAssignment, budget: float) -> tuple[int, tuple]:
-        """Per-member cheapest-prefix scan.
-
-        Any optimal affordable G may be replaced by its intersection with the
-        member realizing its patch distance (same distance, no dearer), so it
-        suffices to keep, for each member, the longest affordable cheap prefix.
-        """
-        self._check_weights(w)
-        best = None
-        for member in self._members:
-            member_arr = np.asarray(member, dtype=np.intp)
-            order = member_arr[np.argsort(w.values[member_arr], kind="stable")]
-            # Canonical prefix totals only grow, so the affordable ones lead.
-            kept = bisect.bisect_right(
-                range(1, len(order) + 1), budget, key=lambda k: w.total(order[:k])
-            )
-            cand = (len(member) - kept, tuple(sorted(order[:kept].tolist())))
-            if best is None or cand < best:
-                best = cand
-        return best
-
     def distance_witness(self, w: WeightAssignment, r: int) -> tuple[int, ...]:
         self._check_weights(w)
+        self._check_distance(r)
         best = None
         for member in self._members:
             keep = max(len(member) - r, 0)
@@ -626,12 +598,3 @@ class ExplicitFamily(Family):
     def enumerate_members(self):
         return list(self._members)
 
-
-def min_weight(fam: Family, w: WeightAssignment) -> SolveResult:
-    """Module-level convenience wrapper around Family.min_weight."""
-    return fam.min_weight(w)
-
-
-def min_patch_size(fam: Family, subset) -> int:
-    """Fewest elements to add to `subset` to contain a member of `fam`."""
-    return fam.min_patch_size(subset)

@@ -167,19 +167,26 @@ class TestCheapestWithinDistance:
 class TestDuality:
     """value-within-r <= L  iff  defect-at-L <= r, on exhaustive grids."""
 
+    @pytest.mark.parametrize("make", [
+        _draw,
+        lambda fam, key: WeightAssignment(
+            stream(*key).integers(0, 3, fam.ground.size).astype(float)
+        ),
+    ], ids=["uniform", "zeros-and-ties"])
     @pytest.mark.parametrize("maker", [
         lambda: SpanningTreeFamily(5),
         lambda: MatchingFamily(4),
         lambda: ExplicitFamily(6, [(0, 1), (1, 2, 3), (4, 5)]),
     ])
-    def test_equivalence(self, maker):
+    def test_equivalence(self, maker, make):
         fam = maker()
         for trial in range(15):
-            w = _draw(fam, (81, trial))
+            w = make(fam, (81, trial))
             full = fam.min_weight(w).value
             for frac in np.linspace(0.0, 1.1, 12):
                 budget = frac * full
                 defect = defect_under_budget(fam, w, budget).defect
+                assert defect == oracle_defect_under_budget(fam, w, budget)
                 for r in range(fam.ell + 1):
                     near = cheapest_within_distance(fam, w, r).value
                     assert (near <= budget) == (defect <= r)

@@ -11,8 +11,6 @@ from minweight.families import (
     SpanningTreeFamily,
     WeightAssignment,
     complete_graph_edges,
-    min_patch_size,
-    min_weight,
     prufer_decode,
 )
 from minweight.oracles import oracle_min_weight
@@ -200,6 +198,16 @@ class TestSpanningTreeFamily:
         assert len(prev) == fam.n - 1
 
 
+@pytest.mark.parametrize("fam", [
+    SpanningTreeFamily(5),
+    MatchingFamily(3),
+    ExplicitFamily(4, [(0, 1), (2, 3)]),
+], ids=["tree", "matching", "explicit"])
+def test_negative_distance_rejected(fam):
+    with pytest.raises(ValueError, match="non-negative"):
+        fam.distance_witness(_draw(fam, (38,)), -1)
+
+
 class TestPrufer:
     def test_known_sequence(self):
         # sequence (3, 3, 3, 4) encodes the star-ish tree on 6 vertices
@@ -284,6 +292,20 @@ class TestMatchingFamily:
         fam = MatchingFamily(3)
         assert fam.distance_witness(_draw(fam, (37,)), fam.ell + 1) == ()
 
+    def test_budget_solves_each_k_once(self, monkeypatch):
+        fam = MatchingFamily(100)
+        w = WeightAssignment(np.random.default_rng(1).random(fam.ground.size))
+        solved: list[int] = []
+        original = MatchingFamily._k_matching
+
+        def counted(self, values, k):
+            solved.append(k)
+            return original(self, values, k)
+
+        monkeypatch.setattr(MatchingFamily, "_k_matching", counted)
+        fam.budget_witness(w, 1.0)
+        assert solved and len(solved) == len(set(solved))
+
     def test_assignment_ladder_structure(self):
         fam = MatchingFamily(6)
         w = _draw(fam, (42,))
@@ -343,12 +365,6 @@ class TestExplicitFamily:
             ExplicitFamily(3, [(5,)])
         with pytest.raises(ValueError):
             ExplicitFamily(30, [(0,)])
-
-    def test_module_level_wrappers(self):
-        fam = ExplicitFamily(3, [(0, 1)])
-        w = WeightAssignment([0.5, 0.25, 0.9])
-        assert min_weight(fam, w).value == fam.min_weight(w).value
-        assert min_patch_size(fam, (0,)) == 1
 
 
 class TestTieHandling:
