@@ -11,9 +11,9 @@ distance at most r.  They satisfy the duality
     cheapest_within_distance(r) <= L  <=>  defect_under_budget(L) <= r.
 
 Each family finds the distance witness in its own distance_witness
-method, and Family.budget_witness, shared by every family, inverts it for
-the budget witness; this module checks the arguments, reports canonical
-totals, and adds the concentration certificates below.
+method, and Family.budget_witness, shared by every family, checks the
+budget and inverts it for the budget witness; this module checks r,
+reports canonical totals, and adds the concentration certificates below.
 
 The defect is 1-Lipschitz in every single weight and certified by its
 witness: the witness has at most ell elements, total weight <= L, and patch
@@ -66,8 +66,6 @@ class DualResult:
 def defect_under_budget(fam: Family, w: WeightAssignment, budget: float) -> DualResult:
     """Smallest patch distance among subsets of total weight <= budget."""
     budget = float(budget)
-    if budget < 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
     defect, witness = fam.budget_witness(w, budget)
     return DualResult(
         budget=budget, defect=int(defect), witness=witness,

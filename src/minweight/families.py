@@ -27,9 +27,12 @@ Determinism: all tie-breaks prefer the smallest element index; solver values
 are canonical sums (witness weights added in ascending element-index order),
 so equal witnesses give bit-equal values.
 
-A weight vector keeps the tree edge order and Kruskal chain of the last tree
-family that read it, so the solvers of one trial sort and scan it once; the
-memo cannot go stale because a WeightAssignment never changes.
+A weight vector has one memo slot, owned by the last family that read it
+(Family._memo): a tree family keeps its edge order and Kruskal chain there,
+a matching family its k-matchings by k, so the solvers of one trial sort,
+scan or solve each once.  A family that finds another owner replaces the
+state with its own; the memo cannot go stale because a WeightAssignment
+never changes.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ class GroundSet:
 class WeightAssignment:
     """Non-negative weights for every ground-set element.  Immutable."""
 
-    __slots__ = ("values", "_tree_order")
+    __slots__ = ("values", "_memo")
 
     def __init__(self, values) -> None:
         arr = np.ascontiguousarray(values, dtype=float)
@@ -88,7 +91,7 @@ class WeightAssignment:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "_tree_order", None)
+        object.__setattr__(self, "_memo", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("WeightAssignment is immutable")
@@ -114,14 +117,14 @@ class SolveResult:
 
 @dataclass(slots=True, eq=False)
 class _TreeOrder:
-    """A weight vector's tree edge order and Kruskal chain for one family.
+    """A weight vector's tree edge order and Kruskal chain: the memo state
+    a spanning-tree family keeps in the vector's slot (Family._memo).
 
     head is the partial-selection prefix of the (weight, index) order (None
     at or below the threshold), full the whole order once a scan needed it,
     chain the edges `_greedy_forest` accepts without a seed.
     """
 
-    family: Family
     head: np.ndarray | None
     full: np.ndarray | None = None
     chain: tuple[int, ...] | None = None
@@ -197,18 +200,43 @@ class Family(ABC):
         most ell elements, affordable under the canonical sum, whose patch
         distance equals the defect.  By duality the defect is the smallest r
         whose distance witness is affordable; witness totals do not grow with
-        r, so the affordable r < ell form a suffix and a bisect finds it.  At
-        r = ell the empty set is always affordable.
+        r, so the affordable r < ell form a suffix.  At r = ell the empty set
+        is always affordable.
+
+        Budgets of interest leave the defect far below ell, so the search
+        gallops: it probes r = 0, 1, 3, 7, ..., 2^j - 1 (clamped to ell)
+        until a witness is affordable, then bisects the last gap, so it makes
+        O(log defect) probes and solves each r once.  Small r are also the
+        cheapest matching probes (an (n + r)^2 assignment problem).  The
+        trade-off: a budget far below the optimum, whose defect is a large
+        fraction of ell, takes about twice the probes of a bisect over
+        range(ell).
         """
         self._check_weights(w)
+        self._check_budget(budget)
         witnesses: dict[int, tuple[int, ...]] = {}
 
         def affordable(r: int) -> bool:
             witnesses[r] = self.distance_witness(w, r)
             return w.total(witnesses[r]) <= budget
 
-        defect = bisect.bisect_left(range(self.ell), True, key=affordable)
+        lo, hi = 0, 0
+        while hi < self.ell and not affordable(hi):
+            lo, hi = hi + 1, min(2 * hi + 1, self.ell)
+        defect = bisect.bisect_left(range(self.ell), True, lo, hi, key=affordable)
         return defect, witnesses.get(defect, ())
+
+    def _memo(self, w: WeightAssignment, make):
+        """This family's state in the memo slot of `w`.
+
+        The slot holds (owner, state); when another family (or none) owns
+        it, `make()` builds fresh state and this family takes the slot.
+        """
+        memo = w._memo
+        if memo is None or memo[0] is not self:
+            memo = (self, make())
+            object.__setattr__(w, "_memo", memo)
+        return memo[1]
 
     def _check_weights(self, w: WeightAssignment) -> None:
         if len(w) != self.ground.size:
@@ -220,6 +248,10 @@ class Family(ABC):
     def _check_distance(self, r: int) -> None:
         if r < 0:
             raise ValueError(f"patch distance must be non-negative, got {r}")
+
+    def _check_budget(self, budget: float) -> None:
+        if not budget >= 0:  # also rejects NaN
+            raise ValueError(f"budget must be non-negative, got {budget}")
 
     def _check_subset(self, subset) -> np.ndarray:
         if isinstance(subset, np.ndarray):
@@ -260,12 +292,11 @@ class SpanningTreeFamily(Family):
 
     def _order_memo(self, w: WeightAssignment) -> _TreeOrder:
         """The memo of `w` for this family, made (head sorted) on first use."""
-        memo = w._tree_order
-        if memo is not None and memo.family is self:
-            return memo
-        values = w.values
-        head = None
-        if values.size > self._PARTITION_THRESHOLD:
+
+        def make() -> _TreeOrder:
+            values = w.values
+            if values.size <= self._PARTITION_THRESHOLD:
+                return _TreeOrder(None)
             # The random graph process connects by (n/2)(ln n + c) edges except with
             # probability ~e^-c (Erdos-Renyi); this k gives c > 11 (min 11.9, n=148).
             k = min(values.size, 2 * self.n * max(1, int(np.log(self.n))) + 64)
@@ -273,9 +304,9 @@ class SpanningTreeFamily(Family):
             cand = np.flatnonzero(values <= kth)
             head = cand[np.argsort(values[cand], kind="stable")]
             head.flags.writeable = False
-        memo = _TreeOrder(self, head)
-        object.__setattr__(w, "_tree_order", memo)
-        return memo
+            return _TreeOrder(head)
+
+        return self._memo(w, make)
 
     def _in_weight_order(self, w: WeightAssignment, scan):
         """Run `scan` on edge indices in (weight, index) order.
@@ -435,7 +466,10 @@ class MatchingFamily(Family):
 
     Every weighted solver is a minimum-weight k-matching from _k_matching,
     one call to scipy's linear_sum_assignment: k = n for the optimum and
-    the completion, and k = n - r for distance r.
+    the completion, and k = n - r for distance r.  The optimum is the
+    distance witness at r = 0, and distance witnesses keep their
+    k-matchings in the memo of the weight vector (Family._memo), so each k
+    is solved once per vector.
     """
 
     def __init__(self, n: int) -> None:
@@ -464,8 +498,7 @@ class MatchingFamily(Family):
         return tuple(sorted((rows[real] * n + cols[real]).tolist()))
 
     def min_weight(self, w: WeightAssignment) -> SolveResult:
-        self._check_weights(w)
-        witness = self._k_matching(w.values, self.n)
+        witness = self.distance_witness(w, 0)
         return SolveResult(value=w.total(witness), witness=witness)
 
     def min_patch_size(self, subset) -> int:
@@ -499,7 +532,11 @@ class MatchingFamily(Family):
     def distance_witness(self, w: WeightAssignment, r: int) -> tuple[int, ...]:
         self._check_weights(w)
         self._check_distance(r)
-        return self._k_matching(w.values, max(self.n - r, 0))
+        k = max(self.n - r, 0)
+        matchings = self._memo(w, dict)  # k -> its k-matching
+        if k not in matchings:
+            matchings[k] = self._k_matching(w.values, k)
+        return matchings[k]
 
     def random_member(self, rng: np.random.Generator) -> tuple[int, ...]:
         perm = rng.permutation(self.n)

@@ -109,7 +109,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["patch", "--n", "5", "--r", "10", "--trials", "1"],
         ["dual", "--n", "5", "--L", "-1", "--trials", "1"],
-    ], ids=["patch-r-too-large", "dual-negative-budget"])
+        ["dual", "--family", "matchings", "--n", "5", "--L", "nan", "--r", "1",
+         "--trials", "2"],
+    ], ids=["patch-r-too-large", "dual-negative-budget", "dual-nan-budget"])
     def test_bad_trial_arguments_are_usage_errors(self, argv, capsys):
         code, _, err = invoke(argv, capsys)
         assert code == EXIT_USAGE

@@ -4,7 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from minweight.dual import defect_under_budget
 from minweight.families import (
     ExplicitFamily,
     MatchingFamily,
@@ -45,6 +48,19 @@ def _count_scans(monkeypatch):
 
     monkeypatch.setattr(SpanningTreeFamily, "_in_weight_order", counted)
     return runs
+
+
+def _count_k_matchings(monkeypatch):
+    """Record every k that MatchingFamily._k_matching solves."""
+    solved: list[int] = []
+    original = MatchingFamily._k_matching
+
+    def counted(self, values, k):
+        solved.append(k)
+        return original(self, values, k)
+
+    monkeypatch.setattr(MatchingFamily, "_k_matching", counted)
+    return solved
 
 
 # (n, weight maker) pairs whose ground sets exceed the partial-selection
@@ -208,6 +224,56 @@ def test_negative_distance_rejected(fam):
         fam.distance_witness(_draw(fam, (38,)), -1)
 
 
+@pytest.mark.parametrize("budget", [-1.0, float("nan")])
+@pytest.mark.parametrize("fam", [
+    SpanningTreeFamily(5),
+    MatchingFamily(3),
+    ExplicitFamily(4, [(0, 1), (2, 3)]),
+], ids=["tree", "matching", "explicit"])
+def test_bad_budget_rejected(fam, budget):
+    with pytest.raises(ValueError, match="non-negative"):
+        fam.budget_witness(_draw(fam, (39,)), budget)
+
+
+# Boundary sizes: ell = 1 (trees n=2, matchings n=1) and ell = 2^j - 1
+# (trees n=8, matchings n=7), where the gallop's last probe lands on ell.
+_BUDGET_FAMILIES = (
+    SpanningTreeFamily(2), SpanningTreeFamily(5), SpanningTreeFamily(8),
+    MatchingFamily(1), MatchingFamily(4), MatchingFamily(7),
+    ExplicitFamily(6, [(0, 1, 2), (2, 3), (0, 1, 4, 5)]),
+    ExplicitFamily(8, [(0, 1, 2, 3, 4, 5, 6), (7,), (1, 7)]),
+)
+_BUDGET_WEIGHTS = {
+    "uniform": lambda rng, size: rng.random(size),
+    "zero": lambda rng, size: np.zeros(size),
+    "tied": lambda rng, size: rng.integers(0, 3, size) / 2.0,
+    "extreme": lambda rng, size: rng.choice([1e-300, 1.0, 1e300], size),
+}
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(
+    st.sampled_from(range(len(_BUDGET_FAMILIES))),
+    st.sampled_from(sorted(_BUDGET_WEIGHTS)),
+    st.integers(0, 2**32 - 1),
+)
+def test_budget_witness_is_the_smallest_affordable_distance(which, kind, seed):
+    """budget_witness(w, L) = min{r : total(distance_witness(w, r)) <= L},
+    with that witness, by a linear scan over r, at every attained total
+    (defect 0 at the optimum), at 0 (defect ell under positive weights) and
+    between consecutive totals."""
+    fam = _BUDGET_FAMILIES[which]
+    values = _BUDGET_WEIGHTS[kind](np.random.default_rng(seed), fam.ground.size)
+    scan = [fam.distance_witness(WeightAssignment(values), r)
+            for r in range(fam.ell + 1)]
+    totals = sorted({WeightAssignment(values).total(s) for s in scan})
+    budgets = totals + [0.0] + [(a + b) / 2 for a, b in zip(totals, totals[1:])]
+    w = WeightAssignment(values)
+    for budget in budgets:
+        defect = next(r for r, s in enumerate(scan) if w.total(s) <= budget)
+        assert fam.budget_witness(w, budget) == (defect, scan[defect])
+
+
 class TestPrufer:
     def test_known_sequence(self):
         # sequence (3, 3, 3, 4) encodes the star-ish tree on 6 vertices
@@ -305,6 +371,24 @@ class TestMatchingFamily:
         monkeypatch.setattr(MatchingFamily, "_k_matching", counted)
         fam.budget_witness(w, 1.0)
         assert solved and len(solved) == len(set(solved))
+
+    def test_budget_probes_stay_near_the_defect(self, monkeypatch):
+        # The gallop probes r <= 2 defect - 1, never the large padded
+        # problems around r = n/2 that a bisect over range(n) starts with.
+        fam = MatchingFamily(100)
+        w = WeightAssignment(np.random.default_rng(1).random(fam.ground.size))
+        solved = _count_k_matchings(monkeypatch)
+        defect = defect_under_budget(fam, w, 1.0).defect
+        assert min(solved) >= fam.n - max(2 * defect - 1, 0)
+
+    def test_min_weight_reads_the_budget_probe(self, monkeypatch):
+        fam = MatchingFamily(100)
+        w = WeightAssignment(np.random.default_rng(1).random(fam.ground.size))
+        solved = _count_k_matchings(monkeypatch)
+        defect_under_budget(fam, w, 1.0)
+        del solved[:]
+        fam.min_weight(w)
+        assert solved == []
 
     def test_assignment_ladder_structure(self):
         fam = MatchingFamily(6)

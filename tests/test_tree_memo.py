@@ -1,8 +1,10 @@
-"""The per-vector tree edge order and Kruskal chain.
+"""The per-vector memo: tree edge orders and Kruskal chains, k-matchings.
 
-A WeightAssignment remembers the edge order and the unseeded Kruskal chain of
-the last spanning-tree family that read it.  Every answer must equal the one
-a fresh family gives on a fresh copy of the weights, whatever the call order.
+A WeightAssignment has one memo slot, owned by the last family that read it:
+a spanning-tree family keeps its edge order and unseeded Kruskal chain
+there, a matching family its k-matchings by k.  Every answer must equal the
+one a fresh family gives on a fresh copy of the weights, whatever the call
+order and whichever family owned the slot before.
 """
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minweight.dual import cheapest_within_distance, defect_under_budget
-from minweight.families import SpanningTreeFamily, WeightAssignment
+from minweight.families import MatchingFamily, SpanningTreeFamily, WeightAssignment
 from minweight.patching import component_patch
 from minweight.rngs import stream
 
@@ -24,7 +26,7 @@ def _solve(fam, w, name, g, param):
     if name == "min_weight":
         return fam.min_weight(w)
     if name == "budget_witness":
-        opt = SpanningTreeFamily(fam.n).min_weight(WeightAssignment(w.values))
+        opt = type(fam)(fam.n).min_weight(WeightAssignment(w.values))
         return fam.budget_witness(w, (param % 5) / 4 * opt.value)
     if name == "distance_witness":
         return fam.distance_witness(w, param % (fam.n + 2))
@@ -33,9 +35,8 @@ def _solve(fam, w, name, g, param):
     return component_patch(fam, g, w)
 
 
-def _fresh(n, values, name, g, param):
-    return _solve(SpanningTreeFamily(n), WeightAssignment(values.copy()),
-                  name, g, param)
+def _fresh(n, values, name, g, param, cls=SpanningTreeFamily):
+    return _solve(cls(n), WeightAssignment(values.copy()), name, g, param)
 
 
 def _depleted(fam, rng, r):
@@ -81,6 +82,42 @@ class TestTreeOrderMemo:
         for fam, w, name, param in calls:
             values = first if w is not w2 else second
             assert _solve(fam, w, name, g, param) == _fresh(n, values, name, g, param)
+
+
+class TestMatchingMemo:
+    @pytest.mark.parametrize("n", [6, 40])
+    def test_interleaved_vectors_and_families_match_fresh(self, n):
+        rng = stream(63, n)
+        fam_a, fam_b = MatchingFamily(n), MatchingFamily(n)
+        first = rng.random(fam_a.ground.size)
+        second = rng.integers(0, 3, fam_a.ground.size) / 2.0
+        w1, w2 = WeightAssignment(first), WeightAssignment(second)
+        w1_copy = WeightAssignment(w1.values)
+        g = _depleted(fam_a, rng, n // 3)
+        calls = [
+            (fam_a, w1, "budget_witness", 2), (fam_b, w1, "distance_witness", 3),
+            (fam_a, w2, "budget_witness", 1), (fam_b, w1_copy, "min_weight", 0),
+            (fam_a, w1, "min_weight", 0), (fam_b, w2, "budget_witness", 3),
+            (fam_a, w1_copy, "distance_witness", 1), (fam_b, w2, "cheapest_completion", 0),
+            (fam_a, w1, "distance_witness", 1), (fam_a, w2, "distance_witness", 5),
+            (fam_b, w1, "budget_witness", 4), (fam_a, w1_copy, "budget_witness", 2),
+        ]
+        for fam, w, name, param in calls:
+            values = first if w is not w2 else second
+            assert _solve(fam, w, name, g, param) == \
+                _fresh(n, values, name, g, param, MatchingFamily)
+
+    def test_tree_and_matching_families_share_one_vector(self):
+        # K_9 and K_{6,6} both have 36 edges, so one vector serves both and
+        # each call finds the other family's state in the slot.
+        tree, matching = SpanningTreeFamily(9), MatchingFamily(6)
+        values = stream(64).random(36)
+        w = WeightAssignment(values)
+        for param in range(6):
+            for fam in (tree, matching):
+                for name in ("min_weight", "distance_witness", "budget_witness"):
+                    assert _solve(fam, w, name, (), param) == \
+                        _fresh(fam.n, values, name, (), param, type(fam))
 
 
 _SHARED = {}  # (n, which) -> family, reused across examples
