@@ -77,16 +77,12 @@ from .patching import (
 from .rngs import stream, stream_id
 from .weights import (
     BaseLaw,
-    CoupledTriple,
-    IteratedSplit,
     WeightSpec,
     cdf,
     coupling_violations,
-    iterated_coupling,
     iterated_coupling_batch,
     quantile,
     sample,
-    split_coupling,
     split_coupling_batch,
 )
 
@@ -95,10 +91,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # weights
-    "BaseLaw", "WeightSpec", "CoupledTriple", "IteratedSplit",
-    "sample", "cdf", "quantile",
-    "split_coupling", "split_coupling_batch",
-    "iterated_coupling", "iterated_coupling_batch", "coupling_violations",
+    "BaseLaw", "WeightSpec", "sample", "cdf", "quantile",
+    "split_coupling_batch", "iterated_coupling_batch", "coupling_violations",
     # families
     "GroundSet", "WeightAssignment", "SolveResult", "Family",
     "SpanningTreeFamily", "MatchingFamily", "ExplicitFamily",

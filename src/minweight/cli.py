@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 import traceback
-from dataclasses import asdict
+from dataclasses import asdict, fields as dataclass_fields
 
 from . import bounds as bounds_mod
 from . import montecarlo, oracles
@@ -27,12 +27,8 @@ EXIT_CONFIG = 3
 EXIT_IO = 4
 EXIT_INTERNAL = 5
 
-_RECORD_FIELDS = (
-    "trial", "n", "q", "seed", "value", "defect", "near_value", "patch_cost",
-    "component_cost", "w_green", "w_red", "bound", "envelope_bound", "slack",
-)
+_RECORD_FIELDS = tuple(f.name for f in dataclass_fields(TrialRecord))
 _MANDATORY_FIELDS = _RECORD_FIELDS[:5]
-_INT_FIELDS = {"trial", "n", "seed", "defect"}
 
 _DEFAULTS = {
     "q": 1.0,

@@ -8,9 +8,8 @@ concrete families are provided:
 * perfect matchings of the complete bipartite graph K_{n,n} (the n^2 edges),
 * an explicit list of members over an abstract ground set (N <= 24).
 
-A family is one class implementing six methods:
+A family is one class implementing five primitives:
 
-* min_weight(w): the optimum and its witness;
 * min_patch_size(G): the fewest elements that must be added to G so that it
   contains a member (Hamming distance to the upward closure);
 * cheapest_completion(G, w): the cheapest such addition;
@@ -18,10 +17,11 @@ A family is one class implementing six methods:
 * random_member(rng): a uniformly random member;
 * enumerate_members(): every member (small instances only).
 
-The base class adds budget_witness(w, L), the smallest patch distance of a
-subset of total weight <= L with a witness, written once for every family
-as the inverse of distance_witness.  Every other module reaches a family
-only through these seven methods.
+The base class derives the other two from distance_witness, once for every
+family: min_weight(w), the optimum and its witness, is the witness at
+r = 0; budget_witness(w, L), the smallest patch distance of a subset of
+total weight <= L with a witness, is its inverse.  Every other module
+reaches a family only through these seven methods.
 
 Determinism: all tie-breaks prefer the smallest element index; solver values
 are canonical sums (witness weights added in ascending element-index order),
@@ -166,10 +166,6 @@ class Family(ABC):
     ell: int  # largest member size
 
     @abstractmethod
-    def min_weight(self, w: WeightAssignment) -> SolveResult:
-        """Minimum total weight of a member, with witness."""
-
-    @abstractmethod
     def min_patch_size(self, subset) -> int:
         """Fewest elements to add to `subset` so it contains a member."""
 
@@ -192,6 +188,12 @@ class Family(ABC):
     @abstractmethod
     def enumerate_members(self):
         """All members as sorted index tuples (small instances only)."""
+
+    def min_weight(self, w: WeightAssignment) -> SolveResult:
+        """Minimum total weight of a member, with witness: the distance
+        witness at r = 0 and its canonical sum."""
+        witness = self.distance_witness(w, 0)
+        return SolveResult(value=w.total(witness), witness=witness)
 
     def budget_witness(self, w: WeightAssignment, budget: float) -> tuple[int, tuple]:
         """Smallest patch distance among subsets of total weight <= budget.
@@ -375,11 +377,6 @@ class SpanningTreeFamily(Family):
         defect, _ = self.budget_witness(w, budget)
         return list(self._chain(w)[:self.n - 1 - defect])
 
-    def min_weight(self, w: WeightAssignment) -> SolveResult:
-        self._check_weights(w)
-        witness = tuple(sorted(self._chain(w)))
-        return SolveResult(value=w.total(witness), witness=witness)
-
     def distance_witness(self, w: WeightAssignment, r: int) -> tuple[int, ...]:
         self._check_weights(w)
         self._check_distance(r)
@@ -466,10 +463,10 @@ class MatchingFamily(Family):
 
     Every weighted solver is a minimum-weight k-matching from _k_matching,
     one call to scipy's linear_sum_assignment: k = n for the optimum and
-    the completion, and k = n - r for distance r.  The optimum is the
-    distance witness at r = 0, and distance witnesses keep their
-    k-matchings in the memo of the weight vector (Family._memo), so each k
-    is solved once per vector.
+    the completion, and k = n - r for distance r.  Distance witnesses (so
+    the optimum and the assignment ladder too) keep their k-matchings in
+    the memo of the weight vector (Family._memo), so each k is solved once
+    per vector.
     """
 
     def __init__(self, n: int) -> None:
@@ -497,10 +494,6 @@ class MatchingFamily(Family):
         real = (rows < n) & (cols < n)
         return tuple(sorted((rows[real] * n + cols[real]).tolist()))
 
-    def min_weight(self, w: WeightAssignment) -> SolveResult:
-        witness = self.distance_witness(w, 0)
-        return SolveResult(value=w.total(witness), witness=witness)
-
     def min_patch_size(self, subset) -> int:
         """n minus the maximum matching inside the subset (Hopcroft-Karp)."""
         idx = self._check_subset(subset)
@@ -522,11 +515,10 @@ class MatchingFamily(Family):
     def assignment_ladder(self, w: WeightAssignment):
         """Minimum-weight k-matchings for every cardinality k = 0..n.
 
-        Returns (costs, matchings): matchings[k] is the sorted edge tuple
-        from _k_matching and costs[k] its canonical value.
+        Returns (costs, matchings): matchings[k] is the distance witness at
+        r = n - k and costs[k] its canonical value.
         """
-        self._check_weights(w)
-        matchings = [self._k_matching(w.values, k) for k in range(self.n + 1)]
+        matchings = [self.distance_witness(w, self.n - k) for k in range(self.n + 1)]
         return np.asarray([w.total(m) for m in matchings]), matchings
 
     def distance_witness(self, w: WeightAssignment, r: int) -> tuple[int, ...]:
@@ -589,16 +581,6 @@ class ExplicitFamily(Family):
     @property
     def members(self) -> tuple[tuple[int, ...], ...]:
         return self._members
-
-    def min_weight(self, w: WeightAssignment) -> SolveResult:
-        self._check_weights(w)
-        best = None
-        for member in self._members:
-            value = w.total(member)
-            cand = (value, member)
-            if best is None or cand < best:
-                best = cand
-        return SolveResult(value=best[0], witness=best[1])
 
     def min_patch_size(self, subset) -> int:
         idx = set(int(i) for i in self._check_subset(subset))

@@ -85,7 +85,6 @@ class ExperimentConfig:
     r: int | None = None
     budget: float | None = None
     s: float | None = None
-    eps: float = 0.05
     t_grid: tuple[float, ...] = ()
     g_strategy: GStrategy = GStrategy.REMOVE_FROM_OPTIMUM
 
@@ -108,8 +107,6 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if int(self.master_seed) < 0:
             raise ValueError("master_seed must be non-negative")
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"eps={self.eps} outside (0,1)")
 
     @property
     def sizes(self) -> tuple[int, ...]:

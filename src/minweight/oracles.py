@@ -264,6 +264,8 @@ def oracle_suite(vectors: int = 20, master_seed: int = 7) -> list[OracleCheck]:
     per size; exact agreement (integers exactly, values bit-for-bit through
     canonical sums).  Import here avoids a module cycle.
     """
+    if vectors < 1:
+        raise ValueError(f"oracle suite needs at least one vector, got {vectors}")
     from . import dual, weights
     from .patching import exact_patch
     from .rngs import stream

@@ -233,6 +233,8 @@ def estimate_patchability(
         raise ValueError(f"r={r} outside [0, {fam.ell}]")
     if trials < 1:
         raise ValueError("trials must be positive")
+    if g_samples < 1:
+        raise ValueError("g_samples must be positive")
     if r == 0:
         empty = np.zeros((1, trials))
         return PatchabilityEstimate(

@@ -32,14 +32,10 @@ import numpy as np
 __all__ = [
     "BaseLaw",
     "WeightSpec",
-    "CoupledTriple",
-    "IteratedSplit",
     "sample",
     "cdf",
     "quantile",
-    "split_coupling",
     "split_coupling_batch",
-    "iterated_coupling",
     "iterated_coupling_batch",
     "coupling_violations",
 ]
@@ -125,50 +121,6 @@ def quantile(spec: WeightSpec, p):
     return out
 
 
-@dataclass(frozen=True)
-class CoupledTriple:
-    """One coupled draw x and the two independent copies it is dominated by.
-
-    Invariant (checked on construction):
-    x <= min(y / (1-s)^(1/q), y_prime / s^(1/q)), with exact float comparison.
-    """
-
-    x: float
-    y: float
-    y_prime: float
-    s: float
-    q: float
-
-    def __post_init__(self) -> None:
-        bound = min(
-            self.y * (1.0 - self.s) ** (-1.0 / self.q),
-            self.y_prime * self.s ** (-1.0 / self.q),
-        )
-        if not self.x <= bound:
-            raise ValueError(
-                f"coupling inequality violated: x={self.x!r} > bound={bound!r}"
-            )
-
-
-@dataclass(frozen=True)
-class IteratedSplit:
-    """One draw coupled to k i.i.d. copies: x <= k^(1/q) * min(copies)."""
-
-    x: float
-    copies: tuple[float, ...]
-    k: int
-    q: float
-
-    def __post_init__(self) -> None:
-        if self.k != len(self.copies) or self.k < 1:
-            raise ValueError("k must equal the number of copies and be >= 1")
-        bound = self.k ** (1.0 / self.q) * min(self.copies)
-        if not self.x <= bound:
-            raise ValueError(
-                f"iterated coupling violated: x={self.x!r} > bound={bound!r}"
-            )
-
-
 def _couple_base(
     g: np.ndarray, r: np.ndarray, s: float, base: BaseLaw
 ) -> np.ndarray:
@@ -206,16 +158,6 @@ def split_coupling_batch(
     return x, y, y_prime
 
 
-def split_coupling(
-    spec: WeightSpec, s: float, rng: np.random.Generator
-) -> CoupledTriple:
-    """Draw one coupled triple (x, y, y_prime) for split fraction s."""
-    x, y, y_prime = split_coupling_batch(spec, s, rng, 1)
-    return CoupledTriple(
-        x=float(x[0]), y=float(y[0]), y_prime=float(y_prime[0]), s=s, q=spec.q
-    )
-
-
 def iterated_coupling_batch(
     spec: WeightSpec, k: int, rng: np.random.Generator, size: int
 ):
@@ -241,16 +183,6 @@ def iterated_coupling_batch(
     bound = k ** inv_q * copies.min(axis=0)
     x = np.minimum(_power(g, inv_q), bound)
     return x, copies
-
-
-def iterated_coupling(
-    spec: WeightSpec, k: int, rng: np.random.Generator
-) -> IteratedSplit:
-    """Draw one iterated split of order k."""
-    x, copies = iterated_coupling_batch(spec, k, rng, 1)
-    return IteratedSplit(
-        x=float(x[0]), copies=tuple(float(c) for c in copies[:, 0]), k=k, q=spec.q
-    )
 
 
 def coupling_violations(x, y, y_prime, s: float, q: float) -> int:

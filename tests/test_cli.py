@@ -117,6 +117,12 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "trial 0" in err
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_oracle_needs_a_trial(self, trials, capsys):
+        code, _, err = invoke(["oracle", "--trials", trials], capsys)
+        assert code == EXIT_USAGE
+        assert "at least one vector" in err
+
     def test_solver_bug_is_internal_error(self, monkeypatch, capsys):
         # An empty patch never completes a depleted set: _verify_patch raises.
         monkeypatch.setattr(

@@ -11,6 +11,7 @@ from minweight.dual import defect_under_budget
 from minweight.families import (
     ExplicitFamily,
     MatchingFamily,
+    SolveResult,
     SpanningTreeFamily,
     WeightAssignment,
     complete_graph_edges,
@@ -261,7 +262,9 @@ def test_budget_witness_is_the_smallest_affordable_distance(which, kind, seed):
     """budget_witness(w, L) = min{r : total(distance_witness(w, r)) <= L},
     with that witness, by a linear scan over r, at every attained total
     (defect 0 at the optimum), at 0 (defect ell under positive weights) and
-    between consecutive totals."""
+    between consecutive totals.  The derived optimum min_weight(w) (the
+    witness at r = 0) has the enumeration oracle's value; explicit families
+    also share its tie rule, so their whole SolveResult matches."""
     fam = _BUDGET_FAMILIES[which]
     values = _BUDGET_WEIGHTS[kind](np.random.default_rng(seed), fam.ground.size)
     scan = [fam.distance_witness(WeightAssignment(values), r)
@@ -272,6 +275,10 @@ def test_budget_witness_is_the_smallest_affordable_distance(which, kind, seed):
     for budget in budgets:
         defect = next(r for r, s in enumerate(scan) if w.total(s) <= budget)
         assert fam.budget_witness(w, budget) == (defect, scan[defect])
+    if isinstance(fam, ExplicitFamily):
+        assert fam.min_weight(w) == SolveResult(*oracle_min_weight(fam, w))
+    elif not (isinstance(fam, SpanningTreeFamily) and fam.n > 7):
+        assert fam.min_weight(w).value == oracle_min_weight(fam, w)[0]
 
 
 class TestPrufer:

@@ -49,8 +49,6 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(family="trees", n=5, trials=0)
         with pytest.raises(ValueError):
-            ExperimentConfig(family="trees", n=5, eps=0.0)
-        with pytest.raises(ValueError):
             ExperimentConfig(family="trees", n=5, master_seed=-1)
 
     def test_sizes_property(self):

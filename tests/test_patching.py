@@ -328,6 +328,14 @@ class TestEstimatePatchability:
                 g_strategy=GStrategy.REMOVE_FROM_OPTIMUM, trials=5,
             )
 
+    def test_rejects_no_g_samples(self):
+        fam = SpanningTreeFamily(5)
+        with pytest.raises(ValueError, match="g_samples"):
+            estimate_patchability(
+                fam, SPEC, r=1, eps=0.1,
+                g_strategy=GStrategy.REMOVE_FROM_OPTIMUM, trials=5, g_samples=0,
+            )
+
 
 class TestSubsetSumsHelper:
     def test_matches_direct_sums(self):

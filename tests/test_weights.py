@@ -13,16 +13,12 @@ from scipy import stats as sps
 from minweight.rngs import stream
 from minweight.weights import (
     BaseLaw,
-    CoupledTriple,
-    IteratedSplit,
     WeightSpec,
     cdf,
     coupling_violations,
-    iterated_coupling,
     iterated_coupling_batch,
     quantile,
     sample,
-    split_coupling,
     split_coupling_batch,
 )
 
@@ -123,19 +119,6 @@ class TestSplitCoupling:
             with pytest.raises(ValueError):
                 split_coupling_batch(spec, s, stream(0), 10)
 
-    def test_triple_constructor_asserts(self):
-        CoupledTriple(x=0.5, y=0.9, y_prime=0.9, s=0.5, q=1.0)
-        with pytest.raises(ValueError):
-            CoupledTriple(x=2.0, y=0.5, y_prime=0.5, s=0.5, q=1.0)
-
-    def test_single_draw_matches_batch(self):
-        spec = WeightSpec(q=2.0)
-        triple = split_coupling(spec, 0.3, stream(12))
-        x, y, yp = split_coupling_batch(spec, 0.3, stream(12), 1)
-        assert triple.x == x[0]
-        assert triple.y == y[0]
-        assert triple.y_prime == yp[0]
-
     @pytest.mark.parametrize("spec", SPECS)
     def test_marginals_against_law(self, spec):
         x, y, yp = split_coupling_batch(spec, 0.3, stream(13), 10**5)
@@ -210,18 +193,6 @@ class TestIteratedCoupling:
         for row in copies:
             assert sps.kstest(row, lambda v: cdf(spec, v)).pvalue >= 0.01
 
-    def test_dataclass_asserts(self):
-        IteratedSplit(x=0.2, copies=(0.5, 0.4), k=2, q=1.0)
-        with pytest.raises(ValueError):
-            IteratedSplit(x=0.9, copies=(0.1, 0.2), k=2, q=1.0)
-        with pytest.raises(ValueError):
-            IteratedSplit(x=0.1, copies=(0.5,), k=2, q=1.0)
-
     def test_rejects_k_zero(self):
         with pytest.raises(ValueError):
             iterated_coupling_batch(WeightSpec(q=1.0), 0, stream(0), 5)
-
-    def test_single_draw_object(self):
-        split = iterated_coupling(WeightSpec(q=1.0), 3, stream(25))
-        assert split.k == 3
-        assert len(split.copies) == 3
