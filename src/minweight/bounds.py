@@ -93,7 +93,7 @@ def concentration_upper_bound(level: float, patch_scale: float, q: float) -> flo
     """
     if not q > 0.0:
         raise ValueError(f"need q > 0, got q={q}")
-    if level < 0.0 or patch_scale < 0.0:
+    if not (level >= 0.0 and patch_scale >= 0.0):  # also rejects NaN
         raise ValueError("level and patch_scale must be non-negative")
     if patch_scale == 0.0:
         return float(level)
@@ -219,7 +219,7 @@ def cheap_set_prob_bound(q: float, m: int, L: float) -> float:
         raise ValueError(f"need q > 0, got q={q}")
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    if L < 0.0:
+    if not L >= 0.0:  # also rejects NaN
         raise ValueError(f"need L >= 0, got {L}")
     if L == 0.0:
         return 0.0
@@ -236,7 +236,7 @@ def cheap_set_prob_bound(q: float, m: int, L: float) -> float:
 
 def upper_tail_bound(t: float, q: float) -> float:
     """Bound Pr(optimum > t * median) <= min(1, 2^(1 - t^q))."""
-    if t < 0.0:
+    if not t >= 0.0:  # also rejects NaN
         raise ValueError(f"need t >= 0, got {t}")
     if not q > 0.0:
         raise ValueError(f"need q > 0, got q={q}")

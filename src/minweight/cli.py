@@ -318,6 +318,12 @@ def _summary_lines(label: str, values) -> list[str]:
 
 def _cmd_value(args, family: str, limit: float) -> int:
     config = _experiment_config(args, family, "value")
+    if args.tolerance is not None and len(config.sizes) == 1 and config.spec.q != 1:
+        raise CliError("--tolerance verification needs --q 1 (limit constant known)",
+                       EXIT_USAGE)
+    if args.tolerance is not None and len(config.sizes) == 2:
+        raise CliError("--n-grid needs at least 3 sizes for slope verification",
+                       EXIT_USAGE)
     records = montecarlo.run(config)
     emit(records, _get(args, "format"), args.out)
     failures = []
@@ -326,11 +332,6 @@ def _cmd_value(args, family: str, limit: float) -> int:
         for line in _summary_lines(f"{family} n={config.sizes[0]}", values):
             _note(line)
         if args.tolerance is not None:
-            if config.spec.q != 1.0:
-                raise CliError(
-                    "--tolerance verification needs --q 1 (limit constant known)",
-                    EXIT_USAGE,
-                )
             mean = montecarlo.summarize(values).mean
             rel = abs(mean - limit) / limit
             _note(f"limit check: mean={_fmt(mean)} target={_fmt(limit)} "
@@ -354,10 +355,6 @@ def _cmd_value(args, family: str, limit: float) -> int:
                 _note(f"slope cap: {_fmt(cap)}")
                 if fit.slope > cap:
                     failures.append(f"slope {fit.slope:.4f} above cap {cap:.4f}")
-        elif args.tolerance is not None:
-            raise CliError(
-                "--n-grid needs at least 3 sizes for slope verification", EXIT_USAGE
-            )
     if failures:
         _note("FAIL: " + "; ".join(failures))
         return EXIT_VERIFY
@@ -378,9 +375,10 @@ def _cmd_patch(args) -> int:
         recs = [rec for rec in records if rec.n == n]
         costs = [rec.patch_cost for rec in recs]
         stats = montecarlo.summarize(costs)
-        ratio = stats.mean / (int(r) * n ** (-1.0 / q))
-        _note(f"patch n={n} r={r}: mean_cost={_fmt(stats.mean)} "
-              f"normalized={_fmt(ratio)}")
+        line = f"patch n={n} r={r}: mean_cost={_fmt(stats.mean)}"
+        if int(r):  # r = 0 patches nothing: there is no scale to normalize by
+            line += f" normalized={_fmt(stats.mean / (int(r) * n ** (-1.0 / q)))}"
+        _note(line)
         dominance_violations += sum(
             1
             for rec in recs
@@ -598,10 +596,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         # A trial that rejected its arguments is a usage error, not a failed check.
-        if isinstance(exc.__cause__, ValueError):
+        if isinstance(exc, RuntimeError) and isinstance(exc.__cause__, ValueError):
             return EXIT_USAGE
         # Anything else is a bug, not a failed check: keep its type and traceback.
         traceback.print_exception(exc.__cause__ or exc, file=sys.stderr)

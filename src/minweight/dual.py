@@ -85,7 +85,7 @@ def cheapest_within_distance(fam: Family, w: WeightAssignment, r: int) -> SolveR
 def talagrand_product_bound(t: float) -> float:
     """exp(-t^2/4): certified-Lipschitz concentration product bound."""
     t = float(t)
-    if t < 0:
+    if not t >= 0:  # also rejects NaN
         raise ValueError("t must be non-negative")
     return math.exp(-t * t / 4.0)
 
@@ -94,7 +94,7 @@ def talagrand_threshold(ell: int, t: float) -> float:
     """Defect gap t * sqrt(ell) matching talagrand_product_bound(t)."""
     if ell < 1:
         raise ValueError("ell must be a positive integer")
-    if t < 0:
+    if not t >= 0:  # also rejects NaN
         raise ValueError("t must be non-negative")
     return float(t) * math.sqrt(ell)
 

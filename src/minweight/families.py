@@ -120,13 +120,12 @@ class _TreeOrder:
     """A weight vector's tree edge order and Kruskal chain: the memo state
     a spanning-tree family keeps in the vector's slot (Family._memo).
 
-    head is the partial-selection prefix of the (weight, index) order (None
-    at or below the threshold), full the whole order once a scan needed it,
-    chain the edges `_greedy_forest` accepts without a seed.
+    order is a prefix of the (weight, index) order: the head until a scan
+    needs more, then the whole order.  chain is the edges `_greedy_forest`
+    accepts without a seed.
     """
 
-    head: np.ndarray | None
-    full: np.ndarray | None = None
+    order: np.ndarray
     chain: tuple[int, ...] | None = None
 
 
@@ -276,16 +275,14 @@ class SpanningTreeFamily(Family):
     """Spanning trees of K_n.  Element i is the i-th edge in lexicographic
     order; ell = n - 1."""
 
-    # Below this many edges a full stable sort is as fast as partial selection.
-    _PARTITION_THRESHOLD = 4096
-
     def __init__(self, n: int) -> None:
         n = int(n)
         if n < 2:
             raise ValueError(f"spanning trees need n >= 2 vertices, got {n}")
         self.n = n
         self.edge_u, self.edge_v = complete_graph_edges(n)
-        # Kept: without these long-lived tuples trials refault freed heap (~10% slower).
+        # Kept: without these long-lived tuples trials refault freed heap; on tree-value
+        # that cost ~20% of trials/s and +38% p90 latency, for 45 MB less peak RSS.
         labels = tuple(zip(self.edge_u.tolist(), self.edge_v.tolist()))
         self.ground = GroundSet(size=len(labels), labels=labels)
         self.ell = n - 1
@@ -297,10 +294,9 @@ class SpanningTreeFamily(Family):
 
         def make() -> _TreeOrder:
             values = w.values
-            if values.size <= self._PARTITION_THRESHOLD:
-                return _TreeOrder(None)
             # The random graph process connects by (n/2)(ln n + c) edges except with
-            # probability ~e^-c (Erdos-Renyi); this k gives c > 11 (min 11.9, n=148).
+            # probability ~e^-c (Erdos-Renyi); this k gives c > 10 (min 10.4, n=54)
+            # and is the whole ground set for n <= 16.
             k = min(values.size, 2 * self.n * max(1, int(np.log(self.n))) + 64)
             kth = np.partition(values, k - 1)[k - 1]
             cand = np.flatnonzero(values <= kth)
@@ -313,22 +309,21 @@ class SpanningTreeFamily(Family):
     def _in_weight_order(self, w: WeightAssignment, scan):
         """Run `scan` on edge indices in (weight, index) order.
 
-        Every tree solver reads the edges through this method.  Above the
-        threshold `scan` first gets only the head of the order: the
-        k = 2 n floor(ln n) + 64 cheapest weights plus every weight tied with
-        the k-th, which is exactly a prefix of the full order.  If `scan`
-        returns None (the head was too short), it runs again on the full order.
-        Both orders are sorted once per weight vector.
+        Every tree solver reads the edges through this method.  `scan` first
+        gets the head of the order: the k = 2 n floor(ln n) + 64 cheapest
+        weights plus every weight tied with the k-th, which is exactly a
+        prefix of the full order (all of it when k covers the ground set).
+        If `scan` returns None on a head shorter than the ground set, the
+        memo's order becomes the full stable argsort and `scan` runs once
+        more; later scans of the same vector start from the full order.
         """
         memo = self._order_memo(w)
-        if memo.head is not None:
-            result = scan(memo.head)
-            if result is not None:
-                return result
-        if memo.full is None:
-            memo.full = np.argsort(w.values, kind="stable")
-            memo.full.flags.writeable = False
-        return scan(memo.full)
+        result = scan(memo.order)
+        if result is None and memo.order.size < w.values.size:
+            memo.order = np.argsort(w.values, kind="stable")
+            memo.order.flags.writeable = False
+            result = scan(memo.order)
+        return result
 
     def _greedy_forest(self, w: WeightAssignment, subset=()):
         """Kruskal over the weight order, started from `subset`'s edges.

@@ -263,6 +263,11 @@ def estimate_patchability(
 
 
 def _estimate_exhaustive(fam, spec, r, eps, trials, master_seed):
+    """Exhaustive sweep of estimate_patchability.  Each cost is bit-equal to
+    cheapest_completion's canonical sum: every row of the C-contiguous patch
+    block goes through the pairwise loop of WeightAssignment.total, where
+    the Fortran-ordered block that fancy indexing returns would add in
+    sequence (different in the last ulp from 8 patch elements on)."""
     if not isinstance(fam, ExplicitFamily):
         raise ValueError("exhaustive sweep requires an explicit family")
     num = fam.ground.size
@@ -279,12 +284,10 @@ def _estimate_exhaustive(fam, spec, r, eps, trials, master_seed):
     rows = np.empty((len(targets), trials))
     member_arrays = [np.asarray(m, dtype=np.intp) for m in fam.members]
     for gi, mask in enumerate(targets):
-        per_member = []
-        for elems in member_arrays:
-            outside = np.array(
-                [(mask >> int(e)) & 1 == 0 for e in elems], dtype=bool
-            )
-            per_member.append(draws[:, elems[outside]].sum(axis=1))
+        per_member = [
+            np.ascontiguousarray(draws[:, elems[(mask >> elems) & 1 == 0]]).sum(axis=1)
+            for elems in member_arrays
+        ]
         rows[gi] = np.min(per_member, axis=0)
     quants = np.quantile(rows, 1.0 - eps, axis=1, method="midpoint")
     best = int(np.argmax(quants))

@@ -25,6 +25,7 @@ from minweight.bounds import (
     split_cost_minimum,
     upper_tail_bound,
 )
+from minweight.dual import talagrand_product_bound, talagrand_threshold
 from minweight.rngs import stream
 
 
@@ -341,3 +342,19 @@ class TestMeanToMedianRatio:
         assert 1.999 < mean_to_median_ratio_bound(1e6) < 2.0
         with pytest.raises(ValueError):
             mean_to_median_ratio_bound(0.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: concentration_upper_bound(NAN, 0.0, 1.0),
+    lambda: cheap_set_prob_bound(1.0, 3, NAN),
+    lambda: upper_tail_bound(NAN, 1.0),
+    lambda: talagrand_product_bound(NAN),
+    lambda: talagrand_threshold(9, NAN),
+], ids=["concentration-level", "ball-volume-L", "upper-tail-t",
+        "talagrand-product-t", "talagrand-threshold-t"])
+def test_nan_scalars_are_rejected(call):
+    with pytest.raises(ValueError):
+        call()

@@ -135,6 +135,32 @@ class TestExitCodes:
         assert "Traceback" in err
         assert "RuntimeError: patch failed to complete the subset" in err
 
+    def test_crash_outside_a_trial_is_internal_error(self, monkeypatch, capsys):
+        # oracle_suite calls the solvers directly, not through a trial.
+        def broken(self, subset):
+            raise IndexError("broken solver")
+
+        monkeypatch.setattr(SpanningTreeFamily, "min_patch_size", broken)
+        code, _, err = invoke(["oracle", "--trials", "1"], capsys)
+        assert code == EXIT_INTERNAL
+        assert "Traceback" in err
+        assert "IndexError: broken solver" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["mst", "--n", "20", "--q", "2"], "needs --q 1"),
+        (["mst", "--n-grid", "8,12"], "needs at least 3 sizes"),
+    ], ids=["needs-unit-q", "needs-three-sizes"])
+    def test_tolerance_usage_errors_come_before_the_run(self, argv, message,
+                                                         tmp_path, capsys):
+        argv = argv + ["--tolerance", "0.1", "--trials", "3"]
+        target = tmp_path / "records.csv"
+        code, out, err = invoke(argv, capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert message in err
+        code, out, _ = invoke(argv + ["--out", str(target)], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert not target.exists()
+
 
 class TestRecordEmission:
     ARGS = ["mst", "--n", "8", "--trials", "3", "--seed", "5"]
@@ -237,6 +263,13 @@ class TestBoundsCommand:
         assert code == EXIT_OK
         assert out == "ratio = 2.8853900817779268\n"
 
+    def test_nan_argument_is_usage_error(self, capsys):
+        code, out, err = invoke(
+            ["bounds", "--op", "upper-tail", "--q", "1", "--t", "nan"], capsys
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "need t >= 0" in err
+
     def test_bad_arguments_are_usage_errors(self, capsys):
         # a < b violates the evaluator's domain
         code, _, err = invoke(
@@ -332,6 +365,16 @@ class TestExperimentCommands:
         assert code == EXIT_OK
         assert "patch n=10" in err
         assert "patch_cost" in out.splitlines()[0]
+
+    def test_patch_at_zero_distance(self, capsys):
+        code, out, err = invoke(
+            ["patch", "--n", "10", "--r", "0", "--trials", "3", "--format", "json"],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert [rec["patch_cost"] for rec in json.loads(out)] == [0, 0, 0]
+        assert "patch n=10 r=0: mean_cost=0" in err
+        assert "normalized" not in err
 
     def test_dual_duality_check(self, capsys):
         code, _, err = invoke(

@@ -14,6 +14,7 @@ from minweight.families import (
     SolveResult,
     SpanningTreeFamily,
     WeightAssignment,
+    _TreeOrder,
     complete_graph_edges,
     prufer_decode,
 )
@@ -31,7 +32,8 @@ def _draw(fam, key):
 
 def _count_scans(monkeypatch):
     """Record, per call of the tree edge order, how many times it ran `scan`
-    (1: the head sufficed, 2: the scan fell back to the full order)."""
+    (1: the memo's order sufficed, 2: the head fell short and the scan ran
+    again on the full order)."""
     runs: list[int] = []
     original = SpanningTreeFamily._in_weight_order
 
@@ -64,8 +66,9 @@ def _count_k_matchings(monkeypatch):
     return solved
 
 
-# (n, weight maker) pairs whose ground sets exceed the partial-selection
-# threshold, so tree solvers first scan only the head of the weight order.
+# (n, weight maker) pairs whose ground sets are larger than the head of the
+# weight order (2 n floor(ln n) + 64 edges), so tree solvers first scan a
+# proper prefix of the order unless ties fill it.
 HEAD_CASES = {
     "uniform": (100, lambda fam, rng: rng.random(fam.ground.size)),
     "half-zero": (200, lambda fam, rng: np.where(
@@ -73,8 +76,8 @@ HEAD_CASES = {
     )),
     "all-ones": (200, lambda fam, rng: np.ones(fam.ground.size)),
     # The 3321 edges inside vertices 0..81 outnumber the head (864 edges),
-    # so no scan can finish inside the head and every solver needs the
-    # full order.
+    # so no scan can finish inside the head: the first one falls back to the
+    # full order, which every later scan of the vector then reads.
     "cheap-clique": (100, lambda fam, rng: np.where(fam.edge_v < 82, 1e-3, 1.0)
                      * rng.random(fam.ground.size)),
 }
@@ -482,9 +485,11 @@ class TestTieHandling:
     def test_ties_prefer_smallest_index_above_threshold(self):
         # Equal weights: Kruskal in index order picks the star at vertex 0.
         fam = SpanningTreeFamily(200)
-        assert fam.ground.size > SpanningTreeFamily._PARTITION_THRESHOLD
-        res = fam.min_weight(WeightAssignment(np.ones(fam.ground.size)))
+        w = WeightAssignment(np.ones(fam.ground.size))
+        res = fam.min_weight(w)
         assert res.witness == tuple(range(199))
+        # Every edge ties with the k-th, so the head is the whole order.
+        assert w._memo[1].order.size == fam.ground.size
 
     @pytest.mark.parametrize("case", list(HEAD_CASES))
     def test_head_of_order_matches_full_order(self, case, monkeypatch):
@@ -508,28 +513,33 @@ class TestTieHandling:
         scans = _count_scans(monkeypatch)
         head = solve(w)
         if case == "cheap-clique":
-            # Every order call really fell back to the full order: the Kruskal
-            # chain (shared by min_weight, distance_witness and budget_forest),
-            # cheapest_completion and component_patch.
-            assert scans == [2] * 3
-        monkeypatch.setattr(SpanningTreeFamily, "_PARTITION_THRESHOLD", 10**9)
-        # A fresh vector: w's memo holds the head-based order.
-        assert solve(WeightAssignment(w.values.copy())) == head
+            # The Kruskal chain (shared by min_weight, distance_witness and
+            # budget_forest) fell back to the full order; cheapest_completion
+            # and component_patch then scanned that order once each.
+            assert scans == [2, 1, 1]
+        # A fresh vector whose memo starts from the full stable argsort.
+        full = WeightAssignment(w.values.copy())
+        fam._memo(full, lambda: _TreeOrder(np.argsort(full.values, kind="stable")))
+        assert solve(full) == head
 
     @pytest.mark.parametrize("q", [0.5, 1.0, 3.0])
     @pytest.mark.parametrize("base", list(BaseLaw), ids=[b.value for b in BaseLaw])
-    @pytest.mark.parametrize("n", [100, 400])
+    @pytest.mark.parametrize("n", [20, 50, 54, 100, 400])
     def test_head_suffices_on_iid_weights(self, n, base, q, monkeypatch):
         # The head is sized so that i.i.d. weights essentially never need the
-        # full order; a fallback here means it was cut too short.
+        # full order; a fallback here means it was cut too short.  G misses
+        # r <= n/5 edges of a member.  Near r = n - 1 the component patch needs
+        # the one edge between the last two singletons, so it may fall back
+        # at any n.
         fam = SpanningTreeFamily(n)
         spec = WeightSpec(q=q, base=base)
         strategies = list(GStrategy)
         scans = _count_scans(monkeypatch)
         for draw in range(20):
             rng = stream(47, n, list(BaseLaw).index(base), int(2 * q), draw)
+            r = 1 + draw % (n // 5)
             g = sample_depleted_set(
-                fam, spec, 1 + draw, strategies[draw % len(strategies)], rng
+                fam, spec, r, strategies[draw % len(strategies)], rng
             )
             w = WeightAssignment(sample(spec, rng, fam.ground.size))
             opt = fam.min_weight(w)

@@ -113,7 +113,6 @@ class TestExactPatch:
         # Distinct weights make the minimum spanning tree unique, so the
         # cheapest way to finish it minus r edges is those r edges.
         fam = SpanningTreeFamily(150)
-        assert fam.ground.size > SpanningTreeFamily._PARTITION_THRESHOLD
         w = _draw(fam, (66, r))
         opt = fam.min_weight(w).witness
         removed = tuple(sorted(stream(67, r).choice(opt, r, replace=False).tolist()))
@@ -122,6 +121,8 @@ class TestExactPatch:
         assert exact.patch == removed
         assert exact.cost == w.total(removed)
         assert component_patch(fam, g, w).cost >= exact.cost
+        # Every solve above ran on a head shorter than the ground set.
+        assert w._memo[1].order.size < fam.ground.size
 
 
 class TestComponentPatch:
@@ -310,6 +311,35 @@ class TestEstimatePatchability:
             ]
             worst = max(worst, np.quantile(costs, 0.75, method="midpoint"))
         assert est.lam == worst
+
+    def test_exhaustive_costs_are_canonical_sums(self):
+        # Members of 9-11 elements: patches of 8 or more elements are where
+        # numpy's pairwise sum and a sequential sum part in the last ulp.
+        members = [range(0, 9), range(3, 12), (0, 1, 2, 4, 5, 6, 7, 9, 10, 11),
+                   (0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11)]
+        fam = ExplicitFamily(12, members)
+        trials = 20
+        est = estimate_patchability(
+            fam, SPEC, r=fam.ell, eps=0.1,
+            g_strategy=GStrategy.REMOVE_FROM_OPTIMUM,
+            trials=trials, master_seed=17, exhaustive=True,
+        )
+        # At r = ell every subset is swept, so row `mask` is G = mask's bits.
+        assert est.g_samples == 1 << 12
+        draws = [
+            WeightAssignment(sample(SPEC, stream(17, 303, t), fam.ground.size))
+            for t in range(trials)
+        ]
+        long_patches = 0
+        for mask in range(1 << 12):
+            if bin(mask).count("1") > 3:
+                continue
+            g = tuple(i for i in range(12) if mask >> i & 1)
+            for t, w in enumerate(draws):
+                cost, patch = fam.cheapest_completion(g, w)
+                long_patches += len(patch) >= 9
+                assert est.costs[mask, t] == cost, (g, t)
+        assert long_patches > 50
 
     def test_exhaustive_rejects_large_ground(self):
         fam = SpanningTreeFamily(8)
