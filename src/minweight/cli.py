@@ -3,7 +3,9 @@
 Machine output (CSV/JSON records) goes to stdout or --out; human-readable
 summaries and verification results go to stderr.  Exit codes: 0 success,
 1 verification failure, 2 bad flags, 3 bad config file, 4 output I/O error,
-5 internal error (a solver bug or a crash inside a trial).
+5 internal error (a solver bug or a crash, inside a trial or not).  Flags
+are checked before any work starts, so a ValueError raised later is a crash
+unless a trial raised it on rejecting its arguments.
 """
 
 from __future__ import annotations
@@ -237,6 +239,13 @@ def _require(args, name, flag) -> object:
     return value
 
 
+def _seed(args) -> int:
+    seed = int(_get(args, "seed"))
+    if seed < 0:
+        raise CliError(f"--seed must be non-negative, got {seed}", EXIT_USAGE)
+    return seed
+
+
 def _weight_spec(args) -> WeightSpec:
     q = float(_get(args, "q"))
     if not q > 0:
@@ -418,9 +427,15 @@ def _cmd_dual(args) -> int:
 
 def _cmd_coupling(args) -> int:
     s = float(_require(args, "s", "--s"))
-    report = montecarlo.coupling_experiment(
-        _weight_spec(args), s, int(_get(args, "trials")), int(_get(args, "seed"))
-    )
+    if not 0.0 < s < 1.0:  # also rejects NaN
+        raise CliError(f"--s must lie in (0, 1), got {s}", EXIT_USAGE)
+    trials = int(_get(args, "trials"))
+    if trials < montecarlo.COUPLING_MIN_TRIALS:
+        raise CliError(
+            f"coupling needs --trials >= {montecarlo.COUPLING_MIN_TRIALS}, "
+            f"got {trials}", EXIT_USAGE,
+        )
+    report = montecarlo.coupling_experiment(_weight_spec(args), s, trials, _seed(args))
     payload = {
         "q": report.q, "base": report.base, "s": report.s,
         "trials": report.trials, "violations": report.violations,
@@ -547,10 +562,11 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    checks = oracles.oracle_suite(
-        vectors=int(_get(args, "trials", _DEFAULTS["trials"])),
-        master_seed=int(_get(args, "seed")),
-    )
+    vectors = int(_get(args, "trials"))
+    if vectors < 1:
+        raise CliError(f"oracle needs at least one vector (--trials >= 1), "
+                       f"got {vectors}", EXIT_USAGE)
+    checks = oracles.oracle_suite(vectors=vectors, master_seed=_seed(args))
     if _get(args, "format") == "json":
         text = json.dumps([asdict(c) for c in checks], indent=2) + "\n"
     else:
@@ -593,9 +609,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         # A trial that rejected its arguments is a usage error, not a failed check.

@@ -276,16 +276,21 @@ class SpanningTreeFamily(Family):
     order; ell = n - 1."""
 
     def __init__(self, n: int) -> None:
-        n = int(n)
-        if n < 2:
-            raise ValueError(f"spanning trees need n >= 2 vertices, got {n}")
-        self.n = n
+        self.n = n = self.check_size(n)
         self.edge_u, self.edge_v = complete_graph_edges(n)
         # Kept: without these long-lived tuples trials refault freed heap; on tree-value
         # that cost ~20% of trials/s and +38% p90 latency, for 45 MB less peak RSS.
         labels = tuple(zip(self.edge_u.tolist(), self.edge_v.tolist()))
         self.ground = GroundSet(size=len(labels), labels=labels)
         self.ell = n - 1
+
+    @staticmethod
+    def check_size(n: int) -> int:
+        """n as an int, if K_n has a spanning tree with an edge (n >= 2)."""
+        n = int(n)
+        if n < 2:
+            raise ValueError(f"spanning trees need n >= 2 vertices, got {n}")
+        return n
 
     # -- solvers ---------------------------------------------------------
 
@@ -465,13 +470,18 @@ class MatchingFamily(Family):
     """
 
     def __init__(self, n: int) -> None:
-        n = int(n)
-        if n < 1:
-            raise ValueError(f"matchings need n >= 1, got {n}")
-        self.n = n
+        self.n = n = self.check_size(n)
         labels = tuple((i, j) for i in range(n) for j in range(n))
         self.ground = GroundSet(size=n * n, labels=labels)
         self.ell = n
+
+    @staticmethod
+    def check_size(n: int) -> int:
+        """n as an int, if K_{n,n} has an edge (n >= 1)."""
+        n = int(n)
+        if n < 1:
+            raise ValueError(f"matchings need n >= 1, got {n}")
+        return n
 
     def _k_matching(self, values: np.ndarray, k: int) -> tuple[int, ...]:
         """Minimum-weight matching with exactly k edges, as a sorted edge tuple.

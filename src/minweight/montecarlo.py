@@ -37,6 +37,7 @@ from .weights import BaseLaw, WeightSpec
 __all__ = [
     "SPANNING_TREE_LIMIT",
     "ASSIGNMENT_LIMIT",
+    "COUPLING_MIN_TRIALS",
     "ExperimentConfig",
     "TrialRecord",
     "SummaryStats",
@@ -59,16 +60,17 @@ SPANNING_TREE_LIMIT = float(zeta(3.0))
 ASSIGNMENT_LIMIT = math.pi ** 2 / 6.0
 
 _QUANTILES = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
-_FAMILIES = ("trees", "matchings")
+_FAMILIES = {"trees": SpanningTreeFamily, "matchings": MatchingFamily}
 _KINDS = ("value", "patch", "dual", "split")
+COUPLING_MIN_TRIALS = 100
 
 
 def build_family(family: str, n: int) -> Family:
-    if family == "trees":
-        return SpanningTreeFamily(n)
-    if family == "matchings":
-        return MatchingFamily(n)
-    raise ValueError(f"unknown family {family!r}; expected one of {_FAMILIES}")
+    if family not in _FAMILIES:
+        raise ValueError(
+            f"unknown family {family!r}; expected one of {tuple(_FAMILIES)}"
+        )
+    return _FAMILIES[family](n)
 
 
 @dataclass(frozen=True)
@@ -99,12 +101,21 @@ class ExperimentConfig:
             raise ValueError("exactly one of n and n_grid must be set")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
+        for n in self.sizes:
+            _FAMILIES[self.family].check_size(n)
         tgrid = tuple(float(t) for t in self.t_grid)
         object.__setattr__(self, "t_grid", tgrid)
         if any(b <= a for a, b in zip(tgrid, tgrid[1:])):
             raise ValueError("t_grid must be strictly increasing")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if tgrid:  # the tail experiment
+            if not all(t >= 0 for t in tgrid):  # also rejects NaN
+                raise ValueError(f"t_grid must be non-negative, got {tgrid}")
+            if len(self.sizes) != 1:
+                raise ValueError("tail experiment runs at a single size")
+            if self.trials < 2:
+                raise ValueError("tail experiment needs at least 2 trials")
         if int(self.master_seed) < 0:
             raise ValueError("master_seed must be non-negative")
 
@@ -342,10 +353,6 @@ def tail_experiment(config: ExperimentConfig) -> TailReport:
     """Calibrate the median on the first half, test tails on the second."""
     if not config.t_grid:
         raise ValueError("tail experiment needs t_grid")
-    if len(config.sizes) != 1:
-        raise ValueError("tail experiment runs at a single size")
-    if config.trials < 2:
-        raise ValueError("tail experiment needs at least 2 trials")
     records = run(replace(config, kind="value"))
     values = np.array([rec.value for rec in records])
     half = values.size // 2
@@ -408,8 +415,10 @@ def coupling_experiment(
     master_seed: int = 7,
     alpha: float = 0.01,
 ) -> CouplingReport:
-    if trials < 100:
-        raise ValueError("coupling experiment needs at least 100 trials")
+    if trials < COUPLING_MIN_TRIALS:
+        raise ValueError(
+            f"coupling experiment needs at least {COUPLING_MIN_TRIALS} trials"
+        )
     rng = stream(master_seed, 501)
     x, y, y_prime = weights.split_coupling_batch(spec, s, rng, trials)
     violations = weights.coupling_violations(x, y, y_prime, s, spec.q)

@@ -1,24 +1,30 @@
 """Brute-force reference implementations for small instances.
 
 Every optimized solver in the package has an exhaustive counterpart here:
-member enumeration for optima and completions, full subset scans for the
-budget duals.  The oracles share nothing with the production algorithms
-beyond the canonical-sum convention, so agreement is meaningful.
+member enumeration for optima and completions, and one scan over the
+subsets of members for both budget duals.  The oracles share nothing with
+the production algorithms beyond enumerate_members() and the canonical-sum
+convention, so agreement is meaningful.
 
-Scans are table-driven: a component-count (or matching-size) table indexed
-by edge-subset bitmask, and a subset-sum table filled by the standard
-lowest-bit recursion.  Both are exhaustive over all 2^N subsets.
+Why the member-subset scan is exhaustive: take any subset S of the ground
+set and a member M* attaining its defect min over members of |M - S|.
+Then S & M* has the same defect (M* misses the same elements, and no
+member misses fewer from a smaller set), and its total is no larger: sums
+add in ascending index order, and inserting a non-negative term never
+lowers a later partial sum, since rounding is monotone.  So the cheapest
+subset within distance r, and the smallest defect within a budget, are
+both attained on a subset of some member, for every family alike.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import reduce
 
 import numpy as np
 
 from .families import (
-    ExplicitFamily,
     Family,
     MatchingFamily,
     SpanningTreeFamily,
@@ -31,14 +37,16 @@ __all__ = [
     "oracle_cheapest_completion",
     "oracle_defect_under_budget",
     "oracle_cheapest_within_distance",
-    "tree_component_table",
-    "subset_sums",
-    "partial_matchings",
+    "member_subsets",
+    "MemberSubsets",
     "OracleCheck",
     "oracle_suite",
 ]
 
-_TREE_SCAN_MAX_N = 6  # 2^15 subset masks; enough for every oracle test
+# Subset masks enumerated before deduplication (members x 2^ell), at most
+# 8 MB of uint64: trees to n = 6, matchings to n = 7, and explicit
+# families of up to 16 members of up to 16 elements fit.
+_MAX_SUBSET_MASKS = 1 << 20
 
 
 def oracle_min_weight(fam: Family, w: WeightAssignment):
@@ -73,170 +81,86 @@ def oracle_cheapest_completion(fam: Family, subset, w: WeightAssignment):
 # -- exhaustive subset scans ---------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def tree_component_table(n: int) -> np.ndarray:
-    """Component count of (V, G) for every edge-subset bitmask of K_n."""
-    if not 2 <= n <= _TREE_SCAN_MAX_N:
-        raise ValueError(f"tree subset scan supports 2 <= n <= {_TREE_SCAN_MAX_N}")
-    fam = SpanningTreeFamily(n)
-    num_edges = fam.ground.size
-    eu = fam.edge_u.tolist()
-    ev = fam.edge_v.tolist()
-    table = np.empty(1 << num_edges, dtype=np.uint8)
-    for mask in range(1 << num_edges):
-        parent = list(range(n))
+@dataclass(frozen=True)
+class MemberSubsets:
+    """The distinct subsets of a family's members, one row each.
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    masks are the subsets as ascending uint64 bitmasks; defect[g] is
+    min over members of |M - subset g|; rows[g] lists subset g's elements
+    in ascending order, padded to ell columns with the sentinel index
+    size (the ground-set size N), whose weight is zero.
+    """
 
-        count = n
-        m = mask
-        while m:
-            low = m & -m
-            e = low.bit_length() - 1
-            m ^= low
-            ra, rb = find(eu[e]), find(ev[e])
-            if ra != rb:
-                parent[rb] = ra
-                count -= 1
-        table[mask] = count
+    size: int
+    masks: np.ndarray
+    defect: np.ndarray
+    rows: np.ndarray
+
+    def costs(self, w: WeightAssignment) -> np.ndarray:
+        """Every row's total, added column by column: each subset's weights
+        in ascending index order, as the canonical sum adds them."""
+        extended = np.zeros(self.size + 1)
+        extended[: self.size] = w.values  # a vector of another length raises
+        costs = np.zeros(len(self.rows))
+        for col in self.rows.T:
+            costs = costs + extended[col]
+        return costs
+
+
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def member_subsets(fam: Family) -> MemberSubsets:
+    """The member-subset table of `fam`, built once per family object."""
+    table = _TABLES.get(fam)
+    if table is None:
+        table = _TABLES[fam] = _build_member_subsets(fam)
     return table
 
 
-def subset_sums(values: np.ndarray) -> np.ndarray:
-    """Total weight of every subset bitmask (lowest-bit recursion)."""
-    values = np.asarray(values, dtype=float)
-    num = values.size
-    if num > 24:
-        raise ValueError("subset-sum table is limited to 24 elements")
-    sums = np.zeros(1 << num, dtype=float)
-    for e in range(num):
-        bit = 1 << e
-        # Masks whose top bit is e extend the already-complete lower table,
-        # so every subset sum adds its elements in ascending index order.
-        sums[bit : 2 * bit] = sums[:bit] + values[e]
-    return sums
-
-
-def oracle_defect_under_budget_tree(n: int, w: WeightAssignment, budget: float):
-    """min over ALL affordable edge subsets of (components - 1)."""
-    comp = tree_component_table(n)
-    sums = subset_sums(w.values)
-    afford = sums <= budget
-    return int(comp[afford].min()) - 1
-
-
-def oracle_cheapest_within_distance_tree(n: int, w: WeightAssignment, r: int):
-    """min subset weight among ALL subsets with components - 1 <= r."""
-    comp = tree_component_table(n)
-    sums = subset_sums(w.values)
-    ok = comp.astype(np.intp) - 1 <= r
-    return float(sums[ok].min())
-
-
-@lru_cache(maxsize=None)
-def partial_matchings(n: int):
-    """Every partial matching of K_{n,n} as (size array, padded edge rows).
-
-    Row g lists the edges of matching g in ascending index order, padded
-    with a sentinel slot holding weight zero.  Costs are accumulated column
-    by column, so every matching's total adds its weights in ascending
-    order, bit-identical to the solvers' canonical sums.
-    """
-    if not 1 <= n <= 6:
-        raise ValueError("partial matching enumeration supports 1 <= n <= 6")
-    rows: list[list[int]] = []
-
-    def extend(i: int, used_cols: int, edges: list[int]):
-        if i == n:
-            rows.append(list(edges))
-            return
-        extend(i + 1, used_cols, edges)  # leave row i unmatched
-        for j in range(n):
-            if not used_cols >> j & 1:
-                edges.append(i * n + j)
-                extend(i + 1, used_cols | 1 << j, edges)
-                edges.pop()
-
-    extend(0, 0, [])
-    sizes = np.array([len(r) for r in rows], dtype=np.intp)
-    padded = np.full((len(rows), n), n * n, dtype=np.intp)
-    for g, r in enumerate(rows):
-        padded[g, : len(r)] = r
-    return sizes, padded
-
-
-def _matching_costs(padded: np.ndarray, values: np.ndarray) -> np.ndarray:
-    extended = np.append(np.asarray(values, dtype=float), 0.0)
-    costs = np.zeros(len(padded))
-    for col in range(padded.shape[1]):
-        costs = costs + extended[padded[:, col]]
-    return costs
-
-
-def oracle_defect_under_budget_matching(
-    n: int, w: WeightAssignment, budget: float
-) -> int:
-    sizes, padded = partial_matchings(n)
-    costs = _matching_costs(padded, w.values)
-    afford = costs <= budget
-    return n - int(sizes[afford].max())
-
-
-def oracle_cheapest_within_distance_matching(
-    n: int, w: WeightAssignment, r: int
-) -> float:
-    sizes, padded = partial_matchings(n)
-    costs = _matching_costs(padded, w.values)
-    ok = n - sizes <= r
-    return float(costs[ok].min())
+def _build_member_subsets(fam: Family) -> MemberSubsets:
+    members = fam.enumerate_members()
+    if len(members) << fam.ell > _MAX_SUBSET_MASKS:
+        raise ValueError(
+            f"member-subset table would enumerate {len(members)} x 2^{fam.ell} "
+            f"masks, above the limit of {_MAX_SUBSET_MASKS}"
+        )
+    num = fam.ground.size
+    bits = np.zeros((len(members), fam.ell), dtype=np.uint64)
+    for i, member in enumerate(members):
+        bits[i, : len(member)] = np.left_shift(
+            np.uint64(1), np.asarray(member, dtype=np.uint64)
+        )
+    member_masks = np.bitwise_or.reduce(bits, axis=1)
+    # Subsets by the lowest-bit recursion; short members pad with bit 0.
+    subsets = np.zeros((len(members), 1), dtype=np.uint64)
+    for col in bits.T:
+        subsets = np.hstack([subsets, subsets | col[:, None]])
+    masks = np.unique(subsets)
+    defect = reduce(
+        np.minimum, (np.bitwise_count(mm & ~masks) for mm in member_masks)
+    ).astype(np.intp)
+    rows = np.full((masks.size, fam.ell), num, dtype=np.uint8)
+    rest = masks.copy()
+    for col in range(fam.ell):
+        low = rest & (~rest + np.uint64(1))  # lowest set bit, 0 when none
+        rows[:, col] = np.where(low != 0, np.bitwise_count(low - np.uint64(1)), num)
+        rest ^= low
+    for arr in (masks, defect, rows):
+        arr.setflags(write=False)  # one table serves every caller
+    return MemberSubsets(size=num, masks=masks, defect=defect, rows=rows)
 
 
 def oracle_defect_under_budget(fam: Family, w: WeightAssignment, budget: float):
-    if isinstance(fam, SpanningTreeFamily):
-        return oracle_defect_under_budget_tree(fam.n, w, budget)
-    if isinstance(fam, MatchingFamily):
-        return oracle_defect_under_budget_matching(fam.n, w, budget)
-    if isinstance(fam, ExplicitFamily):
-        return _oracle_defect_explicit(fam, w, budget)
-    raise TypeError(f"no defect oracle for {type(fam).__name__}")
+    """min over ALL subsets of total weight <= budget of the patch distance."""
+    table = member_subsets(fam)
+    return int(table.defect[table.costs(w) <= budget].min())
 
 
 def oracle_cheapest_within_distance(fam: Family, w: WeightAssignment, r: int):
-    if isinstance(fam, SpanningTreeFamily):
-        return oracle_cheapest_within_distance_tree(fam.n, w, r)
-    if isinstance(fam, MatchingFamily):
-        return oracle_cheapest_within_distance_matching(fam.n, w, r)
-    if isinstance(fam, ExplicitFamily):
-        return _oracle_cheapest_explicit(fam, w, r)
-    raise TypeError(f"no distance oracle for {type(fam).__name__}")
-
-
-def _explicit_tables(fam: ExplicitFamily, w: WeightAssignment):
-    if fam.ground.size > 20:
-        raise ValueError("explicit subset scan is limited to 20 elements")
-    sums = subset_sums(w.values)
-    member_masks = [sum(1 << i for i in m) for m in fam.members]
-    num = fam.ground.size
-    defect = np.empty(1 << num, dtype=np.intp)
-    for mask in range(1 << num):
-        defect[mask] = min(
-            (mm & ~mask).bit_count() for mm in member_masks
-        )
-    return sums, defect
-
-
-def _oracle_defect_explicit(fam, w, budget):
-    sums, defect = _explicit_tables(fam, w)
-    return int(defect[sums <= budget].min())
-
-
-def _oracle_cheapest_explicit(fam, w, r):
-    sums, defect = _explicit_tables(fam, w)
-    return float(sums[defect <= r].min())
+    """min total weight over ALL subsets at patch distance <= r."""
+    table = member_subsets(fam)
+    return float(table.costs(w)[table.defect <= r].min())
 
 
 # -- agreement driver ----------------------------------------------------

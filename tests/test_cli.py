@@ -146,6 +146,32 @@ class TestExitCodes:
         assert "Traceback" in err
         assert "IndexError: broken solver" in err
 
+    def test_value_error_outside_a_trial_is_internal_error(self, monkeypatch,
+                                                           capsys):
+        # A ValueError is not a usage error unless argument checking raised it.
+        def broken(self, subset):
+            raise ValueError("solver bug")
+
+        monkeypatch.setattr(SpanningTreeFamily, "min_patch_size", broken)
+        code, _, err = invoke(["oracle", "--trials", "1"], capsys)
+        assert code == EXIT_INTERNAL
+        assert "Traceback" in err
+        assert "ValueError: solver bug" in err
+
+    @pytest.mark.parametrize("argv", [
+        "mst --n 1", "mst --n-grid 1,5,6", "assignment --n 0",
+        "patch --n 1 --r 1", "dual --n 1 --L 1", "split --n 1 --r 1 --s 0.5",
+        "tail --n 1 --t-grid 1", "tail --n-grid 5,6,7 --t-grid 1",
+        "tail --n 8 --trials 1 --t-grid 1", "tail --n 8 --t-grid nan",
+        "coupling --s 0", "coupling --s 1.5", "coupling --s nan",
+        "coupling --s 0.5 --trials 99", "coupling --s 0.5 --seed -1",
+        "oracle --trials 0", "oracle --trials -3", "oracle --seed -1",
+    ])
+    def test_argument_checks_run_before_the_work(self, argv, capsys):
+        code, out, err = invoke(argv.split(), capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("argv, message", [
         (["mst", "--n", "20", "--q", "2"], "needs --q 1"),
         (["mst", "--n-grid", "8,12"], "needs at least 3 sizes"),

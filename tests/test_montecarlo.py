@@ -51,6 +51,19 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(family="trees", n=5, master_seed=-1)
 
+    def test_rejects_sizes_below_the_family_minimum(self):
+        # the family's own size check, run before any family is built
+        for family, n_grid in [("trees", (1, 5)), ("matchings", (0, 5))]:
+            with pytest.raises(ValueError, match="need n >="):
+                ExperimentConfig(family=family, n_grid=n_grid)
+        ExperimentConfig(family="trees", n=2)
+        ExperimentConfig(family="matchings", n=1)
+
+    def test_rejects_bad_tail_grids(self):
+        for t_grid in [(-1.0,), (float("nan"),)]:
+            with pytest.raises(ValueError, match="non-negative"):
+                ExperimentConfig(family="trees", n=5, t_grid=t_grid)
+
     def test_sizes_property(self):
         assert ExperimentConfig(family="trees", n=5).sizes == (5,)
         assert ExperimentConfig(family="trees", n_grid=(5, 9)).sizes == (5, 9)

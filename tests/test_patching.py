@@ -9,7 +9,7 @@ from minweight.families import (
     SpanningTreeFamily,
     WeightAssignment,
 )
-from minweight.oracles import oracle_cheapest_completion, subset_sums
+from minweight.oracles import oracle_cheapest_completion
 from minweight.patching import (
     GStrategy,
     PatchMethod,
@@ -366,15 +366,3 @@ class TestEstimatePatchability:
                 g_strategy=GStrategy.REMOVE_FROM_OPTIMUM, trials=5, g_samples=0,
             )
 
-
-class TestSubsetSumsHelper:
-    def test_matches_direct_sums(self):
-        rng = stream(65)
-        values = rng.random(10)
-        sums = subset_sums(values)
-        for mask in rng.integers(0, 1 << 10, 50):
-            expected = 0.0
-            for i in range(10):
-                if mask >> i & 1:
-                    expected += values[i]
-            assert sums[mask] == expected
