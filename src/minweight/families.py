@@ -23,6 +23,16 @@ r = 0; budget_witness(w, L), the smallest patch distance of a subset of
 total weight <= L with a witness, is its inverse.  Every other module
 reaches a family only through these seven methods.
 
+budget_witness searches r with few distance_witness calls, since on
+matchings each is an assignment solve.  After r = 0 it takes a free upper
+bracket: the optimum minus its r heaviest weights bounds the cost at r.
+Inside the bracket it takes secant steps through the two largest
+unaffordable probes (a lower bound on the defect when the costs are convex
+in r, as minimum k-matching costs and tree chain prefix sums are), with a
+bisect step whenever the bracket falls behind halving every two probes, so
+any curve takes O(log ell) probes.  The answer d is certified by two
+probes: r = d affordable and r = d - 1 not (or d = 0).
+
 Determinism: all tie-breaks prefer the smallest element index; solver values
 are canonical sums (witness weights added in ascending element-index order),
 so equal witnesses give bit-equal values.
@@ -37,9 +47,9 @@ never changes.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -204,28 +214,68 @@ class Family(ABC):
         r, so the affordable r < ell form a suffix.  At r = ell the empty set
         is always affordable.
 
-        Budgets of interest leave the defect far below ell, so the search
-        gallops: it probes r = 0, 1, 3, 7, ..., 2^j - 1 (clamped to ell)
-        until a witness is affordable, then bisects the last gap, so it makes
-        O(log defect) probes and solves each r once.  Small r are also the
-        cheapest matching probes (an (n + r)^2 assignment problem).  The
-        trade-off: a budget far below the optimum, whose defect is a large
-        fraction of ell, takes about twice the probes of a bisect over
-        range(ell).
+        The search probes r = 0 first (the optimum, which a trial needs
+        anyway) and returns 0 if it is affordable.  Otherwise the r = 0
+        witness gives a free upper bracket: dropping its r heaviest elements
+        leaves a subset at patch distance <= r, so the cost at r is at most
+        the optimum minus its r heaviest weights, and the first r where that
+        bound is <= budget tops the bracket (ell if none is).  Inside it the
+        first probe is the midpoint; after that each probe is a secant step
+        through the two largest unaffordable probes.  Minimum k-matching
+        costs and tree chain prefix sums are convex in r, so the secant is a
+        lower bound on the defect and climbs onto it in a few probes.  The
+        bracket must keep pace with halving every two probes (its width
+        against a pace that starts at its first width and shrinks by sqrt 2
+        a probe); whenever it falls behind the probe is a bisect step, which
+        keeps any curve (explicit families need not be convex) to
+        O(log ell) probes.  Convexity only guides the probes: the defect
+        d is returned once r = d was probed affordable and r = d - 1 probed
+        unaffordable (or d = 0).  The bracket top is a hint, not a proof: if
+        it probes unaffordable, say by rounding, the search goes on up to
+        ell.  r = ell is never solved; its witness is the empty set.
         """
         self._check_weights(w)
         self._check_budget(budget)
         witnesses: dict[int, tuple[int, ...]] = {}
+        misses: list[tuple[int, float]] = []  # unaffordable (r, total), r ascending
 
         def affordable(r: int) -> bool:
             witnesses[r] = self.distance_witness(w, r)
-            return w.total(witnesses[r]) <= budget
+            total = w.total(witnesses[r])
+            if total <= budget:
+                return True
+            misses.append((r, total))
+            return False
 
-        lo, hi = 0, 0
-        while hi < self.ell and not affordable(hi):
-            lo, hi = hi + 1, min(2 * hi + 1, self.ell)
-        defect = bisect.bisect_left(range(self.ell), True, lo, hi, key=affordable)
-        return defect, witnesses.get(defect, ())
+        if self.ell == 0 or affordable(0):
+            return 0, witnesses.get(0, ())
+        # lo: the largest probe known unaffordable; hi: the smallest r known
+        # affordable (probed, or ell); top: the bracket's upper end, hi or the
+        # unproven bound below it.
+        lightest = np.cumsum(np.sort(w.values[np.asarray(witnesses[0], dtype=np.intp)]))
+        bound_r = lightest.size - int(np.searchsorted(lightest, budget, side="right"))
+        lo, hi = 0, self.ell
+        top = min(max(bound_r, 1), hi)
+        pace = float(top - lo)
+        while True:
+            width = top - lo
+            if width == 1:
+                if top == hi or affordable(top):
+                    return top, witnesses.get(top, ())
+                lo, top = top, hi
+                continue
+            probe = (lo + top) // 2
+            if len(misses) >= 2 and width <= pace:  # on pace: a secant step
+                (r1, c1), (r2, c2) = misses[-2:]  # r2 == lo
+                step = (c2 - budget) * (r2 - r1) / (c1 - c2) if c1 > c2 else math.inf
+                probe = top - 1
+                if step < width:
+                    probe = lo + min(max(math.ceil(step), 1), width - 1)
+            if affordable(probe):
+                hi = top = probe
+            else:
+                lo = probe
+            pace /= math.sqrt(2)
 
     def _memo(self, w: WeightAssignment, make):
         """This family's state in the memo slot of `w`.
@@ -305,7 +355,12 @@ class SpanningTreeFamily(Family):
             k = min(values.size, 2 * self.n * max(1, int(np.log(self.n))) + 64)
             kth = np.partition(values, k - 1)[k - 1]
             cand = np.flatnonzero(values <= kth)
-            head = cand[np.argsort(values[cand], kind="stable")]
+            keys = values[cand]
+            perm = np.argsort(keys)
+            ranked = keys[perm]
+            if np.any(ranked[1:] == ranked[:-1]):  # a tie (-0.0 == 0.0 too): by index
+                perm = np.argsort(keys, kind="stable")
+            head = cand[perm]
             head.flags.writeable = False
             return _TreeOrder(head)
 

@@ -49,10 +49,27 @@ __all__ = [
 _MAX_SUBSET_MASKS = 1 << 20
 
 
+_MEMBERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _per_family(cache: weakref.WeakKeyDictionary, fam: Family, make):
+    """make(fam), built once per family object and kept while it lives."""
+    value = cache.get(fam)
+    if value is None:
+        value = cache[fam] = make(fam)
+    return value
+
+
+def _members(fam: Family) -> tuple[tuple[int, ...], ...]:
+    """fam.enumerate_members(), enumerated once per family object."""
+    return _per_family(_MEMBERS, fam, lambda f: tuple(f.enumerate_members()))
+
+
 def oracle_min_weight(fam: Family, w: WeightAssignment):
     """Minimum over enumerated members; ties by smallest index tuple."""
     best = None
-    for member in fam.enumerate_members():
+    for member in _members(fam):
         cand = (w.total(member), member)
         if best is None or cand < best:
             best = cand
@@ -63,14 +80,14 @@ def oracle_min_patch_size(fam: Family, subset) -> int:
     """min over members of |member - subset| (the cheapest patch is exactly
     the missing part of some member)."""
     got = set(int(i) for i in subset)
-    return min(len(set(m) - got) for m in fam.enumerate_members())
+    return min(len(set(m) - got) for m in _members(fam))
 
 
 def oracle_cheapest_completion(fam: Family, subset, w: WeightAssignment):
     """Cheapest missing part over enumerated members."""
     got = set(int(i) for i in subset)
     best = None
-    for member in fam.enumerate_members():
+    for member in _members(fam):
         patch = tuple(sorted(set(member) - got))
         cand = (w.total(patch), patch)
         if best is None or cand < best:
@@ -107,19 +124,13 @@ class MemberSubsets:
         return costs
 
 
-_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def member_subsets(fam: Family) -> MemberSubsets:
     """The member-subset table of `fam`, built once per family object."""
-    table = _TABLES.get(fam)
-    if table is None:
-        table = _TABLES[fam] = _build_member_subsets(fam)
-    return table
+    return _per_family(_TABLES, fam, _build_member_subsets)
 
 
 def _build_member_subsets(fam: Family) -> MemberSubsets:
-    members = fam.enumerate_members()
+    members = _members(fam)
     if len(members) << fam.ell > _MAX_SUBSET_MASKS:
         raise ValueError(
             f"member-subset table would enumerate {len(members)} x 2^{fam.ell} "
@@ -200,7 +211,7 @@ def oracle_suite(vectors: int = 20, master_seed: int = 7) -> list[OracleCheck]:
     instances += [("matching", MatchingFamily(k)) for k in range(1, 7)]
     for name, fam in instances:
         size = fam.n
-        members = fam.enumerate_members()
+        members = _members(fam)
         agree = {op: 0 for op in
                  ("min_weight", "min_patch_size", "exact_patch",
                   "defect_under_budget", "cheapest_within_distance")}

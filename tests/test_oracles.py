@@ -78,6 +78,20 @@ class TestMemberSubsets:
         fam = MatchingFamily(3)
         assert member_subsets(fam) is member_subsets(fam)
 
+    def test_members_enumerated_once_per_family_object(self, monkeypatch):
+        fam = SpanningTreeFamily(4)
+        calls = []
+        original = fam.enumerate_members
+        monkeypatch.setattr(fam, "enumerate_members",
+                            lambda: calls.append(1) or original())
+        w = WeightAssignment(stream(22).random(fam.ground.size))
+        for _ in range(2):
+            oracle_min_weight(fam, w)
+            oracle_min_patch_size(fam, (0, 1))
+            oracle_cheapest_completion(fam, (0, 1), w)
+            oracle_defect_under_budget(fam, w, 1.0)
+        assert len(calls) == 1
+
 
 class TestSubsetSums:
     def test_matches_canonical_totals(self):
