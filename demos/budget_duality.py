@@ -21,7 +21,7 @@ from minweight.weights import BaseLaw, WeightSpec, sample
 
 fam = SpanningTreeFamily(40)
 spec = WeightSpec(q=1.0, base=BaseLaw.UNIFORM_POWER)
-w = WeightAssignment(sample(spec, stream(99), fam.ground.size))
+w = WeightAssignment(sample(spec, stream(99), fam.ground_size))
 
 best = fam.min_weight(w)
 print(f"n=40: optimum {best.value:.4f} using {len(best.witness)} edges")

@@ -40,7 +40,6 @@ from .dual import (
 from .families import (
     ExplicitFamily,
     Family,
-    GroundSet,
     MatchingFamily,
     SolveResult,
     SpanningTreeFamily,
@@ -94,7 +93,7 @@ __all__ = [
     "BaseLaw", "WeightSpec", "sample", "cdf", "quantile",
     "split_coupling_batch", "iterated_coupling_batch", "coupling_violations",
     # families
-    "GroundSet", "WeightAssignment", "SolveResult", "Family",
+    "WeightAssignment", "SolveResult", "Family",
     "SpanningTreeFamily", "MatchingFamily", "ExplicitFamily",
     # patching
     "GStrategy", "PatchResult", "PatchabilityEstimate",

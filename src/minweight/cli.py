@@ -20,7 +20,7 @@ from . import bounds as bounds_mod
 from . import montecarlo, oracles
 from .montecarlo import ExperimentConfig, TrialRecord
 from .patching import GStrategy
-from .weights import BaseLaw, WeightSpec
+from .weights import BaseLaw, WeightSpec, split_constants
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -426,16 +426,18 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_coupling(args) -> int:
-    s = float(_require(args, "s", "--s"))
-    if not 0.0 < s < 1.0:  # also rejects NaN
-        raise CliError(f"--s must lie in (0, 1), got {s}", EXIT_USAGE)
+    s, spec = float(_require(args, "s", "--s")), _weight_spec(args)
+    try:
+        split_constants(s, spec.q)
+    except ValueError as exc:
+        raise CliError(f"--s/--q invalid: {exc}", EXIT_USAGE)
     trials = int(_get(args, "trials"))
     if trials < montecarlo.COUPLING_MIN_TRIALS:
         raise CliError(
             f"coupling needs --trials >= {montecarlo.COUPLING_MIN_TRIALS}, "
             f"got {trials}", EXIT_USAGE,
         )
-    report = montecarlo.coupling_experiment(_weight_spec(args), s, trials, _seed(args))
+    report = montecarlo.coupling_experiment(spec, s, trials, _seed(args))
     payload = {
         "q": report.q, "base": report.base, "s": report.s,
         "trials": report.trials, "violations": report.violations,

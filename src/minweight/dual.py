@@ -132,7 +132,7 @@ def talagrand_certificate_check(
     if len(base.witness) > fam.ell:
         raise RuntimeError("witness larger than ell; solver bug")
     rng = stream(master_seed, 401)
-    size = fam.ground.size
+    size = fam.ground_size
     max_delta = 0
     lipschitz_ok = True
     nonwitness_ok = True

@@ -1,8 +1,9 @@
 """Minimal set families over a weighted ground set.
 
 A family F of subsets of a ground set S induces, for a weight assignment w,
-the optimum M(F) = min over members of the member's total weight.  Three
-concrete families are provided:
+the optimum M(F) = min over members of the member's total weight.  S is
+{0, ..., N-1}; a family keeps only N = ground_size.  Three concrete
+families are provided:
 
 * spanning trees of the complete graph K_n (ground set: the n(n-1)/2 edges),
 * perfect matchings of the complete bipartite graph K_{n,n} (the n^2 edges),
@@ -37,6 +38,10 @@ Determinism: all tie-breaks prefer the smallest element index; solver values
 are canonical sums (witness weights added in ascending element-index order),
 so equal witnesses give bit-equal values.
 
+A weight vector holds one N-float array: WeightAssignment(values) copies
+the caller's once, WeightAssignment.draw keeps weights.sample's fresh draw,
+and the tree edge order partitions in a per-family buffer, not a copy.
+
 A weight vector has one memo slot, owned by the last family that read it
 (Family._memo): a tree family keeps its edge order and Kruskal chain there,
 a matching family its k-matchings by k, so the solvers of one trial sort,
@@ -58,8 +63,9 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
 
+from . import weights
+
 __all__ = [
-    "GroundSet",
     "WeightAssignment",
     "SolveResult",
     "Family",
@@ -71,34 +77,31 @@ __all__ = [
 _EXPLICIT_MAX_GROUND = 24
 
 
-@dataclass(frozen=True)
-class GroundSet:
-    """Ground set of N elements; labels[i] names element i (an edge, say)."""
-
-    size: int
-    labels: tuple
-
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError("ground set must be non-empty")
-        if len(self.labels) != self.size:
-            raise ValueError("labels must be a bijection with range(size)")
-
-
 class WeightAssignment:
-    """Non-negative weights for every ground-set element.  Immutable."""
+    """Non-negative finite weights for every ground-set element.  Immutable."""
 
     __slots__ = ("values", "_memo")
 
     def __init__(self, values) -> None:
-        arr = np.ascontiguousarray(values, dtype=float)
+        self._freeze(np.array(values, dtype=float, ndmin=1))  # the caller's copy
+
+    @classmethod
+    def draw(cls, spec: weights.WeightSpec, rng: np.random.Generator, size: int):
+        """`size` fresh weights from `spec`, kept without a copy (none exists)."""
+        w = cls.__new__(cls)
+        w._freeze(weights.sample(spec, rng, size))
+        return w
+
+    def _freeze(self, arr: np.ndarray) -> None:
+        """Check `arr` (which this vector then owns) and make it read-only."""
         if arr.ndim != 1:
             raise ValueError("weights must be one-dimensional")
         if arr.size == 0:
             raise ValueError("weights must be non-empty")
-        if not np.all(arr >= 0):
+        if not arr.min() >= 0:  # also rejects NaN
             raise ValueError("weights must be non-negative")
-        arr = arr.copy()
+        if not arr.max() < np.inf:
+            raise ValueError("weights must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "_memo", None)
@@ -171,7 +174,7 @@ class _DisjointSets:
 class Family(ABC):
     """A minimal family of subsets of a common ground set."""
 
-    ground: GroundSet
+    ground_size: int  # N, the elements are 0..N-1
     ell: int  # largest member size
 
     @abstractmethod
@@ -290,11 +293,9 @@ class Family(ABC):
         return memo[1]
 
     def _check_weights(self, w: WeightAssignment) -> None:
-        if len(w) != self.ground.size:
-            raise ValueError(
-                f"weight vector has {len(w)} entries, ground set has "
-                f"{self.ground.size}"
-            )
+        if len(w) != self.ground_size:
+            raise ValueError(f"weight vector has {len(w)} entries, ground set has "
+                             f"{self.ground_size}")
 
     def _check_distance(self, r: int) -> None:
         if r < 0:
@@ -310,7 +311,7 @@ class Family(ABC):
         else:
             idx = np.fromiter((int(i) for i in subset), dtype=np.intp)
         idx = np.unique(idx)
-        if idx.size and (idx[0] < 0 or idx[-1] >= self.ground.size):
+        if idx.size and (idx[0] < 0 or idx[-1] >= self.ground_size):
             raise ValueError("subset indices out of range")
         return idx
 
@@ -328,11 +329,9 @@ class SpanningTreeFamily(Family):
     def __init__(self, n: int) -> None:
         self.n = n = self.check_size(n)
         self.edge_u, self.edge_v = complete_graph_edges(n)
-        # Kept: without these long-lived tuples trials refault freed heap; on tree-value
-        # that cost ~20% of trials/s and +38% p90 latency, for 45 MB less peak RSS.
-        labels = tuple(zip(self.edge_u.tolist(), self.edge_v.tolist()))
-        self.ground = GroundSet(size=len(labels), labels=labels)
+        self.ground_size = self.edge_u.size
         self.ell = n - 1
+        self._select = np.empty(self.ground_size)  # _order_memo's partition buffer
 
     @staticmethod
     def check_size(n: int) -> int:
@@ -353,7 +352,9 @@ class SpanningTreeFamily(Family):
             # probability ~e^-c (Erdos-Renyi); this k gives c > 10 (min 10.4, n=54)
             # and is the whole ground set for n <= 16.
             k = min(values.size, 2 * self.n * max(1, int(np.log(self.n))) + 64)
-            kth = np.partition(values, k - 1)[k - 1]
+            np.copyto(self._select, values)
+            self._select.partition(k - 1)
+            kth = self._select[k - 1]
             cand = np.flatnonzero(values <= kth)
             keys = values[cand]
             perm = np.argsort(keys)
@@ -526,8 +527,7 @@ class MatchingFamily(Family):
 
     def __init__(self, n: int) -> None:
         self.n = n = self.check_size(n)
-        labels = tuple((i, j) for i in range(n) for j in range(n))
-        self.ground = GroundSet(size=n * n, labels=labels)
+        self.ground_size = n * n
         self.ell = n
 
     @staticmethod
@@ -613,7 +613,7 @@ class ExplicitFamily(Family):
     """
 
     def __init__(self, ground_size: int, members) -> None:
-        ground_size = int(ground_size)
+        self.ground_size = ground_size = int(ground_size)
         if not 1 <= ground_size <= _EXPLICIT_MAX_GROUND:
             raise ValueError(
                 f"ground size must be in [1, {_EXPLICIT_MAX_GROUND}], got "
@@ -635,7 +635,6 @@ class ExplicitFamily(Family):
                 minimal.append(fs)
         self._members = tuple(tuple(sorted(fs)) for fs in minimal)
         self._member_sets = tuple(minimal)
-        self.ground = GroundSet(size=ground_size, labels=tuple(range(ground_size)))
         self.ell = max(len(m) for m in self._members)
 
     @property

@@ -118,6 +118,8 @@ class ExperimentConfig:
                 raise ValueError("tail experiment needs at least 2 trials")
         if int(self.master_seed) < 0:
             raise ValueError("master_seed must be non-negative")
+        if self.s is not None:
+            weights.split_constants(self.s, self.spec.q)
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -170,16 +172,16 @@ def _trial(
     rng: np.random.Generator,
 ) -> TrialRecord:
     spec = config.spec
-    size = fam.ground.size
+    size = fam.ground_size
     if config.kind == "value":
-        w = WeightAssignment(weights.sample(spec, rng, size))
+        w = WeightAssignment.draw(spec, rng, size)
         return TrialRecord(
             trial=i, n=n, q=spec.q, seed=sid, value=fam.min_weight(w).value
         )
     if config.kind == "dual":
         if config.budget is None:
             raise ValueError("dual experiment needs a budget")
-        w = WeightAssignment(weights.sample(spec, rng, size))
+        w = WeightAssignment.draw(spec, rng, size)
         res = dual.defect_under_budget(fam, w, config.budget)
         near = None
         if config.r is not None:
@@ -192,7 +194,7 @@ def _trial(
         if config.r is None:
             raise ValueError("patch experiment needs r")
         g = patching.sample_depleted_set(fam, spec, config.r, config.g_strategy, rng)
-        w = WeightAssignment(weights.sample(spec, rng, size))
+        w = WeightAssignment.draw(spec, rng, size)
         res = patching.exact_patch(fam, g, w)
         comp_cost = None
         if config.family == "trees" and config.r > 0:
@@ -211,22 +213,17 @@ def _split_trial(config, fam, n, i, sid, rng) -> TrialRecord:
     spec = config.spec
     if config.s is None or config.r is None:
         raise ValueError("split experiment needs both r and s")
-    s = float(config.s)
-    x, y, y_prime = weights.split_coupling_batch(spec, s, rng, fam.ground.size)
+    x, y, y_prime = weights.split_coupling_batch(spec, config.s, rng, fam.ground_size)
     value = fam.min_weight(WeightAssignment(x)).value
     green = dual.cheapest_within_distance(fam, WeightAssignment(y), config.r)
     red = patching.exact_patch(fam, green.witness, WeightAssignment(y_prime))
-    inv_q = 1.0 / spec.q
-    c_green = (1.0 - s) ** (-inv_q)
-    c_red = s ** (-inv_q)
+    c_green, c_red = weights.split_constants(config.s, spec.q)
     bound = green.value * c_green + red.cost * c_red
     # The envelope bound sums the per-element coupling bounds over the
     # completed witness; the chain value <= sum(x over member subset)
     # <= envelope holds exactly in floats, with no tolerance.
     union = tuple(sorted(set(green.witness) | set(red.patch)))
-    envelope = WeightAssignment(
-        np.minimum(y * c_green, y_prime * c_red)
-    ).total(union)
+    envelope = WeightAssignment(np.minimum(y * c_green, y_prime * c_red)).total(union)
     return TrialRecord(
         trial=i, n=n, q=spec.q, seed=sid, value=value,
         w_green=green.value, w_red=red.cost,

@@ -136,7 +136,7 @@ def _build_member_subsets(fam: Family) -> MemberSubsets:
             f"member-subset table would enumerate {len(members)} x 2^{fam.ell} "
             f"masks, above the limit of {_MAX_SUBSET_MASKS}"
         )
-    num = fam.ground.size
+    num = fam.ground_size
     bits = np.zeros((len(members), fam.ell), dtype=np.uint64)
     for i, member in enumerate(members):
         bits[i, : len(member)] = np.left_shift(
@@ -217,7 +217,7 @@ def oracle_suite(vectors: int = 20, master_seed: int = 7) -> list[OracleCheck]:
                   "defect_under_budget", "cheapest_within_distance")}
         for trial in range(vectors):
             rng = stream(master_seed, 101 if name == "tree" else 102, size, trial)
-            w = WeightAssignment(weights.sample(spec, rng, fam.ground.size))
+            w = WeightAssignment.draw(spec, rng, fam.ground_size)
             solved = fam.min_weight(w)
             ov, om = oracle_min_weight(fam, w)
             agree["min_weight"] += solved.value == ov and solved.witness == om

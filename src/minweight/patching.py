@@ -178,7 +178,7 @@ def sample_depleted_set(
         member = fam.random_member(rng)
         aux = None
     else:
-        aux = WeightAssignment(sample(spec, rng, fam.ground.size))
+        aux = WeightAssignment(sample(spec, rng, fam.ground_size))
         member = fam.min_weight(aux).witness
     if r == 0:
         return tuple(member)
@@ -251,7 +251,7 @@ def estimate_patchability(
         row = np.empty(trials)
         for t in range(trials):
             w = WeightAssignment(
-                sample(spec, stream(master_seed, 302, g, t), fam.ground.size)
+                sample(spec, stream(master_seed, 302, g, t), fam.ground_size)
             )
             row[t] = fam.cheapest_completion(depleted, w)[0]
         rows.append(row)
@@ -270,7 +270,7 @@ def _estimate_exhaustive(fam, spec, r, eps, trials, master_seed):
     sequence (different in the last ulp from 8 patch elements on)."""
     if not isinstance(fam, ExplicitFamily):
         raise ValueError("exhaustive sweep requires an explicit family")
-    num = fam.ground.size
+    num = fam.ground_size
     if num > 18:
         raise ValueError("exhaustive sweep is limited to 18 ground elements")
     targets = [

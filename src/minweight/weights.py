@@ -65,11 +65,16 @@ class WeightSpec:
             raise ValueError(f"base must be a BaseLaw, got {self.base!r}")
 
 
-def _check_s(s: float) -> float:
+def split_constants(s: float, q: float) -> tuple[float, float]:
+    """((1 - s)^(-1/q), s^(-1/q)); ValueError if s is not in (0, 1) or they overflow."""
     s = float(s)
     if not 0.0 < s < 1.0:
         raise ValueError(f"split fraction s must lie in (0, 1), got {s}")
-    return s
+    inv_q = 1.0 / q
+    try:
+        return (1.0 - s) ** (-inv_q), s ** (-inv_q)
+    except OverflowError:
+        raise ValueError(f"split constants overflow at s={s}, q={q}") from None
 
 
 def _power(values: np.ndarray, expo: float) -> np.ndarray:
@@ -81,15 +86,19 @@ def _power(values: np.ndarray, expo: float) -> np.ndarray:
 def _base_sample(spec: WeightSpec, rng: np.random.Generator, size) -> np.ndarray:
     if spec.base is BaseLaw.UNIFORM_POWER:
         # 1 - U keeps draws inside (0, 1]; rng.random() can return 0.0.
-        return 1.0 - rng.random(size)
+        u = rng.random(size)
+        return 1.0 - u if size is None else np.subtract(1.0, u, out=u)
     return rng.exponential(size=size)
 
 
 def sample(spec: WeightSpec, rng: np.random.Generator, size=None):
-    """Draw weights from `spec`; scalar when size is None, else an array."""
-    values = _power(_base_sample(spec, rng, size), 1.0 / spec.q)
+    """Draw weights from `spec`; scalar when size is None, else one fresh
+    array (transformed in place, so no second array is made)."""
+    values, expo = _base_sample(spec, rng, size), 1.0 / spec.q
     if size is None:
-        return float(values)
+        return float(_power(values, expo))
+    if expo != 1.0:
+        values **= expo  # the same numpy fast paths as `values ** expo`
     return values
 
 
@@ -142,15 +151,12 @@ def split_coupling_batch(
     x <= min(y/(1-s)^(1/q), y_prime/s^(1/q)) holds elementwise with exact
     float comparison (the bound itself is the clamp).
     """
-    s = _check_s(s)
+    c_green, c_red = split_constants(s, spec.q)
     g = _base_sample(spec, rng, size)
     r = _base_sample(spec, rng, size)
     inv_q = 1.0 / spec.q
-    y = _power(g, inv_q)
-    y_prime = _power(r, inv_q)
-    bound = np.minimum(
-        y * (1.0 - s) ** (-inv_q), y_prime * s ** (-inv_q)
-    )
+    y, y_prime = _power(g, inv_q), _power(r, inv_q)
+    bound = np.minimum(y * c_green, y_prime * c_red)
     if spec.base is BaseLaw.EXPONENTIAL_POWER:
         x = bound
     else:
@@ -187,10 +193,6 @@ def iterated_coupling_batch(
 
 def coupling_violations(x, y, y_prime, s: float, q: float) -> int:
     """Count elementwise failures of the sure inequality (exact comparison)."""
-    s = _check_s(s)
-    inv_q = 1.0 / q
-    bound = np.minimum(
-        np.asarray(y) * (1.0 - s) ** (-inv_q),
-        np.asarray(y_prime) * s ** (-inv_q),
-    )
+    c_green, c_red = split_constants(s, q)
+    bound = np.minimum(np.asarray(y) * c_green, np.asarray(y_prime) * c_red)
     return int(np.count_nonzero(~(np.asarray(x) <= bound)))

@@ -210,7 +210,7 @@ def test_criterion_10_certified_concentration():
     the two-sided product bound exp(-t^2/4) holds on an n=50 ensemble."""
     fam = SpanningTreeFamily(50)
     spec = WeightSpec(q=1.0, base=BaseLaw.UNIFORM_POWER)
-    w = WeightAssignment(sample(spec, stream(7, 801), fam.ground.size))
+    w = WeightAssignment(sample(spec, stream(7, 801), fam.ground_size))
     report = talagrand_certificate_check(
         fam, w, SPANNING_TREE_LIMIT, perturbations=200, master_seed=7
     )

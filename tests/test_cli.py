@@ -117,6 +117,27 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "trial 0" in err
 
+    @pytest.mark.parametrize("argv", [
+        "mst --n 5 --trials 2 --q 0.0001 --base exponential",
+        "dual --family matchings --n 5 --L 1 --q 0.0001 --base exponential "
+        "--trials 2",
+    ], ids=["mst", "dual-matchings"])
+    def test_overflowed_weights_are_usage_errors(self, argv, capsys):
+        # E^(1/q) overflows to inf for most exponential draws at q = 1e-4.
+        code, out, err = invoke(argv.split(), capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "weights must be finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        "split --n 5 --r 2 --s 1e-5 --q 0.01 --trials 2",
+        "split --n 5 --r 2 --s 0.99999 --q 0.01 --trials 2",
+        "coupling --s 1e-5 --q 0.01 --trials 100",
+    ], ids=["split-small-s", "split-large-s", "coupling"])
+    def test_split_constant_overflow_is_a_usage_error(self, argv, capsys):
+        code, out, err = invoke(argv.split(), capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "overflow" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_oracle_needs_a_trial(self, trials, capsys):
         code, _, err = invoke(["oracle", "--trials", trials], capsys)

@@ -36,14 +36,14 @@ SPEC = WeightSpec(q=1.0, base=BaseLaw.UNIFORM_POWER)
 
 
 def _draw(fam, key):
-    return WeightAssignment(sample(SPEC, stream(*key), fam.ground.size))
+    return WeightAssignment(sample(SPEC, stream(*key), fam.ground_size))
 
 
 def _forest_scan(fam, values):
     """(edge_count, total) of every forest of K_n, ascending-order sums."""
     n = fam.n
     eu, ev = fam.edge_u, fam.edge_v
-    num = fam.ground.size
+    num = fam.ground_size
     parent = list(range(n))
 
     def find(x):
@@ -170,7 +170,7 @@ class TestDuality:
     @pytest.mark.parametrize("make", [
         _draw,
         lambda fam, key: WeightAssignment(
-            stream(*key).integers(0, 3, fam.ground.size).astype(float)
+            stream(*key).integers(0, 3, fam.ground_size).astype(float)
         ),
     ], ids=["uniform", "zeros-and-ties"])
     @pytest.mark.parametrize("maker", [
@@ -197,7 +197,7 @@ class TestSevenVertexBruteForce:
 
     def test_defect_and_distance(self):
         fam = SpanningTreeFamily(7)
-        assert fam.ground.size == 21
+        assert fam.ground_size == 21
         for trial in range(3):
             w = _draw(fam, (82, trial))
             scan = _forest_scan(fam, w.values)
@@ -253,10 +253,10 @@ class TestMatchingLadderNecessity:
     @pytest.mark.parametrize("make", [
         _draw,
         lambda fam, key: WeightAssignment(
-            stream(*key).integers(0, 3, fam.ground.size).astype(float)
+            stream(*key).integers(0, 3, fam.ground_size).astype(float)
         ),
         lambda fam, key: WeightAssignment(
-            stream(*key).choice([1e-300, 1.0, 1e300], fam.ground.size)
+            stream(*key).choice([1e-300, 1.0, 1e300], fam.ground_size)
         ),
     ], ids=["uniform", "zeros-and-ties", "extreme"])
     def test_ladder_matches_oracle_everywhere(self, make):
@@ -321,7 +321,7 @@ class TestCertificateCheck:
         base = defect_under_budget(fam, w, budget).defect
         rng = stream(88)
         for _ in range(100):
-            coord = int(rng.integers(fam.ground.size))
+            coord = int(rng.integers(fam.ground_size))
             vals = w.values.copy()
             vals[coord] = rng.choice([1e18, vals[coord] * 3.0, 0.0])
             moved = defect_under_budget(fam, WeightAssignment(vals), budget)
@@ -332,7 +332,7 @@ class TestCertificateCheck:
         w = _draw(fam, (89,))
         budget = 0.4 * fam.min_weight(w).value
         base = defect_under_budget(fam, w, budget)
-        others = sorted(set(range(fam.ground.size)) - set(base.witness))
+        others = sorted(set(range(fam.ground_size)) - set(base.witness))
         for coord in others[:20]:
             vals = w.values.copy()
             vals[coord] = 1e18

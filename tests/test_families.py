@@ -12,7 +12,6 @@ from minweight.dual import cheapest_within_distance, defect_under_budget
 from minweight.families import (
     ExplicitFamily,
     Family,
-    GroundSet,
     MatchingFamily,
     SolveResult,
     SpanningTreeFamily,
@@ -30,7 +29,7 @@ SPEC = WeightSpec(q=1.0, base=BaseLaw.UNIFORM_POWER)
 
 
 def _draw(fam, key):
-    return WeightAssignment(sample(SPEC, stream(*key), fam.ground.size))
+    return WeightAssignment(sample(SPEC, stream(*key), fam.ground_size))
 
 
 def _count_scans(monkeypatch):
@@ -73,16 +72,16 @@ def _count_k_matchings(monkeypatch):
 # weight order (2 n floor(ln n) + 64 edges), so tree solvers first scan a
 # proper prefix of the order unless ties fill it.
 HEAD_CASES = {
-    "uniform": (100, lambda fam, rng: rng.random(fam.ground.size)),
+    "uniform": (100, lambda fam, rng: rng.random(fam.ground_size)),
     "half-zero": (200, lambda fam, rng: np.where(
-        rng.random(fam.ground.size) < 0.5, 0.0, rng.random(fam.ground.size)
+        rng.random(fam.ground_size) < 0.5, 0.0, rng.random(fam.ground_size)
     )),
-    "all-ones": (200, lambda fam, rng: np.ones(fam.ground.size)),
+    "all-ones": (200, lambda fam, rng: np.ones(fam.ground_size)),
     # The 3321 edges inside vertices 0..81 outnumber the head (864 edges),
     # so no scan can finish inside the head: the first one falls back to the
     # full order, which every later scan of the vector then reads.
     "cheap-clique": (100, lambda fam, rng: np.where(fam.edge_v < 82, 1e-3, 1.0)
-                     * rng.random(fam.ground.size)),
+                     * rng.random(fam.ground_size)),
 }
 
 
@@ -107,15 +106,58 @@ class TestWeightAssignment:
         with pytest.raises(ValueError):
             w.values[0] = 7.0
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-negative|finite"):
+            WeightAssignment([0.5, bad])
+
+    def test_infinite_weights_fail_before_any_solver(self):
+        # They leave scipy's assignment solver no finite k-matching.
+        with pytest.raises(ValueError, match="weights must be finite"):
+            MatchingFamily(5).budget_witness(WeightAssignment(np.full(25, np.inf)), 0)
+
+    def test_copies_caller_arrays_once(self):
+        source = np.arange(12.0)
+        w = WeightAssignment(source[::3])
+        assert w.values.flags.c_contiguous and w.values.base is None
+        source[0] = 5.0
+        assert w.values.tolist() == [0.0, 3.0, 6.0, 9.0]
+
+    @pytest.mark.parametrize("base", list(BaseLaw))
+    @pytest.mark.parametrize("q", [0.01, 0.5, 1.0, 3.0, 50.0])
+    def test_draw_equals_a_copied_sample(self, base, q):
+        spec = WeightSpec(q=q, base=base)
+        for k in range(3):
+            drawn = WeightAssignment.draw(spec, stream(70, k), 500).values
+            copied = WeightAssignment(sample(spec, stream(70, k), 500)).values
+            assert drawn.tobytes() == copied.tobytes()
+        rng = stream(71)
+        u = 1.0 - rng.random() if base is BaseLaw.UNIFORM_POWER else rng.exponential()
+        scalar = sample(spec, stream(71))
+        assert isinstance(scalar, float)
+        assert scalar == (u if q == 1.0 else u ** (1.0 / q))
+
+    def test_drawn_vector_is_immutable(self):
+        w = WeightAssignment.draw(SPEC, stream(72), 6)
+        with pytest.raises(AttributeError):
+            w.values = np.zeros(6)
+        with pytest.raises(ValueError):
+            w.values[0] = 7.0
+
+    def test_draw_rejects_overflowed_weights(self):
+        spec = WeightSpec(q=1e-4, base=BaseLaw.EXPONENTIAL_POWER)
+        with pytest.raises(ValueError, match="weights must be finite"):
+            WeightAssignment.draw(spec, stream(73), 25)
+
 
 class TestSpanningTreeFamily:
     def test_ground_set_shape(self):
         fam = SpanningTreeFamily(6)
-        assert fam.ground.size == 15
+        assert fam.ground_size == 15
         assert fam.ell == 5
         u, v = complete_graph_edges(6)
-        assert fam.ground.labels[0] == (0, 1)
-        assert fam.ground.labels[-1] == (4, 5)
+        assert (fam.edge_u[0], fam.edge_v[0]) == (0, 1)
+        assert (fam.edge_u[-1], fam.edge_v[-1]) == (4, 5)
         assert np.all(u < v)
 
     def test_rejects_small_n(self):
@@ -172,9 +214,9 @@ class TestSpanningTreeFamily:
         fam = SpanningTreeFamily(6)
         rng = stream(33)
         for _ in range(50):
-            size = int(rng.integers(0, fam.ground.size))
-            g = rng.choice(fam.ground.size, size, replace=False)
-            extra = int(rng.integers(fam.ground.size))
+            size = int(rng.integers(0, fam.ground_size))
+            g = rng.choice(fam.ground_size, size, replace=False)
+            extra = int(rng.integers(fam.ground_size))
             grown = np.append(g, extra)
             r0 = fam.min_patch_size(g)
             r1 = fam.min_patch_size(grown)
@@ -187,7 +229,7 @@ class TestSpanningTreeFamily:
         w = _draw(fam, (34, 0))
         base = fam.min_weight(w).value
         for _ in range(20):
-            shrunk = w.values * rng.uniform(0.0, 1.0, fam.ground.size)
+            shrunk = w.values * rng.uniform(0.0, 1.0, fam.ground_size)
             assert fam.min_weight(WeightAssignment(shrunk)).value <= base
 
     def test_edge_index_bijection(self):
@@ -196,9 +238,9 @@ class TestSpanningTreeFamily:
         for u in range(7):
             for v in range(u + 1, 7):
                 i = fam.edge_index(u, v)
-                assert fam.ground.labels[i] == (u, v)
+                assert (fam.edge_u[i], fam.edge_v[i]) == (u, v)
                 seen.add(i)
-        assert seen == set(range(fam.ground.size))
+        assert seen == set(range(fam.ground_size))
         assert fam.edge_index(5, 2) == fam.edge_index(2, 5)
         with pytest.raises(ValueError):
             fam.edge_index(3, 3)
@@ -272,7 +314,7 @@ def test_budget_witness_is_the_smallest_affordable_distance(which, kind, seed):
     witness at r = 0) has the enumeration oracle's value; explicit families
     also share its tie rule, so their whole SolveResult matches."""
     fam = _BUDGET_FAMILIES[which]
-    values = _BUDGET_WEIGHTS[kind](np.random.default_rng(seed), fam.ground.size)
+    values = _BUDGET_WEIGHTS[kind](np.random.default_rng(seed), fam.ground_size)
     scan = [fam.distance_witness(WeightAssignment(values), r)
             for r in range(fam.ell + 1)]
     totals = sorted({WeightAssignment(values).total(s) for s in scan})
@@ -301,8 +343,7 @@ class _ScriptedFamily(Family):
     def __init__(self, curve) -> None:
         self.curve = [int(c) for c in curve]
         self.ell = len(self.curve)
-        size = 2 * self.ell - 1
-        self.ground = GroundSet(size=size, labels=tuple(range(size)))
+        self.ground_size = 2 * self.ell - 1
         self.probes: list[int] = []
 
     def weights(self) -> WeightAssignment:
@@ -450,7 +491,7 @@ class TestMatchingFamily:
 
     def test_budget_solves_each_k_once(self, monkeypatch):
         fam = MatchingFamily(100)
-        w = WeightAssignment(np.random.default_rng(1).random(fam.ground.size))
+        w = WeightAssignment(np.random.default_rng(1).random(fam.ground_size))
         solved: list[int] = []
         original = MatchingFamily._k_matching
 
@@ -467,7 +508,7 @@ class TestMatchingFamily:
         # large padded problems around r = n/2 that a bisect over range(n)
         # starts with.
         fam = MatchingFamily(100)
-        w = WeightAssignment(np.random.default_rng(1).random(fam.ground.size))
+        w = WeightAssignment(np.random.default_rng(1).random(fam.ground_size))
         solved = _count_k_matchings(monkeypatch)
         defect = defect_under_budget(fam, w, 1.0).defect
         assert min(solved) >= fam.n - max(2 * defect - 1, 0)
@@ -479,7 +520,7 @@ class TestMatchingFamily:
         fam = MatchingFamily(100)
         solved = _count_k_matchings(monkeypatch)
         for seed in range(20):
-            w = WeightAssignment(np.random.default_rng(seed).random(fam.ground.size))
+            w = WeightAssignment(np.random.default_rng(seed).random(fam.ground_size))
             defect_under_budget(fam, w, 1.0)
             cheapest_within_distance(fam, w, 10)
             fam.min_weight(w)
@@ -487,7 +528,7 @@ class TestMatchingFamily:
 
     def test_min_weight_reads_the_budget_probe(self, monkeypatch):
         fam = MatchingFamily(100)
-        w = WeightAssignment(np.random.default_rng(1).random(fam.ground.size))
+        w = WeightAssignment(np.random.default_rng(1).random(fam.ground_size))
         solved = _count_k_matchings(monkeypatch)
         defect_under_budget(fam, w, 1.0)
         del solved[:]
@@ -559,7 +600,7 @@ class TestTieHandling:
     def test_equal_weights_deterministic(self):
         # repeated ties must resolve identically run to run
         fam = SpanningTreeFamily(5)
-        vals = np.array([0.5] * fam.ground.size)
+        vals = np.array([0.5] * fam.ground_size)
         first = fam.min_weight(WeightAssignment(vals))
         for _ in range(3):
             again = fam.min_weight(WeightAssignment(vals.copy()))
@@ -570,7 +611,7 @@ class TestTieHandling:
         fam = SpanningTreeFamily(5)
         rng = stream(44)
         for _ in range(20):
-            vals = rng.integers(1, 4, fam.ground.size) / 4.0
+            vals = rng.integers(1, 4, fam.ground_size) / 4.0
             w = WeightAssignment(vals)
             got = fam.min_weight(w)
             value, _ = oracle_min_weight(fam, w)
@@ -579,11 +620,11 @@ class TestTieHandling:
     def test_ties_prefer_smallest_index_above_threshold(self):
         # Equal weights: Kruskal in index order picks the star at vertex 0.
         fam = SpanningTreeFamily(200)
-        w = WeightAssignment(np.ones(fam.ground.size))
+        w = WeightAssignment(np.ones(fam.ground_size))
         res = fam.min_weight(w)
         assert res.witness == tuple(range(199))
         # Every edge ties with the k-th, so the head is the whole order.
-        assert w._memo[1].order.size == fam.ground.size
+        assert w._memo[1].order.size == fam.ground_size
 
     @pytest.mark.parametrize("make", [
         lambda rng, size: rng.integers(0, 3, size) / 2.0,
@@ -598,7 +639,7 @@ class TestTieHandling:
         # The head is sorted unstably unless its weights tie; a tie, -0.0
         # against 0.0 included, still breaks by the smaller index.
         fam = SpanningTreeFamily(100)
-        w = WeightAssignment(make(stream(48), fam.ground.size))
+        w = WeightAssignment(make(stream(48), fam.ground_size))
         head = fam._order_memo(w).order
         full = np.argsort(w.values, kind="stable")
         np.testing.assert_array_equal(head, full[:head.size])
@@ -653,7 +694,7 @@ class TestTieHandling:
             g = sample_depleted_set(
                 fam, spec, r, strategies[draw % len(strategies)], rng
             )
-            w = WeightAssignment(sample(spec, rng, fam.ground.size))
+            w = WeightAssignment(sample(spec, rng, fam.ground_size))
             opt = fam.min_weight(w)
             fam.distance_witness(w, n // 10)
             fam.budget_forest(w, 0.5 * opt.value)

@@ -1,13 +1,16 @@
 """Experiment driver: reproducibility, summaries, and the report types."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from minweight.bounds import split_cost_minimum, upper_tail_bound
+from minweight.families import SpanningTreeFamily
 from minweight.montecarlo import (
     ExperimentConfig,
+    _trial,
     build_family,
     coupling_experiment,
     fit_exponent,
@@ -16,7 +19,7 @@ from minweight.montecarlo import (
     summarize,
     tail_experiment,
 )
-from minweight.rngs import stream_id
+from minweight.rngs import stream, stream_id
 from minweight.weights import BaseLaw, WeightSpec
 
 Q1 = WeightSpec(q=1.0, base=BaseLaw.UNIFORM_POWER)
@@ -69,8 +72,8 @@ class TestExperimentConfig:
         assert ExperimentConfig(family="trees", n_grid=(5, 9)).sizes == (5, 9)
 
     def test_build_family(self):
-        assert build_family("trees", 6).ground.size == 15
-        assert build_family("matchings", 4).ground.size == 16
+        assert build_family("trees", 6).ground_size == 15
+        assert build_family("matchings", 4).ground_size == 16
         with pytest.raises(ValueError):
             build_family("paths", 4)
 
@@ -135,6 +138,23 @@ class TestRun:
         for rec in run(config):
             assert rec.patch_cost >= 0.0
             assert rec.component_cost is None
+
+    @pytest.mark.parametrize("base", list(BaseLaw))
+    @pytest.mark.parametrize("q", [0.5, 1.0])
+    def test_value_trial_holds_one_weight_sized_array(self, base, q):
+        # numpy reports its buffers to tracemalloc: a value trial on a
+        # prebuilt family allocates its drawn vector once and copies it nowhere.
+        n = 400
+        fam = SpanningTreeFamily(n)
+        config = ExperimentConfig(family="trees", n=n, spec=WeightSpec(q=q, base=base))
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            _trial(config, fam, n, 0, stream_id(7, n, 0), stream(7, n, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 1.5 * 8 * fam.ground_size
 
 
 class TestSummarize:

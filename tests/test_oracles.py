@@ -63,7 +63,7 @@ class TestMemberSubsets:
     ], ids=["tree", "matching", "explicit"])
     def test_rows_list_each_mask_ascending(self, fam):
         table = member_subsets(fam)
-        num = fam.ground.size
+        num = fam.ground_size
         assert table.rows.shape == (table.masks.size, fam.ell)
         assert np.all(table.masks[1:] > table.masks[:-1])  # distinct
         member_masks = [sum(1 << e for e in m) for m in fam.enumerate_members()]
@@ -84,7 +84,7 @@ class TestMemberSubsets:
         original = fam.enumerate_members
         monkeypatch.setattr(fam, "enumerate_members",
                             lambda: calls.append(1) or original())
-        w = WeightAssignment(stream(22).random(fam.ground.size))
+        w = WeightAssignment(stream(22).random(fam.ground_size))
         for _ in range(2):
             oracle_min_weight(fam, w)
             oracle_min_patch_size(fam, (0, 1))
@@ -192,7 +192,7 @@ def _every_subset_total(values):
 
 def _every_subset_defect(fam):
     """min over members of |M - S| for every subset bitmask S."""
-    masks = np.arange(1 << fam.ground.size, dtype=np.uint64)
+    masks = np.arange(1 << fam.ground_size, dtype=np.uint64)
     defects = np.full(masks.size, fam.ell, dtype=np.intp)
     for member in fam.enumerate_members():
         mm = np.uint64(sum(1 << e for e in member))
@@ -212,7 +212,7 @@ def _agrees_with_full_scan(fam, key):
     """Both dual oracles against a scan of all 2^N subsets, for each kind of
     weights in WEIGHTS."""
     for index, (kind, draw) in enumerate(WEIGHTS.items()):
-        values = draw(stream(29, *key, index), fam.ground.size)
+        values = draw(stream(29, *key, index), fam.ground_size)
         w = WeightAssignment(values)
         sums = _every_subset_total(values)
         defects = _every_subset_defect(fam)
@@ -259,7 +259,7 @@ class TestExplicitRestrictionIsSound:
         _explicit(16, (9, 10, 11, 12, 13, 15), (28, 16, 3)),
     ], ids=["ground-12", "ground-16"])
     def test_full_subset_scan_agrees(self, fam):
-        _agrees_with_full_scan(fam, (200 + fam.ground.size,))
+        _agrees_with_full_scan(fam, (200 + fam.ground_size,))
 
 
 def test_explicit_family_at_the_ground_limit():

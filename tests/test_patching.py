@@ -26,18 +26,18 @@ SPEC = WeightSpec(q=1.0, base=BaseLaw.UNIFORM_POWER)
 
 
 def _draw(fam, key):
-    return WeightAssignment(sample(SPEC, stream(*key), fam.ground.size))
+    return WeightAssignment(sample(SPEC, stream(*key), fam.ground_size))
 
 
 def _half_zero(fam, key):
     rng = stream(*key)
-    zero = rng.random(fam.ground.size) < 0.5
-    return WeightAssignment(np.where(zero, 0.0, rng.random(fam.ground.size)))
+    zero = rng.random(fam.ground_size) < 0.5
+    return WeightAssignment(np.where(zero, 0.0, rng.random(fam.ground_size)))
 
 
 def _random_subset(fam, rng):
-    size = int(rng.integers(0, fam.ground.size + 1))
-    return tuple(sorted(rng.choice(fam.ground.size, size, replace=False)))
+    size = int(rng.integers(0, fam.ground_size + 1))
+    return tuple(sorted(rng.choice(fam.ground_size, size, replace=False)))
 
 
 class TestExactPatch:
@@ -63,11 +63,11 @@ class TestExactPatch:
     @pytest.mark.parametrize("make", [
         _draw,
         lambda fam, key: WeightAssignment(
-            stream(*key).integers(0, 3, fam.ground.size).astype(float)
+            stream(*key).integers(0, 3, fam.ground_size).astype(float)
         ),
         _half_zero,
         lambda fam, key: WeightAssignment(
-            stream(*key).choice([1e-300, 1.0, 1e300], fam.ground.size)
+            stream(*key).choice([1e-300, 1.0, 1e300], fam.ground_size)
         ),
     ], ids=["uniform", "zeros-and-ties", "half-zero", "extreme"])
     @pytest.mark.parametrize("maker", [
@@ -122,7 +122,7 @@ class TestExactPatch:
         assert exact.cost == w.total(removed)
         assert component_patch(fam, g, w).cost >= exact.cost
         # Every solve above ran on a head shorter than the ground set.
-        assert w._memo[1].order.size < fam.ground.size
+        assert w._memo[1].order.size < fam.ground_size
 
 
 class TestComponentPatch:
@@ -236,7 +236,7 @@ class TestSampleDepletedSet:
         g_adv = sample_depleted_set(
             fam, SPEC, 3, GStrategy.ADVERSARIAL_HEAVIEST, stream(64)
         )
-        aux = WeightAssignment(sample(SPEC, stream(64), fam.ground.size))
+        aux = WeightAssignment(sample(SPEC, stream(64), fam.ground_size))
         member = fam.min_weight(aux).witness
         kept = sorted(member, key=lambda e: aux.values[e])[: len(member) - 3]
         assert g_adv == tuple(e for e in member if e in set(kept))
@@ -297,7 +297,7 @@ class TestEstimatePatchability:
             trials=trials, master_seed=13, exhaustive=True,
         )
         draws = [
-            sample(SPEC, stream(13, 303, t), fam.ground.size)
+            sample(SPEC, stream(13, 303, t), fam.ground_size)
             for t in range(trials)
         ]
         worst = -np.inf
@@ -327,7 +327,7 @@ class TestEstimatePatchability:
         # At r = ell every subset is swept, so row `mask` is G = mask's bits.
         assert est.g_samples == 1 << 12
         draws = [
-            WeightAssignment(sample(SPEC, stream(17, 303, t), fam.ground.size))
+            WeightAssignment(sample(SPEC, stream(17, 303, t), fam.ground_size))
             for t in range(trials)
         ]
         long_patches = 0

@@ -48,7 +48,7 @@ def _depleted(fam, rng, r):
 class TestTreeOrderMemo:
     def test_dual_trial_runs_kruskal_once(self, monkeypatch):
         fam = SpanningTreeFamily(100)
-        w = WeightAssignment(stream(61).random(fam.ground.size))
+        w = WeightAssignment(stream(61).random(fam.ground_size))
         seeds = []
         original = SpanningTreeFamily._greedy_forest
 
@@ -66,8 +66,8 @@ class TestTreeOrderMemo:
     def test_interleaved_vectors_and_families_match_fresh(self, n):
         rng = stream(62, n)
         fam_a, fam_b = SpanningTreeFamily(n), SpanningTreeFamily(n)
-        first = rng.random(fam_a.ground.size)
-        second = rng.integers(0, 3, fam_a.ground.size) / 2.0
+        first = rng.random(fam_a.ground_size)
+        second = rng.integers(0, 3, fam_a.ground_size) / 2.0
         w1, w2 = WeightAssignment(first), WeightAssignment(second)
         w1_copy = WeightAssignment(w1.values)
         g = _depleted(fam_a, rng, n // 4)
@@ -89,8 +89,8 @@ class TestMatchingMemo:
     def test_interleaved_vectors_and_families_match_fresh(self, n):
         rng = stream(63, n)
         fam_a, fam_b = MatchingFamily(n), MatchingFamily(n)
-        first = rng.random(fam_a.ground.size)
-        second = rng.integers(0, 3, fam_a.ground.size) / 2.0
+        first = rng.random(fam_a.ground_size)
+        second = rng.integers(0, 3, fam_a.ground_size) / 2.0
         w1, w2 = WeightAssignment(first), WeightAssignment(second)
         w1_copy = WeightAssignment(w1.values)
         g = _depleted(fam_a, rng, n // 3)
