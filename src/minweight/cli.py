@@ -223,13 +223,9 @@ def _subparser_for(parser: argparse.ArgumentParser, command: str):
     raise RuntimeError("subcommand parser not found")
 
 
-def _get(args, name, default=None):
+def _get(args, name):
     value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if default is not None:
-        return default
-    return _DEFAULTS.get(name)
+    return value if value is not None else _DEFAULTS.get(name)
 
 
 def _require(args, name, flag) -> object:

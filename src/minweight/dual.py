@@ -10,10 +10,11 @@ distance at most r.  They satisfy the duality
 
     cheapest_within_distance(r) <= L  <=>  defect_under_budget(L) <= r.
 
-Each family finds the distance witness in its own distance_witness
-method, and Family.budget_witness, shared by every family, checks the
-budget and inverts it for the budget witness; this module checks r,
-reports canonical totals, and adds the concentration certificates below.
+Each family finds the distance witness in its own _distance_witness
+method; Family.distance_witness, shared by every family, memoises it with
+its canonical total, and Family.budget_witness inverts it into a
+DualResult.  This module checks r, passes those results on, and adds the
+concentration certificates below.
 
 The defect is 1-Lipschitz in every single weight and certified by its
 witness: the witness has at most ell elements, total weight <= L, and patch
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import Family, SolveResult, WeightAssignment
+from .families import DualResult, Family, SolveResult, WeightAssignment
 from .rngs import stream
 
 __all__ = [
@@ -49,28 +50,9 @@ __all__ = [
 _SURROGATE_INFINITY = 1e18  # stands in for an unbounded weight increase
 
 
-@dataclass(frozen=True)
-class DualResult:
-    """Defect value with its certifying witness.
-
-    witness is affordable (weight_used <= budget), has min_patch_size equal
-    to defect, and at most ell elements.
-    """
-
-    budget: float
-    defect: int
-    witness: tuple[int, ...]
-    weight_used: float
-
-
 def defect_under_budget(fam: Family, w: WeightAssignment, budget: float) -> DualResult:
     """Smallest patch distance among subsets of total weight <= budget."""
-    budget = float(budget)
-    defect, witness = fam.budget_witness(w, budget)
-    return DualResult(
-        budget=budget, defect=int(defect), witness=witness,
-        weight_used=w.total(witness),
-    )
+    return fam.budget_witness(w, budget)
 
 
 def cheapest_within_distance(fam: Family, w: WeightAssignment, r: int) -> SolveResult:
@@ -78,8 +60,7 @@ def cheapest_within_distance(fam: Family, w: WeightAssignment, r: int) -> SolveR
     r = int(r)
     if not 0 <= r <= fam.ell:
         raise ValueError(f"distance r={r} outside [0, {fam.ell}]")
-    witness = fam.distance_witness(w, r)
-    return SolveResult(value=w.total(witness), witness=witness)
+    return fam.distance_witness(w, r)
 
 
 def talagrand_product_bound(t: float) -> float:

@@ -13,16 +13,20 @@ A family is one class implementing five primitives:
 
 * min_patch_size(G): the fewest elements that must be added to G so that it
   contains a member (Hamming distance to the upward closure);
-* cheapest_completion(G, w): the cheapest such addition;
-* distance_witness(w, r): the cheapest subset at patch distance <= r;
+* cheapest_completion(G, w): the cheapest such addition, as a SolveResult;
+* _distance_witness(w, r): the cheapest subset at patch distance r <= ell;
 * random_member(rng): a uniformly random member;
 * enumerate_members(): every member (small instances only).
 
-The base class derives the other two from distance_witness, once for every
-family: min_weight(w), the optimum and its witness, is the witness at
-r = 0; budget_witness(w, L), the smallest patch distance of a subset of
-total weight <= L with a witness, is its inverse.  Every other module
-reaches a family only through these seven methods.
+The base class builds the rest on _distance_witness, once for every
+family: distance_witness(w, r) checks w and r, clamps r to ell (every
+r >= ell has the empty witness) and returns the memoised SolveResult,
+the witness with its canonical total; min_weight(w), the optimum, is the
+answer at r = 0; budget_witness(w, L), the smallest patch distance of a
+subset of total weight <= L, is its inverse and returns a DualResult.
+Every answer that names a weighted subset carries that subset's canonical
+total, summed once where the subset is found.  Every other module reaches
+a family only through these seven public methods.
 
 budget_witness searches r with few distance_witness calls, since on
 matchings each is an assignment solve.  After r = 0 it takes a free upper
@@ -43,11 +47,11 @@ the caller's once, WeightAssignment.draw keeps weights.sample's fresh draw,
 and the tree edge order partitions in a per-family buffer, not a copy.
 
 A weight vector has one memo slot, owned by the last family that read it
-(Family._memo): a tree family keeps its edge order and Kruskal chain there,
-a matching family its k-matchings by k, so the solvers of one trial sort,
-scan or solve each once.  A family that finds another owner replaces the
-state with its own; the memo cannot go stale because a WeightAssignment
-never changes.
+(Family._memo).  The slot holds one _Memo record: every family keeps its
+distance answers there by r, and a tree family also its edge order and
+Kruskal chain, so the solvers of one trial sort, scan, solve and sum each
+once.  A family that finds another owner replaces the record with a fresh
+one; the memo cannot go stale because a WeightAssignment never changes.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ import heapq
 import itertools
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -68,6 +72,7 @@ from . import weights
 __all__ = [
     "WeightAssignment",
     "SolveResult",
+    "DualResult",
     "Family",
     "SpanningTreeFamily",
     "MatchingFamily",
@@ -128,17 +133,33 @@ class SolveResult:
     witness: tuple[int, ...]
 
 
-@dataclass(slots=True, eq=False)
-class _TreeOrder:
-    """A weight vector's tree edge order and Kruskal chain: the memo state
-    a spanning-tree family keeps in the vector's slot (Family._memo).
+@dataclass(frozen=True)
+class DualResult:
+    """Defect value with its certifying witness.
 
-    order is a prefix of the (weight, index) order: the head until a scan
-    needs more, then the whole order.  chain is the edges `_greedy_forest`
-    accepts without a seed.
+    witness is affordable (weight_used, its canonical sum, is <= budget),
+    has min_patch_size equal to defect, and at most ell elements.
     """
 
-    order: np.ndarray
+    budget: float
+    defect: int
+    witness: tuple[int, ...]
+    weight_used: float
+
+
+@dataclass(slots=True, eq=False)
+class _Memo:
+    """What `family` keeps in a weight vector's memo slot (Family._memo).
+
+    solved maps each distance r <= ell asked for to its SolveResult.  Only
+    spanning-tree families fill in the rest: order is a prefix of the
+    (weight, index) edge order, the head until a scan needs more, then the
+    whole order; chain is the edges `_greedy_forest` accepts without a seed.
+    """
+
+    family: Family
+    solved: dict[int, SolveResult] = field(default_factory=dict)
+    order: np.ndarray | None = None
     chain: tuple[int, ...] | None = None
 
 
@@ -182,16 +203,17 @@ class Family(ABC):
         """Fewest elements to add to `subset` so it contains a member."""
 
     @abstractmethod
-    def cheapest_completion(self, subset, w: WeightAssignment):
+    def cheapest_completion(self, subset, w: WeightAssignment) -> SolveResult:
         """Cheapest addition P with subset + P containing a member.
 
-        Returns (cost, patch_indices) with patch disjoint from `subset` and
-        cost the canonical sum of the patch.
+        The witness is the patch, disjoint from `subset`; the value is its
+        canonical sum.
         """
 
     @abstractmethod
-    def distance_witness(self, w: WeightAssignment, r: int) -> tuple[int, ...]:
-        """Cheapest subset (sorted indices) at patch distance at most r."""
+    def _distance_witness(self, w: WeightAssignment, r: int) -> tuple[int, ...]:
+        """Cheapest subset (sorted indices) at patch distance at most r, for
+        checked arguments with r <= ell."""
 
     @abstractmethod
     def random_member(self, rng: np.random.Generator) -> tuple[int, ...]:
@@ -201,21 +223,37 @@ class Family(ABC):
     def enumerate_members(self):
         """All members as sorted index tuples (small instances only)."""
 
-    def min_weight(self, w: WeightAssignment) -> SolveResult:
-        """Minimum total weight of a member, with witness: the distance
-        witness at r = 0 and its canonical sum."""
-        witness = self.distance_witness(w, 0)
-        return SolveResult(value=w.total(witness), witness=witness)
+    def distance_witness(self, w: WeightAssignment, r: int) -> SolveResult:
+        """Cheapest subset (sorted indices) at patch distance at most r, with
+        its canonical sum.
 
-    def budget_witness(self, w: WeightAssignment, budget: float) -> tuple[int, tuple]:
+        Every r >= ell has the same answer, the empty set, so r is clamped
+        to ell.  The answer is solved and summed on the first call for
+        (w, r) only; later calls read it from the memo of w.
+        """
+        self._check_weights(w)
+        if r < 0:
+            raise ValueError(f"patch distance must be non-negative, got {r}")
+        r = min(r, self.ell)
+        solved = self._memo(w).solved
+        if r not in solved:
+            witness = self._distance_witness(w, r)
+            solved[r] = SolveResult(value=w.total(witness), witness=witness)
+        return solved[r]
+
+    def min_weight(self, w: WeightAssignment) -> SolveResult:
+        """Minimum total weight of a member, with witness: r = 0."""
+        return self.distance_witness(w, 0)
+
+    def budget_witness(self, w: WeightAssignment, budget: float) -> DualResult:
         """Smallest patch distance among subsets of total weight <= budget.
 
-        Returns (defect, witness): the witness is a sorted index tuple of at
-        most ell elements, affordable under the canonical sum, whose patch
-        distance equals the defect.  By duality the defect is the smallest r
-        whose distance witness is affordable; witness totals do not grow with
-        r, so the affordable r < ell form a suffix.  At r = ell the empty set
-        is always affordable.
+        The witness is a sorted index tuple of at most ell elements,
+        affordable under the canonical sum, whose patch distance equals the
+        defect.  By duality the defect is the smallest r whose distance
+        witness is affordable; witness totals do not grow with r, so the
+        affordable r < ell form a suffix.  At r = ell the empty set is
+        always affordable.
 
         The search probes r = 0 first (the optimum, which a trial needs
         anyway) and returns 0 if it is affordable.  Otherwise the r = 0
@@ -238,24 +276,30 @@ class Family(ABC):
         ell.  r = ell is never solved; its witness is the empty set.
         """
         self._check_weights(w)
-        self._check_budget(budget)
-        witnesses: dict[int, tuple[int, ...]] = {}
+        budget = float(budget)
+        if not budget >= 0:  # also rejects NaN
+            raise ValueError(f"budget must be non-negative, got {budget}")
         misses: list[tuple[int, float]] = []  # unaffordable (r, total), r ascending
+        empty = SolveResult(0.0, ())  # the answer at r = ell, never solved
 
         def affordable(r: int) -> bool:
-            witnesses[r] = self.distance_witness(w, r)
-            total = w.total(witnesses[r])
+            total = self.distance_witness(w, r).value
             if total <= budget:
                 return True
             misses.append((r, total))
             return False
 
+        def answer(defect: int) -> DualResult:  # r = defect < ell was probed
+            found = self.distance_witness(w, defect) if defect < self.ell else empty
+            return DualResult(budget, defect, found.witness, found.value)
+
         if self.ell == 0 or affordable(0):
-            return 0, witnesses.get(0, ())
+            return answer(0)
         # lo: the largest probe known unaffordable; hi: the smallest r known
         # affordable (probed, or ell); top: the bracket's upper end, hi or the
         # unproven bound below it.
-        lightest = np.cumsum(np.sort(w.values[np.asarray(witnesses[0], dtype=np.intp)]))
+        optimum = np.asarray(self.distance_witness(w, 0).witness, dtype=np.intp)
+        lightest = np.cumsum(np.sort(w.values[optimum]))
         bound_r = lightest.size - int(np.searchsorted(lightest, budget, side="right"))
         lo, hi = 0, self.ell
         top = min(max(bound_r, 1), hi)
@@ -264,7 +308,7 @@ class Family(ABC):
             width = top - lo
             if width == 1:
                 if top == hi or affordable(top):
-                    return top, witnesses.get(top, ())
+                    return answer(top)
                 lo, top = top, hi
                 continue
             probe = (lo + top) // 2
@@ -280,30 +324,19 @@ class Family(ABC):
                 lo = probe
             pace /= math.sqrt(2)
 
-    def _memo(self, w: WeightAssignment, make):
-        """This family's state in the memo slot of `w`.
-
-        The slot holds (owner, state); when another family (or none) owns
-        it, `make()` builds fresh state and this family takes the slot.
-        """
+    def _memo(self, w: WeightAssignment) -> _Memo:
+        """This family's record in the memo slot of `w`; when another family
+        (or none) owns the slot, this family takes it with a fresh record."""
         memo = w._memo
-        if memo is None or memo[0] is not self:
-            memo = (self, make())
+        if memo is None or memo.family is not self:
+            memo = _Memo(self)
             object.__setattr__(w, "_memo", memo)
-        return memo[1]
+        return memo
 
     def _check_weights(self, w: WeightAssignment) -> None:
         if len(w) != self.ground_size:
             raise ValueError(f"weight vector has {len(w)} entries, ground set has "
                              f"{self.ground_size}")
-
-    def _check_distance(self, r: int) -> None:
-        if r < 0:
-            raise ValueError(f"patch distance must be non-negative, got {r}")
-
-    def _check_budget(self, budget: float) -> None:
-        if not budget >= 0:  # also rejects NaN
-            raise ValueError(f"budget must be non-negative, got {budget}")
 
     def _check_subset(self, subset) -> np.ndarray:
         if isinstance(subset, np.ndarray):
@@ -343,10 +376,11 @@ class SpanningTreeFamily(Family):
 
     # -- solvers ---------------------------------------------------------
 
-    def _order_memo(self, w: WeightAssignment) -> _TreeOrder:
-        """The memo of `w` for this family, made (head sorted) on first use."""
-
-        def make() -> _TreeOrder:
+    def _order_memo(self, w: WeightAssignment) -> _Memo:
+        """The memo of `w` for this family, its order (the head, sorted) made
+        on first use."""
+        memo = self._memo(w)
+        if memo.order is None:
             values = w.values
             # The random graph process connects by (n/2)(ln n + c) edges except with
             # probability ~e^-c (Erdos-Renyi); this k gives c > 10 (min 10.4, n=54)
@@ -361,11 +395,9 @@ class SpanningTreeFamily(Family):
             ranked = keys[perm]
             if np.any(ranked[1:] == ranked[:-1]):  # a tie (-0.0 == 0.0 too): by index
                 perm = np.argsort(keys, kind="stable")
-            head = cand[perm]
-            head.flags.writeable = False
-            return _TreeOrder(head)
-
-        return self._memo(w, make)
+            memo.order = cand[perm]
+            memo.order.flags.writeable = False
+        return memo
 
     def _in_weight_order(self, w: WeightAssignment, scan):
         """Run `scan` on edge indices in (weight, index) order.
@@ -430,13 +462,11 @@ class SpanningTreeFamily(Family):
     def budget_forest(self, w: WeightAssignment, budget: float) -> list[int]:
         """Largest affordable prefix of the greedy forest, in chain order."""
         # Kept only as a trace target of perfbench/tracing.py and a test subject.
-        defect, _ = self.budget_witness(w, budget)
+        defect = self.budget_witness(w, budget).defect
         return list(self._chain(w)[:self.n - 1 - defect])
 
-    def distance_witness(self, w: WeightAssignment, r: int) -> tuple[int, ...]:
-        self._check_weights(w)
-        self._check_distance(r)
-        return tuple(sorted(self._chain(w)[:max(self.n - 1 - r, 0)]))
+    def _distance_witness(self, w: WeightAssignment, r: int) -> tuple[int, ...]:
+        return tuple(sorted(self._chain(w)[:self.n - 1 - r]))
 
     def random_member(self, rng: np.random.Generator) -> tuple[int, ...]:
         """Decode a uniform Prufer sequence (Cayley's bijection)."""
@@ -468,7 +498,7 @@ class SpanningTreeFamily(Family):
         self._check_weights(w)
         idx = self._check_subset(subset)
         patch = tuple(sorted(self._greedy_forest(w, subset=idx)))
-        return w.total(patch), patch
+        return SolveResult(value=w.total(patch), witness=patch)
 
     def enumerate_members(self):
         """All n^(n-2) labeled spanning trees, via Prufer sequences (n <= 7)."""
@@ -519,10 +549,9 @@ class MatchingFamily(Family):
 
     Every weighted solver is a minimum-weight k-matching from _k_matching,
     one call to scipy's linear_sum_assignment: k = n for the optimum and
-    the completion, and k = n - r for distance r.  Distance witnesses (so
-    the optimum and the assignment ladder too) keep their k-matchings in
-    the memo of the weight vector (Family._memo), so each k is solved once
-    per vector.
+    the completion, and k = n - r for distance r.  Family.distance_witness
+    memoises the answers by r, so the optimum, the budget search and the
+    assignment ladder solve each k once per vector.
     """
 
     def __init__(self, n: int) -> None:
@@ -570,7 +599,7 @@ class MatchingFamily(Family):
         masked = w.values.copy()
         masked[idx] = 0.0
         patch = tuple(sorted(set(self._k_matching(masked, self.n)) - set(idx.tolist())))
-        return w.total(patch), patch
+        return SolveResult(value=w.total(patch), witness=patch)
 
     def assignment_ladder(self, w: WeightAssignment):
         """Minimum-weight k-matchings for every cardinality k = 0..n.
@@ -578,17 +607,11 @@ class MatchingFamily(Family):
         Returns (costs, matchings): matchings[k] is the distance witness at
         r = n - k and costs[k] its canonical value.
         """
-        matchings = [self.distance_witness(w, self.n - k) for k in range(self.n + 1)]
-        return np.asarray([w.total(m) for m in matchings]), matchings
+        ladder = [self.distance_witness(w, self.n - k) for k in range(self.n + 1)]
+        return np.asarray([s.value for s in ladder]), [s.witness for s in ladder]
 
-    def distance_witness(self, w: WeightAssignment, r: int) -> tuple[int, ...]:
-        self._check_weights(w)
-        self._check_distance(r)
-        k = max(self.n - r, 0)
-        matchings = self._memo(w, dict)  # k -> its k-matching
-        if k not in matchings:
-            matchings[k] = self._k_matching(w.values, k)
-        return matchings[k]
+    def _distance_witness(self, w: WeightAssignment, r: int) -> tuple[int, ...]:
+        return self._k_matching(w.values, self.n - r)
 
     def random_member(self, rng: np.random.Generator) -> tuple[int, ...]:
         perm = rng.permutation(self.n)
@@ -654,11 +677,9 @@ class ExplicitFamily(Family):
             cand = (w.total(patch), patch)
             if best is None or cand < best:
                 best = cand
-        return best[0], best[1]
+        return SolveResult(*best)
 
-    def distance_witness(self, w: WeightAssignment, r: int) -> tuple[int, ...]:
-        self._check_weights(w)
-        self._check_distance(r)
+    def _distance_witness(self, w: WeightAssignment, r: int) -> tuple[int, ...]:
         best = None
         for member in self._members:
             keep = max(len(member) - r, 0)

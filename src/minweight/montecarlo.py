@@ -221,9 +221,11 @@ def _split_trial(config, fam, n, i, sid, rng) -> TrialRecord:
     bound = green.value * c_green + red.cost * c_red
     # The envelope bound sums the per-element coupling bounds over the
     # completed witness; the chain value <= sum(x over member subset)
-    # <= envelope holds exactly in floats, with no tolerance.
-    union = tuple(sorted(set(green.witness) | set(red.patch)))
-    envelope = WeightAssignment(np.minimum(y * c_green, y_prime * c_red)).total(union)
+    # <= envelope holds exactly in floats, with no tolerance.  The union is
+    # sorted and holds a member, so the canonical sum runs over all of it.
+    union = np.unique(np.asarray(green.witness + red.patch, dtype=np.intp))
+    per_element = np.minimum(y[union] * c_green, y_prime[union] * c_red)
+    envelope = WeightAssignment(per_element).total(range(union.size))
     return TrialRecord(
         trial=i, n=n, q=spec.q, seed=sid, value=value,
         w_green=green.value, w_red=red.cost,

@@ -30,7 +30,6 @@ from .rngs import stream
 from .weights import WeightSpec, sample
 
 __all__ = [
-    "PatchMethod",
     "PatchResult",
     "GStrategy",
     "PatchabilityEstimate",
@@ -40,11 +39,6 @@ __all__ = [
     "sample_depleted_set",
     "estimate_patchability",
 ]
-
-
-class PatchMethod(Enum):
-    EXACT = "exact"
-    COMPONENT = "component"
 
 
 class GStrategy(Enum):
@@ -61,7 +55,6 @@ class PatchResult:
 
     cost: float
     patch: tuple[int, ...]
-    method: PatchMethod
 
 
 def _verify_patch(fam: Family, subset, patch) -> None:
@@ -72,9 +65,9 @@ def _verify_patch(fam: Family, subset, patch) -> None:
 
 def exact_patch(fam: Family, subset, w: WeightAssignment) -> PatchResult:
     """Cheapest patch for `subset` under w (exact for every family)."""
-    cost, patch = fam.cheapest_completion(subset, w)
-    _verify_patch(fam, subset, patch)
-    return PatchResult(cost=cost, patch=patch, method=PatchMethod.EXACT)
+    found = fam.cheapest_completion(subset, w)
+    _verify_patch(fam, subset, found.witness)
+    return PatchResult(cost=found.value, patch=found.witness)
 
 
 def _component_order(fam: SpanningTreeFamily, comp: np.ndarray) -> np.ndarray:
@@ -105,7 +98,7 @@ def component_patch(fam: Family, subset, w: WeightAssignment) -> PatchResult:
     comp = fam.component_labels(idx)
     c = int(comp.max()) + 1
     if c == 1:
-        return PatchResult(cost=0.0, patch=(), method=PatchMethod.COMPONENT)
+        return PatchResult(cost=0.0, patch=())
     pos = _component_order(fam, comp)
 
     def first_per_source(order: np.ndarray):
@@ -122,8 +115,7 @@ def component_patch(fam: Family, subset, w: WeightAssignment) -> PatchResult:
         raise RuntimeError("component patch size mismatch; solver bug")
     patch = tuple(sorted(chosen.tolist()))
     _verify_patch(fam, idx, patch)
-    return PatchResult(cost=w.total(patch), patch=patch,
-                       method=PatchMethod.COMPONENT)
+    return PatchResult(cost=w.total(patch), patch=patch)
 
 
 def min_outgoing_edge_count(fam: Family, subset) -> int:
@@ -178,7 +170,7 @@ def sample_depleted_set(
         member = fam.random_member(rng)
         aux = None
     else:
-        aux = WeightAssignment(sample(spec, rng, fam.ground_size))
+        aux = WeightAssignment.draw(spec, rng, fam.ground_size)
         member = fam.min_weight(aux).witness
     if r == 0:
         return tuple(member)
@@ -250,10 +242,9 @@ def estimate_patchability(
         depleted = sample_depleted_set(fam, spec, r, g_strategy, g_rng)
         row = np.empty(trials)
         for t in range(trials):
-            w = WeightAssignment(
-                sample(spec, stream(master_seed, 302, g, t), fam.ground_size)
-            )
-            row[t] = fam.cheapest_completion(depleted, w)[0]
+            w = WeightAssignment.draw(spec, stream(master_seed, 302, g, t),
+                                      fam.ground_size)
+            row[t] = fam.cheapest_completion(depleted, w).value
         rows.append(row)
         quantiles.append(float(np.quantile(row, 1.0 - eps, method="midpoint")))
     return PatchabilityEstimate(

@@ -98,7 +98,10 @@ def sample(spec: WeightSpec, rng: np.random.Generator, size=None):
     if size is None:
         return float(_power(values, expo))
     if expo != 1.0:
-        values **= expo  # the same numpy fast paths as `values ** expo`
+        # The same numpy fast paths as `values ** expo`.  An overflow leaves
+        # inf, which WeightAssignment rejects with its own error.
+        with np.errstate(over="ignore"):
+            values **= expo
     return values
 
 

@@ -7,6 +7,7 @@ the module entry point.
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -21,7 +22,7 @@ from minweight.cli import (
     render_csv,
     render_json,
 )
-from minweight.families import SpanningTreeFamily
+from minweight.families import SolveResult, SpanningTreeFamily
 from minweight.montecarlo import ExperimentConfig, run
 
 
@@ -128,6 +129,16 @@ class TestExitCodes:
         assert (code, out) == (EXIT_USAGE, "")
         assert "weights must be finite" in err and "Traceback" not in err
 
+    def test_overflowed_weights_print_no_runtime_warning(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = invoke(
+                "mst --n 5 --trials 2 --q 1e-4 --base exponential".split(), capsys
+            )
+        assert code == EXIT_USAGE
+        assert err.startswith("error:")
+        assert [c for c in caught if issubclass(c.category, RuntimeWarning)] == []
+
     @pytest.mark.parametrize("argv", [
         "split --n 5 --r 2 --s 1e-5 --q 0.01 --trials 2",
         "split --n 5 --r 2 --s 0.99999 --q 0.01 --trials 2",
@@ -147,7 +158,8 @@ class TestExitCodes:
     def test_solver_bug_is_internal_error(self, monkeypatch, capsys):
         # An empty patch never completes a depleted set: _verify_patch raises.
         monkeypatch.setattr(
-            SpanningTreeFamily, "cheapest_completion", lambda self, g, w: (0.0, ())
+            SpanningTreeFamily, "cheapest_completion",
+            lambda self, g, w: SolveResult(0.0, ()),
         )
         code, _, err = invoke(["patch", "--n", "8", "--r", "2", "--trials", "1"],
                               capsys)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from minweight.families import (
     SolveResult,
     SpanningTreeFamily,
     WeightAssignment,
-    _TreeOrder,
     complete_graph_edges,
     prufer_decode,
 )
@@ -149,6 +149,14 @@ class TestWeightAssignment:
         with pytest.raises(ValueError, match="weights must be finite"):
             WeightAssignment.draw(spec, stream(73), 25)
 
+    def test_overflowed_draw_warns_nothing(self):
+        # The overflow leaves inf, which _freeze rejects; numpy stays quiet.
+        spec = WeightSpec(q=1e-4, base=BaseLaw.EXPONENTIAL_POWER)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="weights must be finite"):
+                WeightAssignment.draw(spec, stream(73), 25)
+
 
 class TestSpanningTreeFamily:
     def test_ground_set_shape(self):
@@ -247,7 +255,7 @@ class TestSpanningTreeFamily:
 
     def test_distance_beyond_ell_is_empty(self):
         fam = SpanningTreeFamily(4)
-        assert fam.distance_witness(_draw(fam, (36,)), fam.ell + 1) == ()
+        assert fam.distance_witness(_draw(fam, (36,)), fam.ell + 1).witness == ()
 
     def test_budget_forest_prefix_property(self):
         # raising the budget only ever extends the kept forest
@@ -315,14 +323,15 @@ def test_budget_witness_is_the_smallest_affordable_distance(which, kind, seed):
     also share its tie rule, so their whole SolveResult matches."""
     fam = _BUDGET_FAMILIES[which]
     values = _BUDGET_WEIGHTS[kind](np.random.default_rng(seed), fam.ground_size)
-    scan = [fam.distance_witness(WeightAssignment(values), r)
+    scan = [fam.distance_witness(WeightAssignment(values), r).witness
             for r in range(fam.ell + 1)]
     totals = sorted({WeightAssignment(values).total(s) for s in scan})
     budgets = totals + [0.0] + [(a + b) / 2 for a, b in zip(totals, totals[1:])]
     w = WeightAssignment(values)
     for budget in budgets:
         defect = next(r for r, s in enumerate(scan) if w.total(s) <= budget)
-        assert fam.budget_witness(w, budget) == (defect, scan[defect])
+        found = fam.budget_witness(w, budget)
+        assert (found.defect, found.witness) == (defect, scan[defect])
     if isinstance(fam, ExplicitFamily):
         assert fam.min_weight(w) == SolveResult(*oracle_min_weight(fam, w))
     elif not (isinstance(fam, SpanningTreeFamily) and fam.n > 7):
@@ -350,7 +359,7 @@ class _ScriptedFamily(Family):
         drops = [a - b for a, b in zip(self.curve, self.curve[1:])] + self.curve[-1:]
         return WeightAssignment(drops + self.curve[1:])
 
-    def distance_witness(self, w, r):
+    def _distance_witness(self, w, r):
         self.probes.append(r)
         if r == 0:
             return tuple(range(self.ell))
@@ -396,10 +405,11 @@ def test_budget_search_on_scripted_curves(shape):
         budgets = totals + [(a + b) / 2 for a, b in zip(totals, totals[1:])]
         for budget in budgets:
             defect = next((r for r, c in enumerate(curve) if c <= budget), ell)
+            expected = (defect, fam.distance_witness(fam.weights(), defect).witness)
             w = fam.weights()
-            expected = (defect, fam.distance_witness(w, defect))
             del fam.probes[:]
-            assert fam.budget_witness(w, budget) == expected
+            found = fam.budget_witness(w, budget)
+            assert (found.defect, found.witness) == expected
             assert len(fam.probes) <= 2 * math.ceil(math.log2(ell + 1)) + 2
             assert len(set(fam.probes)) == len(fam.probes)
             assert all(r < ell for r in fam.probes)
@@ -487,21 +497,24 @@ class TestMatchingFamily:
 
     def test_distance_beyond_ell_is_empty(self):
         fam = MatchingFamily(3)
-        assert fam.distance_witness(_draw(fam, (37,)), fam.ell + 1) == ()
+        assert fam.distance_witness(_draw(fam, (37,)), fam.ell + 1).witness == ()
 
     def test_budget_solves_each_k_once(self, monkeypatch):
         fam = MatchingFamily(100)
         w = WeightAssignment(np.random.default_rng(1).random(fam.ground_size))
-        solved: list[int] = []
-        original = MatchingFamily._k_matching
-
-        def counted(self, values, k):
-            solved.append(k)
-            return original(self, values, k)
-
-        monkeypatch.setattr(MatchingFamily, "_k_matching", counted)
+        solved = _count_k_matchings(monkeypatch)
         fam.budget_witness(w, 1.0)
         assert solved and len(solved) == len(set(solved))
+
+    def test_budget_never_solves_k_zero(self, monkeypatch):
+        # Budget 0 under positive weights: the defect is ell = n, whose
+        # witness (k = 0, the empty matching) is known without a solve.
+        fam = MatchingFamily(20)
+        w = WeightAssignment(1.0 - np.random.default_rng(2).random(fam.ground_size))
+        solved = _count_k_matchings(monkeypatch)
+        found = fam.budget_witness(w, 0.0)
+        assert (found.defect, found.witness, found.weight_used) == (fam.n, (), 0.0)
+        assert solved and 0 not in solved and len(solved) == len(set(solved))
 
     def test_budget_probes_stay_near_the_defect(self, monkeypatch):
         # The bracketed secant search probes r <= 2 defect - 1, never the
@@ -624,7 +637,7 @@ class TestTieHandling:
         res = fam.min_weight(w)
         assert res.witness == tuple(range(199))
         # Every edge ties with the k-th, so the head is the whole order.
-        assert w._memo[1].order.size == fam.ground_size
+        assert w._memo.order.size == fam.ground_size
 
     @pytest.mark.parametrize("make", [
         lambda rng, size: rng.integers(0, 3, size) / 2.0,
@@ -672,7 +685,7 @@ class TestTieHandling:
             assert scans == [2, 1, 1]
         # A fresh vector whose memo starts from the full stable argsort.
         full = WeightAssignment(w.values.copy())
-        fam._memo(full, lambda: _TreeOrder(np.argsort(full.values, kind="stable")))
+        fam._memo(full).order = np.argsort(full.values, kind="stable")
         assert solve(full) == head
 
     @pytest.mark.parametrize("q", [0.5, 1.0, 3.0])

@@ -1,10 +1,11 @@
-"""The per-vector memo: tree edge orders and Kruskal chains, k-matchings.
+"""The per-vector memo: distance answers, tree edge orders and chains.
 
-A WeightAssignment has one memo slot, owned by the last family that read it:
-a spanning-tree family keeps its edge order and unseeded Kruskal chain
-there, a matching family its k-matchings by k.  Every answer must equal the
-one a fresh family gives on a fresh copy of the weights, whatever the call
-order and whichever family owned the slot before.
+A WeightAssignment has one memo slot, owned by the last family that read it.
+Every family keeps its distance answers (SolveResults) there by r, clamped
+to ell; a spanning-tree family also keeps its edge order and unseeded
+Kruskal chain.  Every answer must equal the one a fresh family gives on a
+fresh copy of the weights, whatever the call order and whichever family
+owned the slot before, and each distinct witness of a trial is summed once.
 """
 
 import numpy as np
@@ -12,8 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minweight import montecarlo
 from minweight.dual import cheapest_within_distance, defect_under_budget
-from minweight.families import MatchingFamily, SpanningTreeFamily, WeightAssignment
+from minweight.families import (
+    ExplicitFamily,
+    MatchingFamily,
+    SpanningTreeFamily,
+    WeightAssignment,
+)
 from minweight.patching import component_patch
 from minweight.rngs import stream
 
@@ -26,17 +33,24 @@ def _solve(fam, w, name, g, param):
     if name == "min_weight":
         return fam.min_weight(w)
     if name == "budget_witness":
-        opt = type(fam)(fam.n).min_weight(WeightAssignment(w.values))
+        opt = _copy(fam).min_weight(WeightAssignment(w.values))
         return fam.budget_witness(w, (param % 5) / 4 * opt.value)
     if name == "distance_witness":
-        return fam.distance_witness(w, param % (fam.n + 2))
+        return fam.distance_witness(w, param % (fam.ell + 3))  # up to ell + 2
     if name == "cheapest_completion":
         return fam.cheapest_completion(g, w)
     return component_patch(fam, g, w)
 
 
-def _fresh(n, values, name, g, param, cls=SpanningTreeFamily):
-    return _solve(cls(n), WeightAssignment(values.copy()), name, g, param)
+def _copy(fam):
+    """A fresh family equal to `fam`."""
+    if isinstance(fam, ExplicitFamily):
+        return ExplicitFamily(fam.ground_size, fam.members)
+    return type(fam)(fam.n)
+
+
+def _fresh(fam, values, name, g, param):
+    return _solve(_copy(fam), WeightAssignment(values.copy()), name, g, param)
 
 
 def _depleted(fam, rng, r):
@@ -81,7 +95,7 @@ class TestTreeOrderMemo:
         ]
         for fam, w, name, param in calls:
             values = first if w is not w2 else second
-            assert _solve(fam, w, name, g, param) == _fresh(n, values, name, g, param)
+            assert _solve(fam, w, name, g, param) == _fresh(fam, values, name, g, param)
 
 
 class TestMatchingMemo:
@@ -104,8 +118,7 @@ class TestMatchingMemo:
         ]
         for fam, w, name, param in calls:
             values = first if w is not w2 else second
-            assert _solve(fam, w, name, g, param) == \
-                _fresh(n, values, name, g, param, MatchingFamily)
+            assert _solve(fam, w, name, g, param) == _fresh(fam, values, name, g, param)
 
     def test_tree_and_matching_families_share_one_vector(self):
         # K_9 and K_{6,6} both have 36 edges, so one vector serves both and
@@ -117,7 +130,7 @@ class TestMatchingMemo:
             for fam in (tree, matching):
                 for name in ("min_weight", "distance_witness", "budget_witness"):
                     assert _solve(fam, w, name, (), param) == \
-                        _fresh(fam.n, values, name, (), param, type(fam))
+                        _fresh(fam, values, name, (), param)
 
 
 _SHARED = {}  # (n, which) -> family, reused across examples
@@ -151,4 +164,81 @@ def test_memoised_answers_match_fresh_objects(instance):
     for name, param, which in calls:
         fam = _SHARED.setdefault((n, which), SpanningTreeFamily(n))
         g = _depleted(fam, np.random.default_rng([seed, param]), 1 + param % (n - 1))
-        assert _solve(fam, w, name, g, param) == _fresh(n, values, name, g, param)
+        assert _solve(fam, w, name, g, param) == _fresh(fam, values, name, g, param)
+
+
+@st.composite
+def _explicit_instances(draw):
+    size = draw(st.integers(1, 14))
+    members = draw(st.lists(
+        st.lists(st.integers(0, size - 1), max_size=size), min_size=1, max_size=6,
+    ))
+    kind = draw(st.sampled_from(["uniform", "quarters", "all-zero"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    calls = draw(st.lists(
+        st.tuples(st.sampled_from(SOLVERS[:-1]), st.integers(0, 200), st.booleans()),
+        min_size=1, max_size=8,
+    ))
+    return size, members, kind, seed, calls
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_explicit_instances())
+def test_memoised_explicit_answers_match_fresh_objects(instance):
+    size, members, kind, seed, calls = instance
+    rng = np.random.default_rng(seed)
+    values = {
+        "uniform": lambda: rng.random(size),
+        "quarters": lambda: rng.integers(0, 5, size) / 4.0,
+        "all-zero": lambda: np.zeros(size),
+    }[kind]()
+    w = WeightAssignment(values)
+    # Two equal families take the slot from each other.
+    families = (ExplicitFamily(size, members), ExplicitFamily(size, members))
+    for name, param, which in calls:
+        fam = families[which]
+        g = _depleted(fam, np.random.default_rng([seed, param]), param % (fam.ell + 1))
+        assert _solve(fam, w, name, g, param) == _fresh(fam, values, name, g, param)
+
+
+@pytest.mark.parametrize("fam", [
+    SpanningTreeFamily(6), MatchingFamily(4),
+    ExplicitFamily(6, [(0, 1, 2), (2, 3), (0, 4, 5)]),
+], ids=["tree", "matching", "explicit"])
+def test_distances_beyond_ell_share_one_answer(fam, monkeypatch):
+    solved = []
+    original = type(fam)._distance_witness
+
+    def counted(self, w, r):
+        solved.append(r)
+        return original(self, w, r)
+
+    monkeypatch.setattr(type(fam), "_distance_witness", counted)
+    values = stream(65).random(fam.ground_size)
+    w = WeightAssignment(values)
+    for r in (fam.ell + 2, fam.ell, fam.ell + 1, fam.ell + 7):
+        found = fam.distance_witness(w, r)
+        assert found == _copy(fam).distance_witness(WeightAssignment(values), r)
+        assert (found.value, found.witness) == (0.0, ())
+    # One solve for this vector, then one for each fresh copy.
+    assert solved == [fam.ell] * 5
+
+
+@pytest.mark.parametrize("label, fields", [
+    ("matching-dual", dict(family="matchings", n=100, budget=1.0, r=10)),
+    ("tree-dual", dict(family="trees", n=400, budget=1.2020569031595942, r=2)),
+])
+def test_dual_trial_sums_each_witness_once(label, fields, monkeypatch):
+    # A dual trial asks for the budget defect, the cheapest set within r
+    # and the optimum: every distinct witness of its vector is summed once.
+    summed = []
+    original = WeightAssignment.total
+
+    def counted(self, indices):
+        summed.append(tuple(sorted(int(i) for i in indices)))
+        return original(self, indices)
+
+    monkeypatch.setattr(WeightAssignment, "total", counted)
+    config = montecarlo.ExperimentConfig(kind="dual", trials=1, master_seed=7, **fields)
+    montecarlo.run(config)
+    assert len(summed) >= 2 and len(summed) == len(set(summed))
