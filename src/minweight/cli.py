@@ -1,11 +1,12 @@
 """Command-line interface: experiments, bound evaluation, record emission.
 
 Machine output (CSV/JSON records) goes to stdout or --out; human-readable
-summaries and verification results go to stderr.  Exit codes: 0 success,
+summaries and verification results go to stderr.  Each subcommand handler
+returns its failed checks, and main alone decides the exit code: 0 success,
 1 verification failure, 2 bad flags, 3 bad config file, 4 output I/O error,
-5 internal error (a solver bug or a crash, inside a trial or not).  Flags
-are checked before any work starts, so a ValueError raised later is a crash
-unless a trial raised it on rejecting its arguments.
+5 internal error.  Flags are checked before any work starts; a trial that
+rejects its input (InvalidInput) is exit 2 too, and any other exception,
+inside a trial or not and a ValueError included, is exit 5.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ import json
 import sys
 import traceback
 from dataclasses import asdict, fields as dataclass_fields
+from functools import partial
 
 from . import bounds as bounds_mod
 from . import montecarlo, oracles
+from .families import InvalidInput
 from .montecarlo import ExperimentConfig, TrialRecord
 from .patching import GStrategy
 from .weights import BaseLaw, WeightSpec, split_constants
@@ -71,6 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name: str, handler, help: str) -> argparse.ArgumentParser:
+        """The subcommand's parser; parsing it sets args.handler (the
+        dispatch) and args.subparser (for config files)."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler, subparser=p)
+        return p
+
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--q", type=float, help="power exponent of the weight law")
         p.add_argument("--base", choices=("uniform", "exponential"),
@@ -88,15 +98,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-grid", dest="n_grid", type=_int_list,
                        metavar="A,B,C", help="comma-separated sizes")
 
-    p = sub.add_parser("mst", help="spanning-tree optimum value experiment")
+    p = command("mst", partial(_cmd_value, family="trees",
+                               limit=montecarlo.SPANNING_TREE_LIMIT),
+                "spanning-tree optimum value experiment")
     add_sizes(p)
     add_common(p)
 
-    p = sub.add_parser("assignment", help="perfect-matching optimum experiment")
+    p = command("assignment", partial(_cmd_value, family="matchings",
+                                      limit=montecarlo.ASSIGNMENT_LIMIT),
+                "perfect-matching optimum experiment")
     add_sizes(p)
     add_common(p)
 
-    p = sub.add_parser("patch", help="re-completion cost of depleted subsets")
+    p = command("patch", _cmd_patch, "re-completion cost of depleted subsets")
     add_sizes(p)
     p.add_argument("--family", choices=("trees", "matchings"))
     p.add_argument("--r", type=int, help="elements removed from the member")
@@ -104,18 +118,18 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=tuple(s.value for s in GStrategy))
     add_common(p)
 
-    p = sub.add_parser("dual", help="defect of the best affordable subset")
+    p = command("dual", _cmd_dual, "defect of the best affordable subset")
     add_sizes(p)
     p.add_argument("--family", choices=("trees", "matchings"))
     p.add_argument("--L", dest="L", type=float, help="weight budget")
     p.add_argument("--r", type=int, help="also check duality at distance r")
     add_common(p)
 
-    p = sub.add_parser("coupling", help="verify the coupled triple construction")
+    p = command("coupling", _cmd_coupling, "verify the coupled triple construction")
     p.add_argument("--s", type=float, help="split fraction in (0,1)")
     add_common(p)
 
-    p = sub.add_parser("bounds", help="evaluate a closed-form bound")
+    p = command("bounds", _cmd_bounds, "evaluate a closed-form bound")
     p.add_argument("--op", required=False, choices=(
         "ab-min", "concentration", "r-min", "ball-volume", "upper-tail",
         "mean-median", "first-moment", "fluctuation-exponent",
@@ -135,21 +149,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell1", type=int)
     add_common(p)
 
-    p = sub.add_parser("tail", help="empirical survival against the tail bound")
+    p = command("tail", _cmd_tail, "empirical survival against the tail bound")
     add_sizes(p)
     p.add_argument("--family", choices=("trees", "matchings"))
     p.add_argument("--t-grid", dest="t_grid", type=_float_list,
                    metavar="A,B,C", help="comma-separated thresholds")
     add_common(p)
 
-    p = sub.add_parser("split", help="green/red coupled two-round sure bound")
+    p = command("split", _cmd_split, "green/red coupled two-round sure bound")
     add_sizes(p)
     p.add_argument("--family", choices=("trees", "matchings"))
     p.add_argument("--r", type=int)
     p.add_argument("--s", type=float)
     add_common(p)
 
-    p = sub.add_parser("oracle", help="compare solvers against enumeration")
+    p = command("oracle", _cmd_oracle, "compare solvers against enumeration")
     add_common(p)
 
     return parser
@@ -175,12 +189,11 @@ def _load_config(path: str) -> dict[str, str]:
     return data
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    if getattr(args, "config", None) is None:
+def _apply_config(args: argparse.Namespace) -> None:
+    if args.config is None:
         return
-    sub_parser = _subparser_for(parser, args.command)
     converters: dict[str, tuple[str, object]] = {}
-    for action in sub_parser._actions:
+    for action in args.subparser._actions:
         if action.dest in ("help", "config"):
             continue
         converters[action.dest] = (
@@ -204,7 +217,7 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
                 f"bad config value for {key!r} ({flag}): {raw!r}: {exc}", EXIT_CONFIG
             )
     # re-check choice restrictions for values sourced from the config file
-    for action in sub_parser._actions:
+    for action in args.subparser._actions:
         if action.choices is None or action.dest == "help":
             continue
         value = getattr(args, action.dest, None)
@@ -214,13 +227,6 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
                 f"(choose from {', '.join(map(str, action.choices))})",
                 EXIT_CONFIG,
             )
-
-
-def _subparser_for(parser: argparse.ArgumentParser, command: str):
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return action.choices[command]
-    raise RuntimeError("subcommand parser not found")
 
 
 def _get(args, name):
@@ -313,15 +319,7 @@ def _note(line: str) -> None:
     print(line, file=sys.stderr)
 
 
-def _summary_lines(label: str, values) -> list[str]:
-    stats = montecarlo.summarize(values)
-    return [
-        f"{label}: count={stats.count} mean={_fmt(stats.mean)} "
-        f"median={_fmt(stats.median)} std={_fmt(stats.std)} se={_fmt(stats.se)}"
-    ]
-
-
-def _cmd_value(args, family: str, limit: float) -> int:
+def _cmd_value(args, family: str, limit: float) -> list[str]:
     config = _experiment_config(args, family, "value")
     if args.tolerance is not None and len(config.sizes) == 1 and config.spec.q != 1:
         raise CliError("--tolerance verification needs --q 1 (limit constant known)",
@@ -333,13 +331,13 @@ def _cmd_value(args, family: str, limit: float) -> int:
     emit(records, _get(args, "format"), args.out)
     failures = []
     if len(config.sizes) == 1:
-        values = [r.value for r in records]
-        for line in _summary_lines(f"{family} n={config.sizes[0]}", values):
-            _note(line)
+        stats = montecarlo.summarize(r.value for r in records)
+        _note(f"{family} n={config.sizes[0]}: count={stats.count} "
+              f"mean={_fmt(stats.mean)} median={_fmt(stats.median)} "
+              f"std={_fmt(stats.std)} se={_fmt(stats.se)}")
         if args.tolerance is not None:
-            mean = montecarlo.summarize(values).mean
-            rel = abs(mean - limit) / limit
-            _note(f"limit check: mean={_fmt(mean)} target={_fmt(limit)} "
+            rel = abs(stats.mean - limit) / limit
+            _note(f"limit check: mean={_fmt(stats.mean)} target={_fmt(limit)} "
                   f"rel_err={_fmt(rel)} tolerance={_fmt(args.tolerance)}")
             if rel > args.tolerance:
                 failures.append(f"mean deviates {rel:.3g} > {args.tolerance:.3g}")
@@ -360,13 +358,10 @@ def _cmd_value(args, family: str, limit: float) -> int:
                 _note(f"slope cap: {_fmt(cap)}")
                 if fit.slope > cap:
                     failures.append(f"slope {fit.slope:.4f} above cap {cap:.4f}")
-    if failures:
-        _note("FAIL: " + "; ".join(failures))
-        return EXIT_VERIFY
-    return EXIT_OK
+    return failures
 
 
-def _cmd_patch(args) -> int:
+def _cmd_patch(args) -> list[str]:
     r = _require(args, "r", "--r")
     strategy = GStrategy(_get(args, "g_strategy"))
     config = _experiment_config(
@@ -390,13 +385,11 @@ def _cmd_patch(args) -> int:
             if rec.component_cost is not None and rec.component_cost < rec.patch_cost
         )
     if dominance_violations:
-        _note(f"FAIL: component patch beat the exact patch "
-              f"{dominance_violations} times")
-        return EXIT_VERIFY
-    return EXIT_OK
+        return [f"component patch beat the exact patch {dominance_violations} times"]
+    return []
 
 
-def _cmd_dual(args) -> int:
+def _cmd_dual(args) -> list[str]:
     budget = float(_require(args, "L", "--L"))
     r = getattr(args, "r", None)
     config = _experiment_config(
@@ -416,12 +409,11 @@ def _cmd_dual(args) -> int:
         )
         _note(f"duality check at r={r}: {violations} violations")
         if violations:
-            _note("FAIL: budget/distance duality violated")
-            return EXIT_VERIFY
-    return EXIT_OK
+            return ["budget/distance duality violated"]
+    return []
 
 
-def _cmd_coupling(args) -> int:
+def _cmd_coupling(args) -> list[str]:
     s, spec = float(_require(args, "s", "--s")), _weight_spec(args)
     try:
         split_constants(s, spec.q)
@@ -443,13 +435,10 @@ def _cmd_coupling(args) -> int:
         "alpha": report.alpha, "all_ok": report.all_ok,
     }
     _write(json.dumps(payload, indent=2) + "\n", args.out)
-    if not report.all_ok:
-        _note("FAIL: coupling checks did not pass")
-        return EXIT_VERIFY
-    return EXIT_OK
+    return [] if report.all_ok else ["coupling checks did not pass"]
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> list[str]:
     op = getattr(args, "op", None)
     if op is None:
         raise CliError("--op is required for the bounds subcommand", EXIT_USAGE)
@@ -458,7 +447,7 @@ def _cmd_bounds(args) -> int:
     except ValueError as exc:
         raise CliError(f"bad value for --op {op}: {exc}", EXIT_USAGE)
     _write("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return []
 
 
 def _evaluate_bound(args, op: str) -> list[str]:
@@ -492,27 +481,26 @@ def _evaluate_bound(args, op: str) -> list[str]:
         return [f"ratio = {_fmt(bounds_mod.mean_to_median_ratio_bound(q))}"]
     if op == "fluctuation-exponent":
         return [f"exponent = {_fmt(bounds_mod.fluctuation_exponent_bound(q))}"]
-    if op == "first-moment":
-        res = bounds_mod.first_moment_lower_bound(
-            q,
-            int(_require(args, "ell0", "--ell0")),
-            int(_require(args, "ell1", "--ell1")),
-            float(_require(args, "beta", "--beta")),
-            float(_require(args, "c", "--c")),
-            float(_require(args, "t", "--t")),
-        )
-        return [
-            f"l_lower = {_fmt(res.l_lower)}",
-            f"failure_prob_bound = {_fmt(res.failure_prob_bound)}",
-            f"c0 = {_fmt(res.c0)}",
-            f"c1 = {_fmt(res.c1)}",
-            f"small_sets_dominate = {res.small_sets_dominate}",
-            f"log_markov_sum = {_fmt(res.log_markov_sum)}",
-        ]
-    raise CliError(f"unknown bounds op {op!r}", EXIT_USAGE)
+    # The parser's choices leave one op: first-moment.
+    res = bounds_mod.first_moment_lower_bound(
+        q,
+        int(_require(args, "ell0", "--ell0")),
+        int(_require(args, "ell1", "--ell1")),
+        float(_require(args, "beta", "--beta")),
+        float(_require(args, "c", "--c")),
+        float(_require(args, "t", "--t")),
+    )
+    return [
+        f"l_lower = {_fmt(res.l_lower)}",
+        f"failure_prob_bound = {_fmt(res.failure_prob_bound)}",
+        f"c0 = {_fmt(res.c0)}",
+        f"c1 = {_fmt(res.c1)}",
+        f"small_sets_dominate = {res.small_sets_dominate}",
+        f"log_markov_sum = {_fmt(res.log_markov_sum)}",
+    ]
 
 
-def _cmd_tail(args) -> int:
+def _cmd_tail(args) -> list[str]:
     t_grid = getattr(args, "t_grid", None)
     if not t_grid:
         raise CliError("--t-grid is required for the tail subcommand", EXIT_USAGE)
@@ -533,13 +521,10 @@ def _cmd_tail(args) -> int:
         ok = ok and bool(report.within_bound[i])
     _note(f"mean={_fmt(report.mean_value)} <= ratio_bound={_fmt(report.mean_bound)}"
           f": {report.mean_ok}")
-    if not (ok and report.mean_ok):
-        _note("FAIL: tail bound exceeded")
-        return EXIT_VERIFY
-    return EXIT_OK
+    return [] if ok and report.mean_ok else ["tail bound exceeded"]
 
 
-def _cmd_split(args) -> int:
+def _cmd_split(args) -> list[str]:
     r = int(_require(args, "r", "--r"))
     s = float(_require(args, "s", "--s"))
     config = _experiment_config(
@@ -553,13 +538,10 @@ def _cmd_split(args) -> int:
     _note(f"best split={_fmt(report.best_split)} "
           f"composite bound={_fmt(report.composite_bound)} "
           f"holds={report.composite_holds}")
-    if report.violations:
-        _note("FAIL: sure split inequality violated")
-        return EXIT_VERIFY
-    return EXIT_OK
+    return ["sure split inequality violated"] if report.violations else []
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> list[str]:
     vectors = int(_get(args, "trials"))
     if vectors < 1:
         raise CliError(f"oracle needs at least one vector (--trials >= 1), "
@@ -573,48 +555,30 @@ def _cmd_oracle(args) -> int:
             for c in checks
         )
     _write(text, args.out)
-    bad = [c for c in checks if c.agreed != c.trials]
-    if bad:
-        _note(f"FAIL: {len(bad)} oracle comparisons disagreed")
-        return EXIT_VERIFY
-    return EXIT_OK
+    bad = sum(c.agreed != c.trials for c in checks)
+    return [f"{bad} oracle comparisons disagreed"] if bad else []
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _apply_config(args, parser)
-        if args.command == "mst":
-            return _cmd_value(args, "trees", montecarlo.SPANNING_TREE_LIMIT)
-        if args.command == "assignment":
-            return _cmd_value(args, "matchings", montecarlo.ASSIGNMENT_LIMIT)
-        if args.command == "patch":
-            return _cmd_patch(args)
-        if args.command == "dual":
-            return _cmd_dual(args)
-        if args.command == "coupling":
-            return _cmd_coupling(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "tail":
-            return _cmd_tail(args)
-        if args.command == "split":
-            return _cmd_split(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        raise CliError(f"unknown subcommand {args.command!r}", EXIT_USAGE)
+        _apply_config(args)
+        failures = args.handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # A trial that rejected its arguments is a usage error, not a failed check.
-        if isinstance(exc, RuntimeError) and isinstance(exc.__cause__, ValueError):
+        # A trial that rejected its input is a usage error, not a failed check.
+        if isinstance(exc, RuntimeError) and isinstance(exc.__cause__, InvalidInput):
             return EXIT_USAGE
         # Anything else is a bug, not a failed check: keep its type and traceback.
         traceback.print_exception(exc.__cause__ or exc, file=sys.stderr)
         return EXIT_INTERNAL
+    if failures:
+        _note("FAIL: " + "; ".join(failures))
+        return EXIT_VERIFY
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import DualResult, Family, SolveResult, WeightAssignment
+from .families import DualResult, Family, InvalidInput, SolveResult, WeightAssignment
 from .rngs import stream
 
 __all__ = [
@@ -59,7 +59,7 @@ def cheapest_within_distance(fam: Family, w: WeightAssignment, r: int) -> SolveR
     """Cheapest subset whose patch distance is at most r."""
     r = int(r)
     if not 0 <= r <= fam.ell:
-        raise ValueError(f"distance r={r} outside [0, {fam.ell}]")
+        raise InvalidInput(f"distance r={r} outside [0, {fam.ell}]")
     return fam.distance_witness(w, r)
 
 

@@ -70,6 +70,7 @@ from scipy.sparse.csgraph import connected_components, maximum_bipartite_matchin
 from . import weights
 
 __all__ = [
+    "InvalidInput",
     "WeightAssignment",
     "SolveResult",
     "DualResult",
@@ -80,6 +81,10 @@ __all__ = [
 ]
 
 _EXPLICIT_MAX_GROUND = 24
+
+
+class InvalidInput(ValueError):
+    """An argument outside its allowed range: the caller's input, not a bug."""
 
 
 class WeightAssignment:
@@ -104,9 +109,9 @@ class WeightAssignment:
         if arr.size == 0:
             raise ValueError("weights must be non-empty")
         if not arr.min() >= 0:  # also rejects NaN
-            raise ValueError("weights must be non-negative")
+            raise InvalidInput("weights must be non-negative")
         if not arr.max() < np.inf:
-            raise ValueError("weights must be finite")
+            raise InvalidInput("weights must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "_memo", None)
@@ -278,7 +283,7 @@ class Family(ABC):
         self._check_weights(w)
         budget = float(budget)
         if not budget >= 0:  # also rejects NaN
-            raise ValueError(f"budget must be non-negative, got {budget}")
+            raise InvalidInput(f"budget must be non-negative, got {budget}")
         misses: list[tuple[int, float]] = []  # unaffordable (r, total), r ascending
         empty = SolveResult(0.0, ())  # the answer at r = ell, never solved
 

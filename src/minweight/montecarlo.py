@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats as scipy_stats
 from scipy.special import zeta
 
 from . import bounds, dual, patching, weights
@@ -198,11 +197,11 @@ def _trial(
         res = patching.exact_patch(fam, g, w)
         comp_cost = None
         if config.family == "trees" and config.r > 0:
-            comp_cost = patching.component_patch(fam, g, w).cost
+            comp_cost = patching.component_patch(fam, g, w).value
         return TrialRecord(
             trial=i, n=n, q=spec.q, seed=sid,
             value=fam.min_weight(w).value,
-            patch_cost=res.cost, component_cost=comp_cost,
+            patch_cost=res.value, component_cost=comp_cost,
         )
     if config.kind == "split":
         return _split_trial(config, fam, n, i, sid, rng)
@@ -218,17 +217,17 @@ def _split_trial(config, fam, n, i, sid, rng) -> TrialRecord:
     green = dual.cheapest_within_distance(fam, WeightAssignment(y), config.r)
     red = patching.exact_patch(fam, green.witness, WeightAssignment(y_prime))
     c_green, c_red = weights.split_constants(config.s, spec.q)
-    bound = green.value * c_green + red.cost * c_red
+    bound = green.value * c_green + red.value * c_red
     # The envelope bound sums the per-element coupling bounds over the
     # completed witness; the chain value <= sum(x over member subset)
     # <= envelope holds exactly in floats, with no tolerance.  The union is
     # sorted and holds a member, so the canonical sum runs over all of it.
-    union = np.unique(np.asarray(green.witness + red.patch, dtype=np.intp))
+    union = np.unique(np.asarray(green.witness + red.witness, dtype=np.intp))
     per_element = np.minimum(y[union] * c_green, y_prime[union] * c_red)
     envelope = WeightAssignment(per_element).total(range(union.size))
     return TrialRecord(
         trial=i, n=n, q=spec.q, seed=sid, value=value,
-        w_green=green.value, w_red=red.cost,
+        w_green=green.value, w_red=red.value,
         bound=bound, envelope_bound=envelope, slack=bound - value,
     )
 
@@ -418,6 +417,8 @@ def coupling_experiment(
         raise ValueError(
             f"coupling experiment needs at least {COUPLING_MIN_TRIALS} trials"
         )
+    from scipy import stats as scipy_stats  # only here: it slows every import
+
     rng = stream(master_seed, 501)
     x, y, y_prime = weights.split_coupling_batch(spec, s, rng, trials)
     violations = weights.coupling_violations(x, y, y_prime, s, spec.q)

@@ -232,7 +232,7 @@ def oracle_suite(vectors: int = 20, master_seed: int = 7) -> list[OracleCheck]:
             )
             got = exact_patch(fam, kept, w)
             oc, _ = oracle_cheapest_completion(fam, kept, w)
-            agree["exact_patch"] += got.cost == oc
+            agree["exact_patch"] += got.value == oc
             full = solved.value
             agree["defect_under_budget"] += all(
                 dual.defect_under_budget(fam, w, frac * full).defect

@@ -23,6 +23,8 @@ import numpy as np
 from .families import (
     ExplicitFamily,
     Family,
+    InvalidInput,
+    SolveResult,
     SpanningTreeFamily,
     WeightAssignment,
 )
@@ -30,7 +32,6 @@ from .rngs import stream
 from .weights import WeightSpec, sample
 
 __all__ = [
-    "PatchResult",
     "GStrategy",
     "PatchabilityEstimate",
     "exact_patch",
@@ -49,25 +50,18 @@ class GStrategy(Enum):
     ADVERSARIAL_HEAVIEST = "adversarial-heaviest"
 
 
-@dataclass(frozen=True)
-class PatchResult:
-    """A valid patch: G + patch contains a member (checked by the solvers)."""
-
-    cost: float
-    patch: tuple[int, ...]
-
-
 def _verify_patch(fam: Family, subset, patch) -> None:
     merged = tuple(subset) + tuple(patch)
     if fam.min_patch_size(merged) != 0:
         raise RuntimeError("patch failed to complete the subset; solver bug")
 
 
-def exact_patch(fam: Family, subset, w: WeightAssignment) -> PatchResult:
-    """Cheapest patch for `subset` under w (exact for every family)."""
+def exact_patch(fam: Family, subset, w: WeightAssignment) -> SolveResult:
+    """Cheapest patch for `subset` under w (exact for every family): the
+    witness is the patch, checked to complete `subset`; the value its cost."""
     found = fam.cheapest_completion(subset, w)
     _verify_patch(fam, subset, found.witness)
-    return PatchResult(cost=found.value, patch=found.witness)
+    return found
 
 
 def _component_order(fam: SpanningTreeFamily, comp: np.ndarray) -> np.ndarray:
@@ -82,7 +76,7 @@ def _component_order(fam: SpanningTreeFamily, comp: np.ndarray) -> np.ndarray:
     return pos
 
 
-def component_patch(fam: Family, subset, w: WeightAssignment) -> PatchResult:
+def component_patch(fam: Family, subset, w: WeightAssignment) -> SolveResult:
     """Per-component heuristic patch (spanning trees only).
 
     One edge per non-largest component: the cheapest edge toward any later
@@ -98,7 +92,7 @@ def component_patch(fam: Family, subset, w: WeightAssignment) -> PatchResult:
     comp = fam.component_labels(idx)
     c = int(comp.max()) + 1
     if c == 1:
-        return PatchResult(cost=0.0, patch=())
+        return SolveResult(0.0, ())
     pos = _component_order(fam, comp)
 
     def first_per_source(order: np.ndarray):
@@ -115,7 +109,7 @@ def component_patch(fam: Family, subset, w: WeightAssignment) -> PatchResult:
         raise RuntimeError("component patch size mismatch; solver bug")
     patch = tuple(sorted(chosen.tolist()))
     _verify_patch(fam, idx, patch)
-    return PatchResult(cost=w.total(patch), patch=patch)
+    return SolveResult(w.total(patch), patch)
 
 
 def min_outgoing_edge_count(fam: Family, subset) -> int:
@@ -165,7 +159,7 @@ def sample_depleted_set(
     be closer).
     """
     if not 0 <= r <= fam.ell:
-        raise ValueError(f"removal count r={r} outside [0, {fam.ell}]")
+        raise InvalidInput(f"removal count r={r} outside [0, {fam.ell}]")
     if strategy is GStrategy.REMOVE_FROM_RANDOM_MEMBER:
         member = fam.random_member(rng)
         aux = None

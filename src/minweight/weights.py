@@ -158,8 +158,10 @@ def split_coupling_batch(
     g = _base_sample(spec, rng, size)
     r = _base_sample(spec, rng, size)
     inv_q = 1.0 / spec.q
-    y, y_prime = _power(g, inv_q), _power(r, inv_q)
-    bound = np.minimum(y * c_green, y_prime * c_red)
+    # As in `sample`: an overflow leaves inf, which WeightAssignment rejects.
+    with np.errstate(over="ignore"):
+        y, y_prime = _power(g, inv_q), _power(r, inv_q)
+        bound = np.minimum(y * c_green, y_prime * c_red)
     if spec.base is BaseLaw.EXPONENTIAL_POWER:
         x = bound
     else:

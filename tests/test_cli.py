@@ -22,7 +22,7 @@ from minweight.cli import (
     render_csv,
     render_json,
 )
-from minweight.families import SolveResult, SpanningTreeFamily
+from minweight.families import MatchingFamily, SolveResult, SpanningTreeFamily
 from minweight.montecarlo import ExperimentConfig, run
 
 
@@ -112,7 +112,11 @@ class TestExitCodes:
         ["dual", "--n", "5", "--L", "-1", "--trials", "1"],
         ["dual", "--family", "matchings", "--n", "5", "--L", "nan", "--r", "1",
          "--trials", "2"],
-    ], ids=["patch-r-too-large", "dual-negative-budget", "dual-nan-budget"])
+        ["dual", "--n", "5", "--L", "1", "--r", "9", "--trials", "1"],
+        ["split", "--n", "5", "--r", "9", "--s", "0.5", "--trials", "1"],
+        ["patch", "--n", "5", "--r", "-1", "--trials", "1"],
+    ], ids=["patch-r-too-large", "dual-negative-budget", "dual-nan-budget",
+            "dual-r-too-large", "split-r-too-large", "patch-negative-r"])
     def test_bad_trial_arguments_are_usage_errors(self, argv, capsys):
         code, _, err = invoke(argv, capsys)
         assert code == EXIT_USAGE
@@ -129,12 +133,14 @@ class TestExitCodes:
         assert (code, out) == (EXIT_USAGE, "")
         assert "weights must be finite" in err and "Traceback" not in err
 
-    def test_overflowed_weights_print_no_runtime_warning(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        "mst --n 5 --trials 2 --q 1e-4 --base exponential",
+        "split --n 5 --r 2 --s 0.5 --q 1e-3 --base exponential --trials 2",
+    ], ids=["mst", "split"])
+    def test_overflowed_weights_print_no_runtime_warning(self, argv, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, _, err = invoke(
-                "mst --n 5 --trials 2 --q 1e-4 --base exponential".split(), capsys
-            )
+            code, _, err = invoke(argv.split(), capsys)
         assert code == EXIT_USAGE
         assert err.startswith("error:")
         assert [c for c in caught if issubclass(c.category, RuntimeWarning)] == []
@@ -167,6 +173,21 @@ class TestExitCodes:
         assert "trial 0" in err
         assert "Traceback" in err
         assert "RuntimeError: patch failed to complete the subset" in err
+
+    def test_value_error_inside_a_trial_is_internal_error(self, monkeypatch,
+                                                          capsys):
+        # Only InvalidInput marks rejected input; a solver's ValueError is a bug.
+        def broken(self, values, k):
+            raise ValueError("solver bug")
+
+        monkeypatch.setattr(MatchingFamily, "_k_matching", broken)
+        code, _, err = invoke(
+            "dual --family matchings --n 3 --L 1 --trials 1".split(), capsys
+        )
+        assert code == EXIT_INTERNAL
+        assert "trial 0" in err
+        assert "Traceback" in err
+        assert "ValueError: solver bug" in err
 
     def test_crash_outside_a_trial_is_internal_error(self, monkeypatch, capsys):
         # oracle_suite calls the solvers directly, not through a trial.
@@ -494,3 +515,14 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == EXIT_OK
         assert "fmin = 9" in proc.stdout
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # Only the coupling experiment needs scipy.stats, and it is slow to import.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, minweight, minweight.cli; "
+             "print('scipy.stats' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

@@ -17,3 +17,15 @@ def test_all_names_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_package_exports_the_union_of_submodule_exports():
+    # oracles (the brute-force checks) is imported by name, not exported.
+    exporting = ["bounds", "dual", "families", "montecarlo", "patching", "rngs",
+                 "weights"]
+    union = {
+        name
+        for module in exporting
+        for name in importlib.import_module(f"minweight.{module}").__all__
+    }
+    assert sorted(minweight.__all__) == sorted(union | {"__version__"})

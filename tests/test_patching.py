@@ -45,8 +45,8 @@ class TestExactPatch:
         w = _draw(fam, (51,))
         opt = fam.min_weight(w)
         res = exact_patch(fam, opt.witness, w)
-        assert res.cost == 0.0
-        assert res.patch == ()
+        assert res.value == 0.0
+        assert res.witness == ()
 
     def test_two_disjoint_edges(self):
         # G = {01, 23}; cheapest cross edge completes the tree
@@ -55,8 +55,8 @@ class TestExactPatch:
         g = (fam.edge_index(0, 1), fam.edge_index(2, 3))
         vals[fam.edge_index(0, 2)] = 0.2
         res = exact_patch(fam, g, WeightAssignment(vals))
-        assert res.cost == 0.2
-        assert res.patch == (fam.edge_index(0, 2),)
+        assert res.value == 0.2
+        assert res.witness == (fam.edge_index(0, 2),)
 
     @pytest.mark.parametrize("make", [
         _draw,
@@ -81,8 +81,8 @@ class TestExactPatch:
             g = _random_subset(fam, rng)
             got = exact_patch(fam, g, w)
             cost, _ = oracle_cheapest_completion(fam, g, w)
-            assert got.cost == cost
-            assert fam.min_patch_size(tuple(g) + got.patch) == 0
+            assert got.value == cost
+            assert fam.min_patch_size(tuple(g) + got.witness) == 0
 
     def test_patch_disjoint_from_subset(self):
         fam = MatchingFamily(5)
@@ -91,7 +91,7 @@ class TestExactPatch:
             w = _draw(fam, (53, trial))
             g = _random_subset(fam, rng)
             res = exact_patch(fam, g, w)
-            assert not set(res.patch) & set(g)
+            assert not set(res.witness) & set(g)
 
     def test_uniform_cost_never_exceeds_distance(self):
         # with weights in (0,1], patching r missing elements costs < r + 1
@@ -103,8 +103,8 @@ class TestExactPatch:
                 fam, SPEC, 4, GStrategy.REMOVE_FROM_RANDOM_MEMBER, rng
             )
             res = exact_patch(fam, g, w)
-            assert len(res.patch) == 4
-            assert res.cost <= 4.0
+            assert len(res.witness) == 4
+            assert res.value <= 4.0
 
     @pytest.mark.parametrize("r", [1, 5, 20])
     def test_seeded_kruskal_above_threshold(self, r):
@@ -116,9 +116,9 @@ class TestExactPatch:
         removed = tuple(sorted(stream(67, r).choice(opt, r, replace=False).tolist()))
         g = tuple(e for e in opt if e not in removed)
         exact = exact_patch(fam, g, w)
-        assert exact.patch == removed
-        assert exact.cost == w.total(removed)
-        assert component_patch(fam, g, w).cost >= exact.cost
+        assert exact.witness == removed
+        assert exact.value == w.total(removed)
+        assert component_patch(fam, g, w).value >= exact.value
         # Every solve above ran on a head shorter than the ground set.
         assert w._memo.order.size < fam.ground_size
 
@@ -129,7 +129,7 @@ class TestComponentPatch:
         w = _draw(fam, (55,))
         tree = fam.min_weight(w).witness
         res = component_patch(fam, tree, w)
-        assert res.cost == 0.0 and res.patch == ()
+        assert res.value == 0.0 and res.witness == ()
 
     def test_rejects_matchings(self):
         fam = MatchingFamily(3)
@@ -144,8 +144,8 @@ class TestComponentPatch:
             g = _random_subset(fam, rng)
             r = fam.min_patch_size(g)
             res = component_patch(fam, g, w)
-            assert len(res.patch) == r
-            assert fam.min_patch_size(tuple(g) + res.patch) == 0
+            assert len(res.witness) == r
+            assert fam.min_patch_size(tuple(g) + res.witness) == 0
 
     def test_dominates_exact(self):
         fam = SpanningTreeFamily(15)
@@ -155,7 +155,7 @@ class TestComponentPatch:
             g = _random_subset(fam, rng)
             heur = component_patch(fam, g, w)
             exact = exact_patch(fam, g, w)
-            assert heur.cost >= exact.cost
+            assert heur.value >= exact.value
 
     def test_single_merge_agrees_with_exact(self):
         # one missing merge: cheapest outgoing edge is the cheapest cross
@@ -169,7 +169,7 @@ class TestComponentPatch:
             )
             heur = component_patch(fam, g, w)
             exact = exact_patch(fam, g, w)
-            assert heur.cost == exact.cost
+            assert heur.value == exact.value
 
 
 class TestMinOutgoingEdgeCount:
@@ -304,7 +304,7 @@ class TestEstimatePatchability:
             if fam.min_patch_size(g) > 1:
                 continue
             costs = [
-                exact_patch(fam, g, WeightAssignment(vals)).cost
+                exact_patch(fam, g, WeightAssignment(vals)).value
                 for vals in draws
             ]
             worst = max(worst, np.quantile(costs, 0.75, method="midpoint"))
