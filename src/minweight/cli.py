@@ -4,9 +4,9 @@ Machine output (CSV/JSON records) goes to stdout or --out; human-readable
 summaries and verification results go to stderr.  Each subcommand handler
 returns its failed checks, and main alone decides the exit code: 0 success,
 1 verification failure, 2 bad flags, 3 bad config file, 4 output I/O error,
-5 internal error.  Flags are checked before any work starts; a trial that
-rejects its input (InvalidInput) is exit 2 too, and any other exception,
-inside a trial or not and a ValueError included, is exit 5.
+5 internal error.  Flags are checked before any work starts; input that
+the library rejects (InvalidInput), inside a trial or not, is exit 2 too,
+and any other exception, a ValueError included, is exit 5.
 """
 
 from __future__ import annotations
@@ -569,8 +569,9 @@ def main(argv=None) -> int:
         return exc.code
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # A trial that rejected its input is a usage error, not a failed check.
-        if isinstance(exc, RuntimeError) and isinstance(exc.__cause__, InvalidInput):
+        # Rejected input, in a trial or not, is a usage error, not a failed check.
+        rejected = exc.__cause__ if isinstance(exc, RuntimeError) else exc
+        if isinstance(rejected, InvalidInput):
             return EXIT_USAGE
         # Anything else is a bug, not a failed check: keep its type and traceback.
         traceback.print_exception(exc.__cause__ or exc, file=sys.stderr)

@@ -14,7 +14,8 @@ A family is one class implementing five primitives:
 * min_patch_size(G): the fewest elements that must be added to G so that it
   contains a member (Hamming distance to the upward closure);
 * cheapest_completion(G, w): the cheapest such addition, as a SolveResult;
-* _distance_witness(w, r): the cheapest subset at patch distance r <= ell;
+* _distance_witness(w, r): the cheapest subset at patch distance r <= ell,
+  as a SolveResult;
 * random_member(rng): a uniformly random member;
 * enumerate_members(): every member (small instances only).
 
@@ -43,8 +44,9 @@ are canonical sums (witness weights added in ascending element-index order),
 so equal witnesses give bit-equal values.
 
 A weight vector holds one N-float array: WeightAssignment(values) copies
-the caller's once, WeightAssignment.draw keeps weights.sample's fresh draw,
-and the tree edge order partitions in a per-family buffer, not a copy.
+the caller's once, WeightAssignment.adopt keeps a fresh array handed over
+(draw adopts weights.sample's draw), and the tree edge order partitions a
+strided sample of N/16 weights only.
 
 A weight vector has one memo slot, owned by the last family that read it
 (Family._memo).  The slot holds one _Memo record: every family keeps its
@@ -96,11 +98,17 @@ class WeightAssignment:
         self._freeze(np.array(values, dtype=float, ndmin=1))  # the caller's copy
 
     @classmethod
+    def adopt(cls, arr: np.ndarray):
+        """The float array `arr`, kept without a copy: the caller hands it
+        over, and it becomes read-only."""
+        w = cls.__new__(cls)
+        w._freeze(arr)
+        return w
+
+    @classmethod
     def draw(cls, spec: weights.WeightSpec, rng: np.random.Generator, size: int):
         """`size` fresh weights from `spec`, kept without a copy (none exists)."""
-        w = cls.__new__(cls)
-        w._freeze(weights.sample(spec, rng, size))
-        return w
+        return cls.adopt(weights.sample(spec, rng, size))
 
     def _freeze(self, arr: np.ndarray) -> None:
         """Check `arr` (which this vector then owns) and make it read-only."""
@@ -158,43 +166,15 @@ class _Memo:
 
     solved maps each distance r <= ell asked for to its SolveResult.  Only
     spanning-tree families fill in the rest: order is a prefix of the
-    (weight, index) edge order, the head until a scan needs more, then the
-    whole order; chain is the edges `_greedy_forest` accepts without a seed.
+    (weight, index) edge order, the head (every edge up to a threshold read
+    from a strided sample) until a scan needs more, then the whole order;
+    chain is the edges `_greedy_forest` accepts without a seed.
     """
 
     family: Family
     solved: dict[int, SolveResult] = field(default_factory=dict)
     order: np.ndarray | None = None
     chain: tuple[int, ...] | None = None
-
-
-class _DisjointSets:
-    """Union-find with path halving and union by size."""
-
-    __slots__ = ("parent", "size", "count")
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.count = n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.count -= 1
-        return True
 
 
 class Family(ABC):
@@ -216,9 +196,9 @@ class Family(ABC):
         """
 
     @abstractmethod
-    def _distance_witness(self, w: WeightAssignment, r: int) -> tuple[int, ...]:
+    def _distance_witness(self, w: WeightAssignment, r: int) -> SolveResult:
         """Cheapest subset (sorted indices) at patch distance at most r, for
-        checked arguments with r <= ell."""
+        checked arguments with r <= ell, with its canonical sum."""
 
     @abstractmethod
     def random_member(self, rng: np.random.Generator) -> tuple[int, ...]:
@@ -242,8 +222,7 @@ class Family(ABC):
         r = min(r, self.ell)
         solved = self._memo(w).solved
         if r not in solved:
-            witness = self._distance_witness(w, r)
-            solved[r] = SolveResult(value=w.total(witness), witness=witness)
+            solved[r] = self._distance_witness(w, r)
         return solved[r]
 
     def min_weight(self, w: WeightAssignment) -> SolveResult:
@@ -369,7 +348,6 @@ class SpanningTreeFamily(Family):
         self.edge_u, self.edge_v = complete_graph_edges(n)
         self.ground_size = self.edge_u.size
         self.ell = n - 1
-        self._select = np.empty(self.ground_size)  # _order_memo's partition buffer
 
     @staticmethod
     def check_size(n: int) -> int:
@@ -383,18 +361,24 @@ class SpanningTreeFamily(Family):
 
     def _order_memo(self, w: WeightAssignment) -> _Memo:
         """The memo of `w` for this family, its order (the head, sorted) made
-        on first use."""
+        on first use.
+
+        The head is every edge whose weight is at most a threshold t: the
+        ceil(k/16)-th order statistic (from 0) of every 16th weight.  It
+        partitions N/16 floats, not all N, and heads about k + 16 edges on
+        i.i.d. weights.  Any t heads a prefix of the (weight, index) order,
+        so the chain does not depend on it.
+        """
         memo = self._memo(w)
         if memo.order is None:
             values = w.values
             # The random graph process connects by (n/2)(ln n + c) edges except with
-            # probability ~e^-c (Erdos-Renyi); this k gives c > 10 (min 10.4, n=54)
-            # and is the whole ground set for n <= 16.
-            k = min(values.size, 2 * self.n * max(1, int(np.log(self.n))) + 64)
-            np.copyto(self._select, values)
-            self._select.partition(k - 1)
-            kth = self._select[k - 1]
-            cand = np.flatnonzero(values <= kth)
+            # probability ~e^-c (Erdos-Renyi); this k gives c > 10 (min 10.4, n=54).
+            k = 2 * self.n * max(1, int(np.log(self.n))) + 64
+            # When the sample has no such statistic (k >= N for n <= 17), t = inf.
+            sample, j = values[::16], -(-k // 16)
+            t = np.partition(sample, j)[j] if j < sample.size else np.inf
+            cand = np.flatnonzero(values <= t)
             keys = values[cand]
             perm = np.argsort(keys)
             ranked = keys[perm]
@@ -408,9 +392,10 @@ class SpanningTreeFamily(Family):
         """Run `scan` on edge indices in (weight, index) order.
 
         Every tree solver reads the edges through this method.  `scan` first
-        gets the head of the order: the k = 2 n floor(ln n) + 64 cheapest
-        weights plus every weight tied with the k-th, which is exactly a
-        prefix of the full order (all of it when k covers the ground set).
+        gets the head of the order: every weight at most a threshold near the
+        k-th smallest, k = 2 n floor(ln n) + 64 (see _order_memo), which is
+        exactly a prefix of the full order (all of it when k covers the
+        ground set).  A threshold set too low only makes the head short.
         If `scan` returns None on a head shorter than the ground set, the
         memo's order becomes the full stable argsort and `scan` runs once
         more; later scans of the same vector start from the full order.
@@ -433,23 +418,33 @@ class SpanningTreeFamily(Family):
         first.
         """
         seed = np.asarray(subset, dtype=np.intp)
-        seed_u, seed_v = self.edge_u[seed].tolist(), self.edge_v[seed].tolist()
+        n, edge_u, edge_v = self.n, self.edge_u, self.edge_v
 
         def scan(order: np.ndarray):
-            dsu = _DisjointSets(self.n)
-            for u, v in zip(seed_u, seed_v):
-                dsu.union(u, v)
+            # Union-find on local lists (path halving, union by size): no calls
+            # per edge.  The seed block comes first; its edges are not returned.
+            parent, size, count = list(range(n)), [1] * n, n
             chosen: list[int] = []
             # Blocks of n edges: only the part the loop reaches becomes lists.
-            for start in range(0, order.size, self.n):
-                block = order[start:start + self.n]
-                us, vs = self.edge_u[block].tolist(), self.edge_v[block].tolist()
-                for i, u, v in zip(block.tolist(), us, vs):
-                    if dsu.count == 1:
+            blocks = ((order[s:s + n], chosen) for s in range(0, order.size, n))
+            for block, accepted in itertools.chain([(seed, [])], blocks):
+                ends = zip(block.tolist(), edge_u[block].tolist(), edge_v[block].tolist())
+                for i, u, v in ends:
+                    while (p := parent[u]) != u:
+                        parent[u] = u = parent[p]
+                    while (p := parent[v]) != v:
+                        parent[v] = v = parent[p]
+                    if u == v:
+                        continue
+                    if size[u] < size[v]:
+                        u, v = v, u
+                    parent[v] = u
+                    size[u] += size[v]
+                    accepted.append(i)
+                    count -= 1
+                    if count == 1:
                         return chosen
-                    if dsu.union(u, v):
-                        chosen.append(i)
-            return chosen if dsu.count == 1 else None
+            return None
 
         return self._in_weight_order(w, scan)
 
@@ -470,8 +465,9 @@ class SpanningTreeFamily(Family):
         defect = self.budget_witness(w, budget).defect
         return list(self._chain(w)[:self.n - 1 - defect])
 
-    def _distance_witness(self, w: WeightAssignment, r: int) -> tuple[int, ...]:
-        return tuple(sorted(self._chain(w)[:self.n - 1 - r]))
+    def _distance_witness(self, w: WeightAssignment, r: int) -> SolveResult:
+        witness = tuple(sorted(self._chain(w)[:self.n - 1 - r]))
+        return SolveResult(value=w.total(witness), witness=witness)
 
     def random_member(self, rng: np.random.Generator) -> tuple[int, ...]:
         """Decode a uniform Prufer sequence (Cayley's bijection)."""
@@ -615,8 +611,9 @@ class MatchingFamily(Family):
         ladder = [self.distance_witness(w, self.n - k) for k in range(self.n + 1)]
         return np.asarray([s.value for s in ladder]), [s.witness for s in ladder]
 
-    def _distance_witness(self, w: WeightAssignment, r: int) -> tuple[int, ...]:
-        return self._k_matching(w.values, self.n - r)
+    def _distance_witness(self, w: WeightAssignment, r: int) -> SolveResult:
+        witness = self._k_matching(w.values, self.n - r)
+        return SolveResult(value=w.total(witness), witness=witness)
 
     def random_member(self, rng: np.random.Generator) -> tuple[int, ...]:
         perm = rng.permutation(self.n)
@@ -684,7 +681,7 @@ class ExplicitFamily(Family):
                 best = cand
         return SolveResult(*best)
 
-    def _distance_witness(self, w: WeightAssignment, r: int) -> tuple[int, ...]:
+    def _distance_witness(self, w: WeightAssignment, r: int) -> SolveResult:
         best = None
         for member in self._members:
             keep = max(len(member) - r, 0)
@@ -694,7 +691,7 @@ class ExplicitFamily(Family):
             cand = (w.total(witness), witness)
             if best is None or cand < best:
                 best = cand
-        return best[1]
+        return SolveResult(*best)
 
     def random_member(self, rng: np.random.Generator) -> tuple[int, ...]:
         return self._members[int(rng.integers(len(self._members)))]

@@ -25,6 +25,7 @@ from scipy.special import zeta
 from . import bounds, dual, patching, weights
 from .families import (
     Family,
+    InvalidInput,
     MatchingFamily,
     SpanningTreeFamily,
     WeightAssignment,
@@ -213,9 +214,10 @@ def _split_trial(config, fam, n, i, sid, rng) -> TrialRecord:
     if config.s is None or config.r is None:
         raise ValueError("split experiment needs both r and s")
     x, y, y_prime = weights.split_coupling_batch(spec, config.s, rng, fam.ground_size)
-    value = fam.min_weight(WeightAssignment(x)).value
-    green = dual.cheapest_within_distance(fam, WeightAssignment(y), config.r)
-    red = patching.exact_patch(fam, green.witness, WeightAssignment(y_prime))
+    # Fresh arrays that nothing else holds: the weight vectors keep them uncopied.
+    value = fam.min_weight(WeightAssignment.adopt(x)).value
+    green = dual.cheapest_within_distance(fam, WeightAssignment.adopt(y), config.r)
+    red = patching.exact_patch(fam, green.witness, WeightAssignment.adopt(y_prime))
     c_green, c_red = weights.split_constants(config.s, spec.q)
     bound = green.value * c_green + red.value * c_red
     # The envelope bound sums the per-element coupling bounds over the
@@ -421,6 +423,8 @@ def coupling_experiment(
 
     rng = stream(master_seed, 501)
     x, y, y_prime = weights.split_coupling_batch(spec, s, rng, trials)
+    if not all(np.isfinite(a).all() for a in (x, y, y_prime)):
+        raise InvalidInput("weights must be finite")
     violations = weights.coupling_violations(x, y, y_prime, s, spec.q)
 
     def law_cdf(v):

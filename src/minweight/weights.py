@@ -83,6 +83,17 @@ def _power(values: np.ndarray, expo: float) -> np.ndarray:
     return values ** expo
 
 
+def _power_in_place(values: np.ndarray, expo: float) -> np.ndarray:
+    """`values ** expo` written over `values` (the same numpy fast paths).
+
+    An overflow leaves inf, which WeightAssignment rejects with its own error.
+    """
+    if expo != 1.0:
+        with np.errstate(over="ignore"):
+            values **= expo
+    return values
+
+
 def _base_sample(spec: WeightSpec, rng: np.random.Generator, size) -> np.ndarray:
     if spec.base is BaseLaw.UNIFORM_POWER:
         # 1 - U keeps draws inside (0, 1]; rng.random() can return 0.0.
@@ -97,12 +108,7 @@ def sample(spec: WeightSpec, rng: np.random.Generator, size=None):
     values, expo = _base_sample(spec, rng, size), 1.0 / spec.q
     if size is None:
         return float(_power(values, expo))
-    if expo != 1.0:
-        # The same numpy fast paths as `values ** expo`.  An overflow leaves
-        # inf, which WeightAssignment rejects with its own error.
-        with np.errstate(over="ignore"):
-            values **= expo
-    return values
+    return _power_in_place(values, expo)
 
 
 def cdf(spec: WeightSpec, x):
@@ -137,12 +143,18 @@ def _couple_base(
     g: np.ndarray, r: np.ndarray, s: float, base: BaseLaw
 ) -> np.ndarray:
     """Couple in q-power space: given independent base draws (g, r), return a
-    base-law draw wx with wx <= min(g / (1-s), r / s) surely."""
-    w = np.minimum(g / (1.0 - s), r / s)
+    fresh base-law draw wx with wx <= min(g / (1-s), r / s) surely."""
+    w = g / (1.0 - s)
+    np.minimum(w, r / s, out=w)
     if base is BaseLaw.EXPONENTIAL_POWER:
         return w
-    interior = w * max(s, 1.0 - s) < 1.0
-    return np.where(interior, w - s * (1.0 - s) * w * w, 1.0)
+    exterior = w * max(s, 1.0 - s) >= 1.0
+    # w - s (1 - s) w^2 in place, in the float steps of w - s * (1 - s) * w * w.
+    quad = (s * (1.0 - s)) * w
+    quad *= w
+    np.subtract(w, quad, out=w)
+    w[exterior] = 1.0
+    return w
 
 
 def split_coupling_batch(
@@ -153,19 +165,26 @@ def split_coupling_batch(
     y and y_prime are i.i.d. `spec` draws, x is a `spec` draw, and
     x <= min(y/(1-s)^(1/q), y_prime/s^(1/q)) holds elementwise with exact
     float comparison (the bound itself is the clamp).
+
+    Each step writes over an array it already has or into one temporary,
+    so at most four weight-sized arrays (and a boolean mask) are alive at
+    once: x is min(F, y c_green) and then min(x, y' c_red), where F is the
+    coupled draw (uniform base only); min is associative, so no separate
+    bound array is needed.
     """
     c_green, c_red = split_constants(s, spec.q)
     g = _base_sample(spec, rng, size)
     r = _base_sample(spec, rng, size)
     inv_q = 1.0 / spec.q
-    # As in `sample`: an overflow leaves inf, which WeightAssignment rejects.
-    with np.errstate(over="ignore"):
-        y, y_prime = _power(g, inv_q), _power(r, inv_q)
-        bound = np.minimum(y * c_green, y_prime * c_red)
-    if spec.base is BaseLaw.EXPONENTIAL_POWER:
-        x = bound
-    else:
-        x = np.minimum(_power(_couple_base(g, r, s, spec.base), inv_q), bound)
+    if spec.base is BaseLaw.UNIFORM_POWER:  # F reads g and r before they are raised
+        x = _power_in_place(_couple_base(g, r, s, spec.base), inv_q)
+    y, y_prime = _power_in_place(g, inv_q), _power_in_place(r, inv_q)
+    with np.errstate(over="ignore"):  # as in `sample`
+        if spec.base is BaseLaw.UNIFORM_POWER:
+            np.minimum(x, y * c_green, out=x)
+        else:
+            x = y * c_green
+        np.minimum(x, y_prime * c_red, out=x)
     return x, y, y_prime
 
 

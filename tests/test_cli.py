@@ -155,6 +155,15 @@ class TestExitCodes:
         assert (code, out) == (EXIT_USAGE, "")
         assert "overflow" in err and "Traceback" not in err
 
+    def test_coupling_overflow_is_a_usage_error(self, capsys):
+        # E^(1/q) overflows to inf for most exponential draws at q = 1e-3.
+        code, out, err = invoke(
+            "coupling --s 0.5 --trials 100 --q 1e-3 --base exponential".split(), capsys
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error:") and "weights must be finite" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_oracle_needs_a_trial(self, trials, capsys):
         code, _, err = invoke(["oracle", "--trials", trials], capsys)

@@ -362,8 +362,10 @@ class _ScriptedFamily(Family):
     def _distance_witness(self, w, r):
         self.probes.append(r)
         if r == 0:
-            return tuple(range(self.ell))
-        return (self.ell - 1 + r,) if r < self.ell else ()
+            witness = tuple(range(self.ell))
+        else:
+            witness = (self.ell - 1 + r,) if r < self.ell else ()
+        return SolveResult(w.total(witness), witness)
 
     def min_patch_size(self, subset):
         raise NotImplementedError
@@ -719,3 +721,88 @@ class TestTieHandling:
         # whose strategy is not a uniform random member.
         assert len(scans) == 3 * 20 + 13
         assert set(scans) == {1}
+
+
+def _textbook_forest(fam, values, seed=()):
+    """Kruskal over the full stable argsort with a plain union-find: the
+    accepted edges in order, after unioning `seed`'s edges."""
+    parent = list(range(fam.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(e):
+        a, b = find(int(fam.edge_u[e])), find(int(fam.edge_v[e]))
+        parent[a] = b
+        return a != b
+
+    for e in seed:
+        union(e)
+    return [int(e) for e in np.argsort(values, kind="stable") if union(e)]
+
+
+def _textbook_component_patch(fam, values, seed):
+    """For each component but the last in (size, smallest vertex) order, the
+    first edge of the full stable order toward a later component."""
+    parent = list(range(fam.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for e in seed:
+        parent[find(int(fam.edge_u[e]))] = find(int(fam.edge_v[e]))
+    groups = {}
+    for v in range(fam.n):
+        groups.setdefault(find(v), []).append(v)
+    ranked = sorted(groups.values(), key=lambda vs: (len(vs), vs[0]))
+    pos = {v: i for i, vs in enumerate(ranked) for v in vs}
+    first = {}
+    for e in np.argsort(values, kind="stable"):
+        a, b = pos[int(fam.edge_u[e])], pos[int(fam.edge_v[e])]
+        if a != b:
+            first.setdefault(min(a, b), int(e))
+    return tuple(sorted(first.values()))
+
+
+def _every_16th(rng, size, low):
+    """i.i.d. weights where every 16th one is below (low) or above all others."""
+    values = 1.0 + rng.random(size)
+    values[::16] = rng.random(values[::16].size) + (0.0 if low else 2.0)
+    return values
+
+
+LAYOUTS = {
+    "ascending": lambda rng, size: np.arange(size, dtype=float),
+    "descending": lambda rng, size: np.arange(size, 0, -1, dtype=float),
+    "16th-smallest": lambda rng, size: _every_16th(rng, size, low=True),
+    "16th-largest": lambda rng, size: _every_16th(rng, size, low=False),
+    "all-tied": lambda rng, size: np.full(size, 0.25),
+    "signed-zeros": lambda rng, size: rng.choice([-0.0, 0.0, 0.5], size),
+    "extremes": lambda rng, size: rng.choice([1e-300, 1.0, 1e300], size),
+}
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+@pytest.mark.parametrize("n", [2, 3, 16, 17, 54, 100])
+def test_tree_solvers_match_textbook_kruskal(n, layout):
+    # The head of the order comes from a threshold on every 16th weight, so
+    # these layouts make it far too short or nearly everything; n <= 17 has
+    # k >= N.  Whatever the head, the solvers must read the full order's
+    # answers.
+    fam = SpanningTreeFamily(n)
+    rng = stream(49, n, list(LAYOUTS).index(layout))
+    values = LAYOUTS[layout](rng, fam.ground_size)
+    member = fam.random_member(rng)
+    keep = rng.permutation(n - 1)[max(1, (n - 1) // 3):]
+    g = tuple(sorted(member[int(i)] for i in keep))
+    w = WeightAssignment(values)
+    assert fam._chain(w) == tuple(_textbook_forest(fam, values))
+    completion = fam.cheapest_completion(g, WeightAssignment(values))
+    assert completion.witness == tuple(sorted(_textbook_forest(fam, values, g)))
+    patch = component_patch(fam, g, WeightAssignment(values))
+    assert patch.witness == _textbook_component_patch(fam, values, g)
+    assert patch.value == w.total(patch.witness)

@@ -156,6 +156,24 @@ class TestRun:
             tracemalloc.stop()
         assert peak - start < 1.5 * 8 * fam.ground_size
 
+    @pytest.mark.parametrize("base", list(BaseLaw))
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+    def test_split_trial_holds_four_weight_sized_arrays(self, base, q):
+        # The coupling makes x, y and y' with one temporary, in place, and
+        # the trial's weight vectors keep those three arrays uncopied.
+        n = 400
+        fam = SpanningTreeFamily(n)
+        config = ExperimentConfig(family="trees", n=n, kind="split", r=5, s=0.5,
+                                  spec=WeightSpec(q=q, base=base))
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            _trial(config, fam, n, 0, stream_id(7, n, 0), stream(7, n, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 4.5 * 8 * fam.ground_size
+
 
 class TestSummarize:
     def test_midpoint_median(self):

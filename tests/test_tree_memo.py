@@ -242,3 +242,22 @@ def test_dual_trial_sums_each_witness_once(label, fields, monkeypatch):
     config = montecarlo.ExperimentConfig(kind="dual", trials=1, master_seed=7, **fields)
     montecarlo.run(config)
     assert len(summed) >= 2 and len(summed) == len(set(summed))
+
+
+def test_explicit_distance_solve_sums_each_candidate_once(monkeypatch):
+    # One sum per member's candidate picks the cheapest; the answer keeps it.
+    fam = ExplicitFamily(6, [(0, 1, 2), (2, 3), (0, 4, 5)])
+    w = WeightAssignment(stream(66).random(fam.ground_size))
+    expected = _copy(fam).distance_witness(WeightAssignment(w.values), 1)
+    summed = []
+    original = WeightAssignment.total
+
+    def counted(self, indices):
+        summed.append(tuple(indices))
+        return original(self, indices)
+
+    monkeypatch.setattr(WeightAssignment, "total", counted)
+    found = fam.distance_witness(w, 1)
+    assert found == expected
+    assert found.value == original(w, found.witness)
+    assert len(summed) == len(fam.members)

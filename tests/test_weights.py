@@ -113,6 +113,29 @@ class TestSplitCoupling:
         x, y, yp = split_coupling_batch(spec, s, stream(11), 10**4)
         assert coupling_violations(x, y, yp, s, spec.q) == 0
 
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("base", list(BaseLaw), ids=[b.value for b in BaseLaw])
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+    def test_in_place_coupling_matches_plain_formula(self, s, base, q):
+        # Every step of the coupling written out with fresh arrays: the
+        # in-place batch must give the same bits.
+        spec = WeightSpec(q=q, base=base)
+        got = split_coupling_batch(spec, s, stream(19), 5000)
+        rng, inv_q = stream(19), 1.0 / q
+        if base is BaseLaw.UNIFORM_POWER:
+            g, r = 1.0 - rng.random(5000), 1.0 - rng.random(5000)
+        else:
+            g, r = rng.exponential(size=5000), rng.exponential(size=5000)
+        y, yp = g ** inv_q, r ** inv_q
+        bound = np.minimum(y * (1.0 - s) ** -inv_q, yp * s ** -inv_q)
+        x = bound
+        if base is BaseLaw.UNIFORM_POWER:
+            w = np.minimum(g / (1.0 - s), r / s)
+            coupled = np.where(w * max(s, 1.0 - s) < 1.0, w - s * (1.0 - s) * w * w, 1.0)
+            x = np.minimum(coupled ** inv_q, bound)
+        for arr, want in zip(got, (x, y, yp)):
+            assert arr.tobytes() == want.tobytes()
+
     def test_rejects_bad_fraction(self):
         spec = WeightSpec(q=1.0)
         for s in (0.0, 1.0, -0.2, 1.5):
