@@ -7,6 +7,11 @@ returns its failed checks, and main alone decides the exit code: 0 success,
 5 internal error.  Flags are checked before any work starts; input that
 the library rejects (InvalidInput), inside a trial or not, is exit 2 too,
 and any other exception, a ValueError included, is exit 5.
+
+Each subcommand takes only the flags its handler reads.  A flag's default
+is ExperimentConfig's field default where one exists, and each argument
+check is the library's.  A config file's `key = value` lines are parsed as
+the flags `--key=value`, ahead of the command line, so explicit flags win.
 """
 
 from __future__ import annotations
@@ -20,10 +25,9 @@ from functools import partial
 
 from . import bounds as bounds_mod
 from . import montecarlo, oracles
-from .families import InvalidInput
 from .montecarlo import ExperimentConfig, TrialRecord
 from .patching import GStrategy
-from .weights import BaseLaw, WeightSpec, split_constants
+from .weights import BaseLaw, InvalidInput, WeightSpec
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -34,17 +38,6 @@ EXIT_INTERNAL = 5
 
 _RECORD_FIELDS = tuple(f.name for f in dataclass_fields(TrialRecord))
 _MANDATORY_FIELDS = _RECORD_FIELDS[:5]
-
-_DEFAULTS = {
-    "q": 1.0,
-    "base": "uniform",
-    "trials": 100,
-    "seed": 7,
-    "format": "csv",
-    "eps": 0.05,
-    "g_strategy": "remove-from-optimum",
-    "family": "trees",
-}
 
 
 class CliError(Exception):
@@ -73,6 +66,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Random minimum-weight set experiments and bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = ExperimentConfig  # its class attributes are the field defaults
+    common = {  # in usage order; a subcommand takes those its handler reads
+        "q": dict(type=float, default=defaults.spec.q,
+                  help="power exponent of the weight law (default %(default)s)"),
+        "base": dict(choices=tuple(b.value for b in BaseLaw),
+                     default=defaults.spec.base.value,
+                     help="base distribution of the q:th power "
+                          "(default %(default)s)"),
+        "trials": dict(type=int, default=defaults.trials,
+                       help="trial count (default %(default)s)"),
+        "seed": dict(type=int, default=defaults.master_seed,
+                     help="master seed (default %(default)s)"),
+        "format": dict(choices=("csv", "json"), default="csv",
+                       help="record encoding (default %(default)s)"),
+        "out": dict(help="write records here instead of stdout"),
+        "config": dict(help="key = value config file"),
+        "tolerance": dict(type=float,
+                          help="enable the subcommand's tolerance verification"),
+    }
+    experiment = ("q", "base", "trials", "seed", "format")
 
     def command(name: str, handler, help: str) -> argparse.ArgumentParser:
         """The subcommand's parser; parsing it sets args.handler (the
@@ -81,53 +94,47 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler, subparser=p)
         return p
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--q", type=float, help="power exponent of the weight law")
-        p.add_argument("--base", choices=("uniform", "exponential"),
-                       help="base distribution of the q:th power")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", type=int, help="master seed (default 7)")
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--out", help="write records here instead of stdout")
-        p.add_argument("--config", help="key = value config file")
-        p.add_argument("--tolerance", type=float,
-                       help="enable the subcommand's tolerance verification")
+    def add_common(p: argparse.ArgumentParser, *names: str) -> None:
+        """The common flags `names`, and --out and --config, which all take."""
+        for name, kwargs in common.items():
+            if name in names or name in ("out", "config"):
+                p.add_argument(f"--{name}", **kwargs)
 
-    def add_sizes(p: argparse.ArgumentParser) -> None:
+    def add_sizes(p: argparse.ArgumentParser, family: bool = True) -> None:
         p.add_argument("--n", type=int)
         p.add_argument("--n-grid", dest="n_grid", type=_int_list,
                        metavar="A,B,C", help="comma-separated sizes")
+        if family:
+            p.add_argument("--family", choices=("trees", "matchings"),
+                           default="trees", help="(default %(default)s)")
 
-    p = command("mst", partial(_cmd_value, family="trees",
-                               limit=montecarlo.SPANNING_TREE_LIMIT),
-                "spanning-tree optimum value experiment")
-    add_sizes(p)
-    add_common(p)
-
-    p = command("assignment", partial(_cmd_value, family="matchings",
-                                      limit=montecarlo.ASSIGNMENT_LIMIT),
-                "perfect-matching optimum experiment")
-    add_sizes(p)
-    add_common(p)
+    for name, family, limit, help in (
+        ("mst", "trees", montecarlo.SPANNING_TREE_LIMIT,
+         "spanning-tree optimum value experiment"),
+        ("assignment", "matchings", montecarlo.ASSIGNMENT_LIMIT,
+         "perfect-matching optimum experiment"),
+    ):
+        p = command(name, partial(_cmd_value, family=family, limit=limit), help)
+        add_sizes(p, family=False)
+        add_common(p, *experiment, "tolerance")
 
     p = command("patch", _cmd_patch, "re-completion cost of depleted subsets")
     add_sizes(p)
-    p.add_argument("--family", choices=("trees", "matchings"))
     p.add_argument("--r", type=int, help="elements removed from the member")
     p.add_argument("--g-strategy", dest="g_strategy",
-                   choices=tuple(s.value for s in GStrategy))
-    add_common(p)
+                   choices=tuple(s.value for s in GStrategy),
+                   default=defaults.g_strategy.value, help="(default %(default)s)")
+    add_common(p, *experiment)
 
     p = command("dual", _cmd_dual, "defect of the best affordable subset")
     add_sizes(p)
-    p.add_argument("--family", choices=("trees", "matchings"))
     p.add_argument("--L", dest="L", type=float, help="weight budget")
     p.add_argument("--r", type=int, help="also check duality at distance r")
-    add_common(p)
+    add_common(p, *experiment)
 
     p = command("coupling", _cmd_coupling, "verify the coupled triple construction")
     p.add_argument("--s", type=float, help="split fraction in (0,1)")
-    add_common(p)
+    add_common(p, "q", "base", "trials", "seed")
 
     p = command("bounds", _cmd_bounds, "evaluate a closed-form bound")
     p.add_argument("--op", required=False, choices=(
@@ -140,42 +147,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", dest="L", type=float)
     p.add_argument("--lam", type=float)
     p.add_argument("--ell", type=int)
-    p.add_argument("--eps", type=float)
+    p.add_argument("--eps", type=float, default=0.05, help="(default %(default)s)")
     p.add_argument("--m", type=int)
     p.add_argument("--t", type=float)
     p.add_argument("--c", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--ell0", type=int)
     p.add_argument("--ell1", type=int)
-    add_common(p)
+    add_common(p, "q")
 
     p = command("tail", _cmd_tail, "empirical survival against the tail bound")
     add_sizes(p)
-    p.add_argument("--family", choices=("trees", "matchings"))
     p.add_argument("--t-grid", dest="t_grid", type=_float_list,
                    metavar="A,B,C", help="comma-separated thresholds")
-    add_common(p)
+    add_common(p, *experiment)
 
     p = command("split", _cmd_split, "green/red coupled two-round sure bound")
     add_sizes(p)
-    p.add_argument("--family", choices=("trees", "matchings"))
     p.add_argument("--r", type=int)
     p.add_argument("--s", type=float)
-    add_common(p)
+    add_common(p, *experiment)
 
     p = command("oracle", _cmd_oracle, "compare solvers against enumeration")
-    add_common(p)
+    add_common(p, "trials", "seed", "format")
 
     return parser
 
 
-def _load_config(path: str) -> dict[str, str]:
+def _load_config(path: str) -> list[str]:
+    """The file's `key = value` lines as `--key=value` flags."""
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read config file {path}: {exc}", EXIT_CONFIG)
-    data: dict[str, str] = {}
+    flags = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -185,75 +191,48 @@ def _load_config(path: str) -> dict[str, str]:
                 f"{path}:{lineno}: expected 'key = value', got {raw!r}", EXIT_CONFIG
             )
         key, value = line.split("=", 1)
-        data[key.strip().replace("-", "_")] = value.strip()
-    return data
+        flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return flags
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    if args.config is None:
-        return
-    converters: dict[str, tuple[str, object]] = {}
-    for action in args.subparser._actions:
-        if action.dest in ("help", "config"):
-            continue
-        converters[action.dest] = (
-            action.option_strings[0] if action.option_strings else action.dest,
-            action.type or str,
+def _config_flags(args) -> list[str]:
+    """The config file's flags, checked by the subcommand's own parser."""
+    flags, sub = _load_config(args.config), args.subparser
+    # Raise ArgumentError instead of exiting, and take no key for its prefix.
+    sub.exit_on_error = sub.allow_abbrev = False
+    try:
+        namespace, unknown = sub.parse_known_args(flags)
+    except argparse.ArgumentError as exc:
+        raise CliError(f"bad config value in {args.config}: {exc}", EXIT_CONFIG)
+    finally:
+        sub.exit_on_error = sub.allow_abbrev = True
+    if namespace.config is not None:  # a config file cannot name another
+        unknown.insert(0, "--config")
+    if unknown:
+        key = unknown[0][2:].split("=", 1)[0]
+        raise CliError(
+            f"unknown config key {key!r} for subcommand {args.command!r}", EXIT_CONFIG
         )
-    data = _load_config(args.config)
-    for key, raw in data.items():
-        if key not in converters:
-            raise CliError(
-                f"unknown config key {key!r} for subcommand {args.command!r}",
-                EXIT_CONFIG,
-            )
-        if getattr(args, key, None) is not None:
-            continue  # explicit flag wins
-        flag, conv = converters[key]
-        try:
-            setattr(args, key, conv(raw))
-        except (TypeError, ValueError) as exc:
-            raise CliError(
-                f"bad config value for {key!r} ({flag}): {raw!r}: {exc}", EXIT_CONFIG
-            )
-    # re-check choice restrictions for values sourced from the config file
-    for action in args.subparser._actions:
-        if action.choices is None or action.dest == "help":
-            continue
-        value = getattr(args, action.dest, None)
-        if value is not None and value not in action.choices:
-            raise CliError(
-                f"bad config value for {action.dest!r}: {value!r} "
-                f"(choose from {', '.join(map(str, action.choices))})",
-                EXIT_CONFIG,
-            )
+    return flags
 
 
-def _get(args, name):
-    value = getattr(args, name, None)
-    return value if value is not None else _DEFAULTS.get(name)
-
-
-def _require(args, name, flag) -> object:
-    value = getattr(args, name, None)
+def _require(args, name: str) -> object:
+    value = getattr(args, name)
     if value is None:
+        flag = "--" + name.replace("_", "-")
         raise CliError(f"{flag} is required for this subcommand", EXIT_USAGE)
     return value
 
 
 def _seed(args) -> int:
-    seed = int(_get(args, "seed"))
-    if seed < 0:
-        raise CliError(f"--seed must be non-negative, got {seed}", EXIT_USAGE)
-    return seed
+    if args.seed < 0:
+        raise CliError(f"--seed must be non-negative, got {args.seed}", EXIT_USAGE)
+    return args.seed
 
 
 def _weight_spec(args) -> WeightSpec:
-    q = float(_get(args, "q"))
-    if not q > 0:
-        raise CliError(f"--q must be positive, got {q}", EXIT_USAGE)
     try:
-        return WeightSpec(q=q, base=BaseLaw(_get(args, "base")))
+        return WeightSpec(q=args.q, base=BaseLaw(args.base))
     except ValueError as exc:
         raise CliError(f"--q/--base invalid: {exc}", EXIT_USAGE)
 
@@ -262,11 +241,11 @@ def _experiment_config(args, family: str, kind: str, **extra) -> ExperimentConfi
     try:
         return ExperimentConfig(
             family=family,
-            n=getattr(args, "n", None),
-            n_grid=getattr(args, "n_grid", None) or (),
+            n=args.n,
+            n_grid=args.n_grid or (),
             spec=_weight_spec(args),
-            trials=int(_get(args, "trials")),
-            master_seed=int(_get(args, "seed")),
+            trials=args.trials,
+            master_seed=args.seed,
             kind=kind,
             **extra,
         )
@@ -328,7 +307,7 @@ def _cmd_value(args, family: str, limit: float) -> list[str]:
         raise CliError("--n-grid needs at least 3 sizes for slope verification",
                        EXIT_USAGE)
     records = montecarlo.run(config)
-    emit(records, _get(args, "format"), args.out)
+    emit(records, args.format, args.out)
     failures = []
     if len(config.sizes) == 1:
         stats = montecarlo.summarize(r.value for r in records)
@@ -362,13 +341,12 @@ def _cmd_value(args, family: str, limit: float) -> list[str]:
 
 
 def _cmd_patch(args) -> list[str]:
-    r = _require(args, "r", "--r")
-    strategy = GStrategy(_get(args, "g_strategy"))
+    r = _require(args, "r")
     config = _experiment_config(
-        args, _get(args, "family"), "patch", r=int(r), g_strategy=strategy
+        args, args.family, "patch", r=r, g_strategy=GStrategy(args.g_strategy)
     )
     records = montecarlo.run(config)
-    emit(records, _get(args, "format"), args.out)
+    emit(records, args.format, args.out)
     q = config.spec.q
     dominance_violations = 0
     for n in config.sizes:
@@ -376,8 +354,8 @@ def _cmd_patch(args) -> list[str]:
         costs = [rec.patch_cost for rec in recs]
         stats = montecarlo.summarize(costs)
         line = f"patch n={n} r={r}: mean_cost={_fmt(stats.mean)}"
-        if int(r):  # r = 0 patches nothing: there is no scale to normalize by
-            line += f" normalized={_fmt(stats.mean / (int(r) * n ** (-1.0 / q)))}"
+        if r:  # r = 0 patches nothing: there is no scale to normalize by
+            line += f" normalized={_fmt(stats.mean / (r * n ** (-1.0 / q)))}"
         _note(line)
         dominance_violations += sum(
             1
@@ -390,13 +368,10 @@ def _cmd_patch(args) -> list[str]:
 
 
 def _cmd_dual(args) -> list[str]:
-    budget = float(_require(args, "L", "--L"))
-    r = getattr(args, "r", None)
-    config = _experiment_config(
-        args, _get(args, "family"), "dual", budget=budget, r=r
-    )
+    budget, r = _require(args, "L"), args.r
+    config = _experiment_config(args, args.family, "dual", budget=budget, r=r)
     records = montecarlo.run(config)
-    emit(records, _get(args, "format"), args.out)
+    emit(records, args.format, args.out)
     defects = [rec.defect for rec in records]
     stats = montecarlo.summarize(defects)
     _note(f"defect at budget {_fmt(budget)}: mean={_fmt(stats.mean)} "
@@ -405,7 +380,7 @@ def _cmd_dual(args) -> list[str]:
         violations = sum(
             1
             for rec in records
-            if (rec.near_value <= budget) != (rec.defect <= int(r))
+            if (rec.near_value <= budget) != (rec.defect <= r)
         )
         _note(f"duality check at r={r}: {violations} violations")
         if violations:
@@ -414,32 +389,18 @@ def _cmd_dual(args) -> list[str]:
 
 
 def _cmd_coupling(args) -> list[str]:
-    s, spec = float(_require(args, "s", "--s")), _weight_spec(args)
-    try:
-        split_constants(s, spec.q)
-    except ValueError as exc:
-        raise CliError(f"--s/--q invalid: {exc}", EXIT_USAGE)
-    trials = int(_get(args, "trials"))
-    if trials < montecarlo.COUPLING_MIN_TRIALS:
-        raise CliError(
-            f"coupling needs --trials >= {montecarlo.COUPLING_MIN_TRIALS}, "
-            f"got {trials}", EXIT_USAGE,
-        )
-    report = montecarlo.coupling_experiment(spec, s, trials, _seed(args))
-    payload = {
-        "q": report.q, "base": report.base, "s": report.s,
-        "trials": report.trials, "violations": report.violations,
-        "ks_x_p": report.ks_x_p, "ks_green_p": report.ks_green_p,
-        "ks_red_p": report.ks_red_p, "ks_pair_p": report.ks_pair_p,
-        "pearson_p": report.pearson_p, "chi2_p": report.chi2_p,
-        "alpha": report.alpha, "all_ok": report.all_ok,
-    }
+    s = _require(args, "s")
+    report = montecarlo.coupling_experiment(_weight_spec(args), s, args.trials,
+                                            _seed(args))
+    # The two partial verdicts give way to their conjunction, all_ok.
+    payload = {k: v for k, v in asdict(report).items() if not k.endswith("_ok")}
+    payload["all_ok"] = report.all_ok
     _write(json.dumps(payload, indent=2) + "\n", args.out)
     return [] if report.all_ok else ["coupling checks did not pass"]
 
 
 def _cmd_bounds(args) -> list[str]:
-    op = getattr(args, "op", None)
+    op = args.op
     if op is None:
         raise CliError("--op is required for the bounds subcommand", EXIT_USAGE)
     try:
@@ -451,11 +412,9 @@ def _cmd_bounds(args) -> list[str]:
 
 
 def _evaluate_bound(args, op: str) -> list[str]:
-    q = float(_get(args, "q"))
+    q = args.q
     if op == "ab-min":
-        a = float(_require(args, "a", "--a"))
-        b = float(_require(args, "b", "--b"))
-        p = float(_require(args, "p", "--p"))
+        a, b, p = _require(args, "a"), _require(args, "b"), _require(args, "p")
         res = bounds_mod.split_cost_minimum(a, b, p)
         return [
             f"s0 = {_fmt(res.split)}",
@@ -463,19 +422,16 @@ def _evaluate_bound(args, op: str) -> list[str]:
             f"secant_bound = {_fmt(res.secant_bound)}",
         ]
     if op == "concentration":
-        level = float(_require(args, "L", "--L"))
-        lam = float(_require(args, "lam", "--lam"))
+        level, lam = _require(args, "L"), _require(args, "lam")
         return [f"bound = {_fmt(bounds_mod.concentration_upper_bound(level, lam, q))}"]
     if op == "r-min":
-        ell = int(_require(args, "ell", "--ell"))
-        eps = float(_get(args, "eps"))
-        return [f"radius = {_fmt(bounds_mod.required_patch_radius(ell, eps))}"]
+        radius = bounds_mod.required_patch_radius(_require(args, "ell"), args.eps)
+        return [f"radius = {_fmt(radius)}"]
     if op == "ball-volume":
-        m = int(_require(args, "m", "--m"))
-        level = float(_require(args, "L", "--L"))
+        m, level = _require(args, "m"), _require(args, "L")
         return [f"probability = {_fmt(bounds_mod.cheap_set_prob_bound(q, m, level))}"]
     if op == "upper-tail":
-        t = float(_require(args, "t", "--t"))
+        t = _require(args, "t")
         return [f"probability = {_fmt(bounds_mod.upper_tail_bound(t, q))}"]
     if op == "mean-median":
         return [f"ratio = {_fmt(bounds_mod.mean_to_median_ratio_bound(q))}"]
@@ -484,11 +440,7 @@ def _evaluate_bound(args, op: str) -> list[str]:
     # The parser's choices leave one op: first-moment.
     res = bounds_mod.first_moment_lower_bound(
         q,
-        int(_require(args, "ell0", "--ell0")),
-        int(_require(args, "ell1", "--ell1")),
-        float(_require(args, "beta", "--beta")),
-        float(_require(args, "c", "--c")),
-        float(_require(args, "t", "--t")),
+        *(_require(args, name) for name in ("ell0", "ell1", "beta", "c", "t")),
     )
     return [
         f"l_lower = {_fmt(res.l_lower)}",
@@ -501,14 +453,11 @@ def _evaluate_bound(args, op: str) -> list[str]:
 
 
 def _cmd_tail(args) -> list[str]:
-    t_grid = getattr(args, "t_grid", None)
-    if not t_grid:
+    if not args.t_grid:
         raise CliError("--t-grid is required for the tail subcommand", EXIT_USAGE)
-    config = _experiment_config(
-        args, _get(args, "family"), "value", t_grid=tuple(t_grid)
-    )
+    config = _experiment_config(args, args.family, "value", t_grid=args.t_grid)
     report = montecarlo.tail_experiment(config)
-    emit(report.records, _get(args, "format"), args.out)
+    emit(report.records, args.format, args.out)
     _note(f"median estimate: {_fmt(report.mu_hat)}")
     ok = True
     for i, t in enumerate(report.t_grid):
@@ -525,13 +474,11 @@ def _cmd_tail(args) -> list[str]:
 
 
 def _cmd_split(args) -> list[str]:
-    r = int(_require(args, "r", "--r"))
-    s = float(_require(args, "s", "--s"))
     config = _experiment_config(
-        args, _get(args, "family"), "split", r=r, s=s
+        args, args.family, "split", r=_require(args, "r"), s=_require(args, "s")
     )
     report = montecarlo.split_experiment(config)
-    emit(report.records, _get(args, "format"), args.out)
+    emit(report.records, args.format, args.out)
     _note(f"violations: {report.violations} / {len(report.records)}")
     _note(f"median value={_fmt(report.median_value)} "
           f"green={_fmt(report.median_green)} red={_fmt(report.median_red)}")
@@ -542,12 +489,8 @@ def _cmd_split(args) -> list[str]:
 
 
 def _cmd_oracle(args) -> list[str]:
-    vectors = int(_get(args, "trials"))
-    if vectors < 1:
-        raise CliError(f"oracle needs at least one vector (--trials >= 1), "
-                       f"got {vectors}", EXIT_USAGE)
-    checks = oracles.oracle_suite(vectors=vectors, master_seed=_seed(args))
-    if _get(args, "format") == "json":
+    checks = oracles.oracle_suite(vectors=args.trials, master_seed=_seed(args))
+    if args.format == "json":
         text = json.dumps([asdict(c) for c in checks], indent=2) + "\n"
     else:
         text = "".join(
@@ -560,9 +503,13 @@ def _cmd_oracle(args) -> list[str]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        if args.config is not None:
+            # argparse keeps a flag's last occurrence, so explicit flags win.
+            args = parser.parse_args(argv[:1] + _config_flags(args) + argv[1:])
         failures = args.handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

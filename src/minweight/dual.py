@@ -38,7 +38,6 @@ from .families import DualResult, Family, InvalidInput, SolveResult, WeightAssig
 from .rngs import stream
 
 __all__ = [
-    "DualResult",
     "CertificateReport",
     "defect_under_budget",
     "cheapest_within_distance",

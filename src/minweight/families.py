@@ -70,9 +70,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
 
 from . import weights
+from .weights import InvalidInput
 
 __all__ = [
-    "InvalidInput",
     "WeightAssignment",
     "SolveResult",
     "DualResult",
@@ -83,10 +83,6 @@ __all__ = [
 ]
 
 _EXPLICIT_MAX_GROUND = 24
-
-
-class InvalidInput(ValueError):
-    """An argument outside its allowed range: the caller's input, not a bug."""
 
 
 class WeightAssignment:

@@ -32,7 +32,7 @@ from .families import (
 )
 from .patching import GStrategy
 from .rngs import stream, stream_id
-from .weights import BaseLaw, WeightSpec
+from .weights import WeightSpec
 
 __all__ = [
     "SPANNING_TREE_LIMIT",
@@ -80,7 +80,7 @@ class ExperimentConfig:
     family: str
     n: int | None = None
     n_grid: tuple[int, ...] = ()
-    spec: WeightSpec = WeightSpec(q=1.0, base=BaseLaw.UNIFORM_POWER)
+    spec: WeightSpec = WeightSpec(q=1.0)
     trials: int = 100
     master_seed: int = 7
     kind: str = "value"
@@ -95,6 +95,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if self.kind not in _KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        if self.kind == "dual" and self.budget is None:
+            raise ValueError("dual experiment needs a budget")
+        if self.kind in ("patch", "split") and self.r is None:
+            raise ValueError(f"{self.kind} experiment needs r")
+        if self.kind == "split" and self.s is None:
+            raise ValueError("split experiment needs s")
         grid = tuple(int(v) for v in self.n_grid)
         object.__setattr__(self, "n_grid", grid)
         if (self.n is None) == (len(grid) == 0):
@@ -179,8 +185,6 @@ def _trial(
             trial=i, n=n, q=spec.q, seed=sid, value=fam.min_weight(w).value
         )
     if config.kind == "dual":
-        if config.budget is None:
-            raise ValueError("dual experiment needs a budget")
         w = WeightAssignment.draw(spec, rng, size)
         res = dual.defect_under_budget(fam, w, config.budget)
         near = None
@@ -191,8 +195,6 @@ def _trial(
             value=fam.min_weight(w).value, defect=res.defect, near_value=near,
         )
     if config.kind == "patch":
-        if config.r is None:
-            raise ValueError("patch experiment needs r")
         g = patching.sample_depleted_set(fam, spec, config.r, config.g_strategy, rng)
         w = WeightAssignment.draw(spec, rng, size)
         res = patching.exact_patch(fam, g, w)
@@ -204,15 +206,11 @@ def _trial(
             value=fam.min_weight(w).value,
             patch_cost=res.value, component_cost=comp_cost,
         )
-    if config.kind == "split":
-        return _split_trial(config, fam, n, i, sid, rng)
-    raise ValueError(f"unknown experiment kind {config.kind!r}")
+    return _split_trial(config, fam, n, i, sid, rng)  # the one kind left
 
 
 def _split_trial(config, fam, n, i, sid, rng) -> TrialRecord:
     spec = config.spec
-    if config.s is None or config.r is None:
-        raise ValueError("split experiment needs both r and s")
     x, y, y_prime = weights.split_coupling_batch(spec, config.s, rng, fam.ground_size)
     # Fresh arrays that nothing else holds: the weight vectors keep them uncopied.
     value = fam.min_weight(WeightAssignment.adopt(x)).value
@@ -416,15 +414,16 @@ def coupling_experiment(
     alpha: float = 0.01,
 ) -> CouplingReport:
     if trials < COUPLING_MIN_TRIALS:
-        raise ValueError(
-            f"coupling experiment needs at least {COUPLING_MIN_TRIALS} trials"
+        raise InvalidInput(
+            f"coupling experiment needs at least {COUPLING_MIN_TRIALS} trials, "
+            f"got {trials}"
         )
-    from scipy import stats as scipy_stats  # only here: it slows every import
-
     rng = stream(master_seed, 501)
     x, y, y_prime = weights.split_coupling_batch(spec, s, rng, trials)
     if not all(np.isfinite(a).all() for a in (x, y, y_prime)):
         raise InvalidInput("weights must be finite")
+    from scipy import stats as scipy_stats  # only here: it slows every import
+
     violations = weights.coupling_violations(x, y, y_prime, s, spec.q)
 
     def law_cdf(v):

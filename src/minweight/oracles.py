@@ -30,6 +30,7 @@ from .families import (
     SpanningTreeFamily,
     WeightAssignment,
 )
+from .weights import InvalidInput
 
 __all__ = [
     "oracle_min_weight",
@@ -200,7 +201,7 @@ def oracle_suite(vectors: int = 20, master_seed: int = 7) -> list[OracleCheck]:
     canonical sums).  Import here avoids a module cycle.
     """
     if vectors < 1:
-        raise ValueError(f"oracle suite needs at least one vector, got {vectors}")
+        raise InvalidInput(f"oracle suite needs at least one vector, got {vectors}")
     from . import dual, weights
     from .patching import exact_patch
     from .rngs import stream

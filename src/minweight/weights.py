@@ -30,6 +30,7 @@ from enum import Enum
 import numpy as np
 
 __all__ = [
+    "InvalidInput",
     "BaseLaw",
     "WeightSpec",
     "sample",
@@ -39,6 +40,10 @@ __all__ = [
     "iterated_coupling_batch",
     "coupling_violations",
 ]
+
+
+class InvalidInput(ValueError):
+    """An argument outside its allowed range: the caller's input, not a bug."""
 
 
 class BaseLaw(Enum):
@@ -66,15 +71,15 @@ class WeightSpec:
 
 
 def split_constants(s: float, q: float) -> tuple[float, float]:
-    """((1 - s)^(-1/q), s^(-1/q)); ValueError if s is not in (0, 1) or they overflow."""
+    """((1 - s)^(-1/q), s^(-1/q)); InvalidInput if s is not in (0, 1) or they overflow."""
     s = float(s)
     if not 0.0 < s < 1.0:
-        raise ValueError(f"split fraction s must lie in (0, 1), got {s}")
+        raise InvalidInput(f"split fraction s must lie in (0, 1), got {s}")
     inv_q = 1.0 / q
     try:
         return (1.0 - s) ** (-inv_q), s ** (-inv_q)
     except OverflowError:
-        raise ValueError(f"split constants overflow at s={s}, q={q}") from None
+        raise InvalidInput(f"split constants overflow at s={s}, q={q}") from None
 
 
 def _power(values: np.ndarray, expo: float) -> np.ndarray:
@@ -203,14 +208,19 @@ def iterated_coupling_batch(
     k = int(k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    inv_q = 1.0 / spec.q
+    try:
+        scale = k ** inv_q
+    except OverflowError:
+        raise InvalidInput(f"coupling constant k^(1/q) overflows at k={k}, "
+                           f"q={spec.q}") from None
     base_draws = _base_sample(spec, rng, (k, size))
     g = base_draws[k - 1]
     for j in range(k - 1, 0, -1):
         # Stage j couples the running green draw to copy j-1 (0-based).
         g = _couple_base(g, base_draws[j - 1], 1.0 / (k - j + 1), spec.base)
-    inv_q = 1.0 / spec.q
     copies = _power(base_draws, inv_q)
-    bound = k ** inv_q * copies.min(axis=0)
+    bound = scale * copies.min(axis=0)
     x = np.minimum(_power(g, inv_q), bound)
     return x, copies
 

@@ -5,9 +5,11 @@ the module entry point.
 """
 
 import json
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,8 @@ from minweight.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
+    _experiment_config,
+    build_parser,
     main,
     render_csv,
     render_json,
@@ -535,3 +539,82 @@ class TestModuleEntryPoint:
             text=True,
         )
         assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_COMMANDS = re.search(
+    r"^minweight \{([a-z,]+)\}$", README.read_text(), re.MULTILINE
+).group(1).split(",")
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("command", README_COMMANDS)
+    def test_every_subcommand_formats_its_help(self, command, capsys):
+        # A bad %(default)s in a help string fails only when help is printed.
+        with pytest.raises(SystemExit) as info:
+            main([command, "-h"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: minweight {command}")
+
+    def test_readme_names_exactly_the_subcommands(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["-h"])
+        usage = capsys.readouterr().out
+        assert "{" + ",".join(README_COMMANDS) + "}" in usage
+
+    def test_parsed_defaults_are_the_experiment_defaults(self):
+        args = build_parser().parse_args(["mst", "--n", "8"])
+        assert _experiment_config(args, "trees", "value") == \
+            ExperimentConfig(family="trees", n=8)
+        assert args.format == "csv"
+
+    @pytest.mark.parametrize("base, config, flags", [
+        ("dual --n 5 --r 2 --trials 3", "L = 0.9\nfamily = matchings\n",
+         "--L 0.9 --family matchings"),
+        ("mst --trials 2", "n-grid = 4,6,8\n", "--n-grid 4,6,8"),
+        ("tail --n 8 --trials 20", "t-grid = 1.0,1.5\n", "--t-grid 1.0,1.5"),
+        ("assignment --n 5 --trials 3", "base = exponential\nq = 2\n",
+         "--base exponential --q 2"),
+        ("patch --n 8 --r 3 --trials 3", "g_strategy = adversarial-heaviest\n",
+         "--g-strategy adversarial-heaviest"),
+    ], ids=["L-family", "n-grid", "t-grid", "base-q", "g-strategy"])
+    def test_config_keys_reach_the_run(self, base, config, flags, tmp_path,
+                                       capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        from_file = invoke(base.split() + ["--config", str(cfg)], capsys)
+        from_flags = invoke(base.split() + flags.split(), capsys)
+        assert from_file == from_flags and from_file[0] == EXIT_OK
+        assert invoke(base.split(), capsys) != from_flags
+
+    @pytest.mark.parametrize("config", ["r = 2\n", "tri = 3\n", "config = x\n"])
+    def test_config_key_must_name_a_flag_of_the_subcommand(self, config,
+                                                           tmp_path, capsys):
+        # Another subcommand's flag, a flag's prefix and a nested config file.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        code, out, err = invoke(["mst", "--n", "8", "--config", str(cfg)], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "unknown config key" in err
+
+    @pytest.mark.parametrize("argv", [
+        *(f"{cmd} --tolerance 0.1" for cmd in
+          ("patch", "dual", "tail", "split", "coupling", "bounds", "oracle")),
+        "coupling --format json", "bounds --format json",
+        "bounds --op mean-median --trials 5", "bounds --seed 3",
+        "bounds --base uniform", "oracle --q 2", "oracle --base uniform",
+    ])
+    def test_flags_a_subcommand_would_ignore_are_usage_errors(self, argv,
+                                                             capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv.split())
+        assert info.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_coupling_json_keys(self, capsys):
+        code, out, _ = invoke(["coupling", "--s", "0.5", "--trials", "200"], capsys)
+        assert code == EXIT_OK
+        assert list(json.loads(out)) == [
+            "q", "base", "s", "trials", "violations", "ks_x_p", "ks_green_p",
+            "ks_red_p", "ks_pair_p", "pearson_p", "chi2_p", "alpha", "all_ok",
+        ]

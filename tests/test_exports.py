@@ -29,3 +29,13 @@ def test_package_exports_the_union_of_submodule_exports():
         for name in importlib.import_module(f"minweight.{module}").__all__
     }
     assert sorted(minweight.__all__) == sorted(union | {"__version__"})
+
+
+def test_each_public_name_is_declared_once():
+    declared = [
+        name
+        for module in ("bounds", "dual", "families", "montecarlo", "patching",
+                       "rngs", "weights")
+        for name in importlib.import_module(f"minweight.{module}").__all__
+    ]
+    assert sorted(declared) == sorted(set(declared))

@@ -62,6 +62,15 @@ class TestExperimentConfig:
         ExperimentConfig(family="trees", n=2)
         ExperimentConfig(family="matchings", n=1)
 
+    @pytest.mark.parametrize("kind, fields", [
+        ("dual", {}), ("dual", {"r": 2}), ("patch", {}), ("split", {}),
+        ("split", {"r": 2}), ("split", {"s": 0.5}),
+    ])
+    def test_rejects_a_kind_without_its_parameters(self, kind, fields):
+        # Caught before any trial, not wrapped in the RuntimeError of trial 0.
+        with pytest.raises(ValueError, match=f"{kind} experiment needs"):
+            ExperimentConfig(family="trees", n=5, kind=kind, **fields)
+
     def test_rejects_bad_tail_grids(self):
         for t_grid in [(-1.0,), (float("nan"),)]:
             with pytest.raises(ValueError, match="non-negative"):
@@ -112,9 +121,9 @@ class TestRun:
             assert rec.defect is None and rec.patch_cost is None
 
     def test_error_message_names_trial_and_size(self):
-        config = ExperimentConfig(family="trees", n=6, trials=3, kind="dual")
-        with pytest.raises(RuntimeError, match=r"dual trial 0 at n=6"):
-            run(config)  # budget missing
+        config = ExperimentConfig(family="trees", n=6, trials=3, kind="patch", r=9)
+        with pytest.raises(RuntimeError, match=r"patch trial 0 at n=6"):
+            run(config)  # r above ell = 5
 
     def test_dual_records_satisfy_duality(self):
         config = ExperimentConfig(

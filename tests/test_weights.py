@@ -13,6 +13,7 @@ from scipy import stats as sps
 from minweight.rngs import stream
 from minweight.weights import (
     BaseLaw,
+    InvalidInput,
     WeightSpec,
     cdf,
     coupling_violations,
@@ -219,3 +220,8 @@ class TestIteratedCoupling:
     def test_rejects_k_zero(self):
         with pytest.raises(ValueError):
             iterated_coupling_batch(WeightSpec(q=1.0), 0, stream(0), 5)
+
+    def test_overflowing_constant_is_rejected_input(self):
+        # 3^(1/q) overflows a float at q = 1e-3, as split_constants' do.
+        with pytest.raises(InvalidInput, match="overflow"):
+            iterated_coupling_batch(WeightSpec(q=1e-3), 3, stream(0), 10)
