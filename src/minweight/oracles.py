@@ -2,9 +2,10 @@
 
 Every optimized solver in the package has an exhaustive counterpart here:
 member enumeration for optima and completions, and one scan over the
-subsets of members for both budget duals.  The oracles share nothing with
-the production algorithms beyond enumerate_members() and the canonical-sum
-convention, so agreement is meaningful.
+subsets of members for both budget duals and for the worst-case
+patchability.  The oracles share nothing with the production algorithms
+beyond enumerate_members() and the canonical-sum convention, so agreement
+is meaningful.
 
 Why the member-subset scan is exhaustive: take any subset S of the ground
 set and a member M* attaining its defect min over members of |M - S|.
@@ -13,7 +14,9 @@ member misses fewer from a smaller set), and its total is no larger: sums
 add in ascending index order, and inserting a non-negative term never
 lowers a later partial sum, since rounding is monotone.  So the cheapest
 subset within distance r, and the smallest defect within a budget, are
-both attained on a subset of some member, for every family alike.
+both attained on a subset of some member, for every family alike.  By the
+same monotonicity each patch M - (S & M*) costs at least M - S, so the
+costliest depleted set at distance <= r is a subset of a member too.
 """
 
 from __future__ import annotations
@@ -24,13 +27,16 @@ from functools import reduce
 
 import numpy as np
 
+from . import dual
 from .families import (
     Family,
     MatchingFamily,
     SpanningTreeFamily,
     WeightAssignment,
 )
-from .weights import InvalidInput
+from .patching import PatchabilityEstimate, exact_patch
+from .rngs import stream
+from .weights import BaseLaw, InvalidInput, WeightSpec
 
 __all__ = [
     "oracle_min_weight",
@@ -38,6 +44,7 @@ __all__ = [
     "oracle_cheapest_completion",
     "oracle_defect_under_budget",
     "oracle_cheapest_within_distance",
+    "oracle_patchability",
     "member_subsets",
     "MemberSubsets",
     "OracleCheck",
@@ -175,6 +182,35 @@ def oracle_cheapest_within_distance(fam: Family, w: WeightAssignment, r: int):
     return float(table.costs(w)[table.defect <= r].min())
 
 
+def oracle_patchability(
+    fam: Family, spec: WeightSpec, r: int, eps: float, trials: int,
+    master_seed: int = 7,
+) -> PatchabilityEstimate:
+    """estimate_patchability over every depleted set G at distance <= r.
+
+    One row per member subset G at defect <= r, which is enough: cutting
+    any G to G & M*, for a member M* attaining its defect, keeps the
+    defect and lowers no patch cost (see the module docstring), so no
+    other G has a larger quantile.  The `trials` draws come from the
+    streams (master_seed, 303, t) and are shared by every row; each cost
+    is the least canonical total of a patch M - G over the members M.
+    """
+    if not (0 < eps < 1 and 0 <= r <= fam.ell and trials >= 1):
+        raise ValueError(f"need 0 < eps < 1, 0 <= r <= {fam.ell} and trials >= 1, "
+                         f"got eps={eps}, r={r}, trials={trials}")
+    table = member_subsets(fam)
+    member_masks = np.array([sum(1 << e for e in m) for m in _members(fam)],
+                            dtype=np.uint64)
+    depleted = table.masks[table.defect <= r]
+    # M - G is itself a member subset: its row, for every G (rows) and M.
+    patches = np.searchsorted(table.masks, member_masks & ~depleted[:, None])
+    costs = np.empty((depleted.size, trials))
+    for t in range(trials):
+        w = WeightAssignment.draw(spec, stream(master_seed, 303, t), fam.ground_size)
+        costs[:, t] = table.costs(w)[patches].min(axis=1)
+    return PatchabilityEstimate(r, eps, costs)
+
+
 # -- agreement driver ----------------------------------------------------
 
 
@@ -198,15 +234,11 @@ def oracle_suite(vectors: int = 20, master_seed: int = 7) -> list[OracleCheck]:
 
     Trees at n = 2..5 and matchings at n = 1..6; `vectors` weight vectors
     per size; exact agreement (integers exactly, values bit-for-bit through
-    canonical sums).  Import here avoids a module cycle.
+    canonical sums).
     """
     if vectors < 1:
         raise InvalidInput(f"oracle suite needs at least one vector, got {vectors}")
-    from . import dual, weights
-    from .patching import exact_patch
-    from .rngs import stream
-
-    spec = weights.WeightSpec(q=1.0, base=weights.BaseLaw.UNIFORM_POWER)
+    spec = WeightSpec(q=1.0, base=BaseLaw.UNIFORM_POWER)
     checks: list[OracleCheck] = []
     instances = [("tree", SpanningTreeFamily(k)) for k in range(2, 6)]
     instances += [("matching", MatchingFamily(k)) for k in range(1, 7)]

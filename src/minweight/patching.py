@@ -10,7 +10,8 @@ min_patch_size(G) edges and never beats the exact patch.
 
 estimate_patchability samples depleted sets G at distance r, redraws fresh
 weights per trial, and reports the largest per-G empirical (1-eps)-quantile
-of the exact patch cost.
+of the exact patch cost; oracles.oracle_patchability gives the same result
+over every G at distance <= r on small instances.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from enum import Enum
 import numpy as np
 
 from .families import (
-    ExplicitFamily,
     Family,
     InvalidInput,
     SolveResult,
@@ -29,7 +29,7 @@ from .families import (
     WeightAssignment,
 )
 from .rngs import stream
-from .weights import WeightSpec, sample
+from .weights import WeightSpec, sample  # noqa: F401  (a perfbench trace target)
 
 __all__ = [
     "GStrategy",
@@ -181,15 +181,33 @@ def sample_depleted_set(
 @dataclass(frozen=True)
 class PatchabilityEstimate:
     """Empirical patch-cost level: with probability about 1 - eps the cheapest
-    patch of a sampled distance-r set costs at most lam."""
+    patch of a depleted set at distance r costs at most lam.
+
+    costs[g, t] is the cheapest patch of depleted set g under weight draw t.
+    """
 
     r: int
-    lam: float
     eps: float
-    trials: int
-    g_samples: int
-    per_g_quantiles: tuple[float, ...]
     costs: np.ndarray  # shape (g_samples, trials)
+
+    @property
+    def g_samples(self) -> int:
+        return self.costs.shape[0]
+
+    @property
+    def trials(self) -> int:
+        return self.costs.shape[1]
+
+    @property
+    def per_g_quantiles(self) -> tuple[float, ...]:
+        """The midpoint (1 - eps)-quantile of each depleted set's costs."""
+        quantiles = np.quantile(self.costs, 1.0 - self.eps, axis=1, method="midpoint")
+        return tuple(float(q) for q in quantiles)
+
+    @property
+    def lam(self) -> float:
+        """The largest per-G quantile: the level the estimate reports."""
+        return max(self.per_g_quantiles)
 
 
 def estimate_patchability(
@@ -201,18 +219,9 @@ def estimate_patchability(
     trials: int,
     g_samples: int = 10,
     master_seed: int = 7,
-    exhaustive: bool = False,
 ) -> PatchabilityEstimate:
-    """Monte Carlo patchability level at distance r.
-
-    Sampled mode: g_samples depleted sets, `trials` fresh weight draws each
-    (all streams independent); lam is the largest per-G (1-eps)-quantile.
-
-    Exhaustive mode (explicit families, ground size <= 18): sweeps every
-    subset at distance <= r instead of sampling; the `trials` fresh draws
-    are shared across the sweep so the max over G of per-G quantiles is a
-    consistent estimate of the worst-case quantile.
-    """
+    """Monte Carlo patchability level at distance r: g_samples depleted sets,
+    `trials` fresh weight draws each (all streams independent)."""
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if not 0 <= r <= fam.ell:
@@ -222,71 +231,13 @@ def estimate_patchability(
     if g_samples < 1:
         raise ValueError("g_samples must be positive")
     if r == 0:
-        empty = np.zeros((1, trials))
-        return PatchabilityEstimate(
-            r=0, lam=0.0, eps=eps, trials=trials, g_samples=1,
-            per_g_quantiles=(0.0,), costs=empty,
-        )
-    if exhaustive:
-        return _estimate_exhaustive(fam, spec, r, eps, trials, master_seed)
-    rows = []
-    quantiles = []
+        return PatchabilityEstimate(0, eps, np.zeros((1, trials)))
+    costs = np.empty((g_samples, trials))
     for g in range(g_samples):
         g_rng = stream(master_seed, 301, g)
         depleted = sample_depleted_set(fam, spec, r, g_strategy, g_rng)
-        row = np.empty(trials)
         for t in range(trials):
             w = WeightAssignment.draw(spec, stream(master_seed, 302, g, t),
                                       fam.ground_size)
-            row[t] = fam.cheapest_completion(depleted, w).value
-        rows.append(row)
-        quantiles.append(float(np.quantile(row, 1.0 - eps, method="midpoint")))
-    return PatchabilityEstimate(
-        r=r, lam=max(quantiles), eps=eps, trials=trials, g_samples=g_samples,
-        per_g_quantiles=tuple(quantiles), costs=np.vstack(rows),
-    )
-
-
-def _estimate_exhaustive(fam, spec, r, eps, trials, master_seed):
-    """Exhaustive sweep of estimate_patchability.  Each cost is bit-equal to
-    cheapest_completion's canonical sum: every row of the C-contiguous patch
-    block goes through the pairwise loop of WeightAssignment.total, where
-    the Fortran-ordered block that fancy indexing returns would add in
-    sequence (different in the last ulp from 8 patch elements on)."""
-    if not isinstance(fam, ExplicitFamily):
-        raise ValueError("exhaustive sweep requires an explicit family")
-    num = fam.ground_size
-    if num > 18:
-        raise ValueError("exhaustive sweep is limited to 18 ground elements")
-    targets = [
-        mask
-        for mask in range(1 << num)
-        if fam.min_patch_size(_mask_indices(mask)) <= r
-    ]
-    draws = np.vstack(
-        [sample(spec, stream(master_seed, 303, t), num) for t in range(trials)]
-    )
-    rows = np.empty((len(targets), trials))
-    member_arrays = [np.asarray(m, dtype=np.intp) for m in fam.members]
-    for gi, mask in enumerate(targets):
-        per_member = [
-            np.ascontiguousarray(draws[:, elems[(mask >> elems) & 1 == 0]]).sum(axis=1)
-            for elems in member_arrays
-        ]
-        rows[gi] = np.min(per_member, axis=0)
-    quants = np.quantile(rows, 1.0 - eps, axis=1, method="midpoint")
-    best = int(np.argmax(quants))
-    return PatchabilityEstimate(
-        r=r, lam=float(quants[best]), eps=eps, trials=trials,
-        g_samples=len(targets), per_g_quantiles=tuple(float(q) for q in quants),
-        costs=rows,
-    )
-
-
-def _mask_indices(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+            costs[g, t] = fam.cheapest_completion(depleted, w).value
+    return PatchabilityEstimate(r, eps, costs)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .weights import InvalidInput
+
 __all__ = ["stream", "stream_id"]
 
 
@@ -18,7 +20,7 @@ def _normalize(parts: tuple[int, ...]) -> list[int]:
     for p in parts:
         p = int(p)
         if p < 0:
-            raise ValueError("stream key parts must be non-negative integers")
+            raise InvalidInput(f"stream key parts must be non-negative integers, got {p}")
         out.append(p)
     return out
 

@@ -83,9 +83,11 @@ def split_constants(s: float, q: float) -> tuple[float, float]:
 
 
 def _power(values: np.ndarray, expo: float) -> np.ndarray:
+    """`values ** expo`; an overflow leaves inf, as in _power_in_place."""
     if expo == 1.0:
         return values
-    return values ** expo
+    with np.errstate(over="ignore"):
+        return values ** expo
 
 
 def _power_in_place(values: np.ndarray, expo: float) -> np.ndarray:
@@ -112,7 +114,7 @@ def sample(spec: WeightSpec, rng: np.random.Generator, size=None):
     array (transformed in place, so no second array is made)."""
     values, expo = _base_sample(spec, rng, size), 1.0 / spec.q
     if size is None:
-        return float(_power(values, expo))
+        return float(_power(np.float64(values), expo))  # inf, not OverflowError
     return _power_in_place(values, expo)
 
 
@@ -220,7 +222,8 @@ def iterated_coupling_batch(
         # Stage j couples the running green draw to copy j-1 (0-based).
         g = _couple_base(g, base_draws[j - 1], 1.0 / (k - j + 1), spec.base)
     copies = _power(base_draws, inv_q)
-    bound = scale * copies.min(axis=0)
+    with np.errstate(over="ignore"):  # as in `_power`
+        bound = scale * copies.min(axis=0)
     x = np.minimum(_power(g, inv_q), bound)
     return x, copies
 

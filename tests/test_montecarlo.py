@@ -20,7 +20,7 @@ from minweight.montecarlo import (
     tail_experiment,
 )
 from minweight.rngs import stream, stream_id
-from minweight.weights import BaseLaw, WeightSpec
+from minweight.weights import BaseLaw, InvalidInput, WeightSpec
 
 Q1 = WeightSpec(q=1.0, base=BaseLaw.UNIFORM_POWER)
 
@@ -344,6 +344,10 @@ class TestCouplingExperiment:
         assert report.violations == 0
         assert report.all_ok
         assert report.base == "exponential"
+
+    def test_negative_seed_is_rejected_input(self):
+        with pytest.raises(InvalidInput, match="non-negative integers, got -1"):
+            coupling_experiment(Q1, 0.5, trials=100, master_seed=-1)
 
     def test_reproducible(self):
         a = coupling_experiment(Q1, 0.3, trials=500, master_seed=9)

@@ -30,10 +30,11 @@ from minweight.oracles import (
     oracle_defect_under_budget,
     oracle_min_patch_size,
     oracle_min_weight,
+    oracle_patchability,
     oracle_suite,
 )
 from minweight.rngs import stream
-from minweight.weights import BaseLaw, WeightSpec, sample
+from minweight.weights import BaseLaw, InvalidInput, WeightSpec, sample
 
 SPEC = WeightSpec(q=1.0, base=BaseLaw.UNIFORM_POWER)
 
@@ -262,6 +263,59 @@ class TestExplicitRestrictionIsSound:
         _agrees_with_full_scan(fam, (200 + fam.ground_size,))
 
 
+def _every_subset_patch_cost(fam, values):
+    """Cheapest patch of every subset bitmask S: min over members M of the
+    weights of M - S added in ascending index order (adding 0.0 for the
+    elements of S is exact)."""
+    masks = np.arange(1 << fam.ground_size, dtype=np.uint64)
+    best = np.full(masks.size, np.inf)
+    for member in fam.enumerate_members():
+        total = np.zeros(masks.size)
+        for e in sorted(member):
+            total = total + np.where(masks >> np.uint64(e) & np.uint64(1), 0.0, values[e])
+        np.minimum(best, total, out=best)
+    return best
+
+
+# Levels for the patchability draws; None keeps the uniform law of SPEC.
+LEVELS = {"uniform": None, "ternary": (0.0, 1.0, 2.0),
+          "extreme": (1e-300, 0.1, 0.7, 1.0, 1e300)}
+
+
+class TestOraclePatchability:
+    @pytest.mark.parametrize("levels", LEVELS.values(), ids=LEVELS.keys())
+    @pytest.mark.parametrize("fam", [
+        SpanningTreeFamily(3), SpanningTreeFamily(4), MatchingFamily(2),
+        MatchingFamily(3), _explicit(10, (9, 9, 9, 9), (31, 10)),
+    ], ids=["tree-3", "tree-4", "matching-2", "matching-3", "explicit-10"])
+    def test_matches_a_full_subset_sweep(self, fam, levels, monkeypatch):
+        if levels is not None:  # the same streams, each weight one of `levels`
+            monkeypatch.setattr(WeightAssignment, "draw", classmethod(
+                lambda cls, spec, rng, size: cls(rng.choice(levels, size))))
+        trials, eps = 8, 0.25
+        draws = [WeightAssignment.draw(SPEC, stream(5, 303, t), fam.ground_size)
+                 for t in range(trials)]
+        swept = np.column_stack([_every_subset_patch_cost(fam, w.values) for w in draws])
+        defects = _every_subset_defect(fam)
+        table = member_subsets(fam)
+        for r in range(fam.ell + 1):
+            est = oracle_patchability(fam, SPEC, r, eps, trials, master_seed=5)
+            rows = table.masks[table.defect <= r].astype(np.intp)
+            assert np.array_equal(est.costs, swept[rows]), r
+            worst = np.quantile(swept[defects <= r], 1 - eps, axis=1, method="midpoint")
+            assert est.lam == worst.max(), r
+
+    def test_r_zero_is_free(self):
+        est = oracle_patchability(MatchingFamily(3), SPEC, 0, 0.1, trials=4)
+        assert est.lam == 0.0 and est.g_samples == 6
+
+    @pytest.mark.parametrize("r, eps, trials", [(-1, 0.1, 4), (4, 0.1, 4),
+                                                (1, 0.0, 4), (1, 0.1, 0)])
+    def test_rejects_bad_arguments(self, r, eps, trials):
+        with pytest.raises(ValueError):
+            oracle_patchability(MatchingFamily(3), SPEC, r, eps, trials)
+
+
 def test_explicit_family_at_the_ground_limit():
     # Members of at most 7 elements, where the production totals are the
     # ascending sequential sums too, so the two sides agree exactly.
@@ -346,6 +400,10 @@ class TestOracleSuite:
             "defect_under_budget",
             "cheapest_within_distance",
         }
+
+    def test_negative_seed_is_rejected_input(self):
+        with pytest.raises(InvalidInput, match="non-negative integers, got -1"):
+            oracle_suite(vectors=1, master_seed=-1)
 
     def test_seed_sensitivity(self):
         # different master seeds draw different weight vectors but the

@@ -1,5 +1,9 @@
 """Patch solvers: exactness, the component heuristic, patchability estimates."""
 
+import operator
+from dataclasses import fields
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -9,9 +13,14 @@ from minweight.families import (
     SpanningTreeFamily,
     WeightAssignment,
 )
-from minweight.oracles import oracle_cheapest_completion
+from minweight.oracles import (
+    member_subsets,
+    oracle_cheapest_completion,
+    oracle_patchability,
+)
 from minweight.patching import (
     GStrategy,
+    PatchabilityEstimate,
     component_patch,
     estimate_patchability,
     exact_patch,
@@ -290,10 +299,8 @@ class TestEstimatePatchability:
         members = [(0, 1, 2), (2, 3, 4), (1, 4, 5)]
         fam = ExplicitFamily(6, members)
         trials = 40
-        est = estimate_patchability(
-            fam, SPEC, r=1, eps=0.25, g_strategy=GStrategy.REMOVE_FROM_OPTIMUM,
-            trials=trials, master_seed=13, exhaustive=True,
-        )
+        est = oracle_patchability(fam, SPEC, r=1, eps=0.25, trials=trials,
+                                  master_seed=13)
         draws = [
             sample(SPEC, stream(13, 303, t), fam.ground_size)
             for t in range(trials)
@@ -312,40 +319,49 @@ class TestEstimatePatchability:
 
     def test_exhaustive_costs_are_canonical_sums(self):
         # Members of 9-11 elements: patches of 8 or more elements are where
-        # numpy's pairwise sum and a sequential sum part in the last ulp.
+        # numpy's pairwise sum (cheapest_completion's total) and the
+        # oracle's sequential sum part in the last ulp.
         members = [range(0, 9), range(3, 12), (0, 1, 2, 4, 5, 6, 7, 9, 10, 11),
                    (0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11)]
         fam = ExplicitFamily(12, members)
         trials = 20
-        est = estimate_patchability(
-            fam, SPEC, r=fam.ell, eps=0.1,
-            g_strategy=GStrategy.REMOVE_FROM_OPTIMUM,
-            trials=trials, master_seed=17, exhaustive=True,
-        )
-        # At r = ell every subset is swept, so row `mask` is G = mask's bits.
-        assert est.g_samples == 1 << 12
+        est = oracle_patchability(fam, SPEC, r=fam.ell, eps=0.1, trials=trials,
+                                  master_seed=17)
+        # At r = ell every member subset is a row, in ascending mask order.
+        masks = member_subsets(fam).masks.tolist()
+        assert est.g_samples == len(masks)
         draws = [
             WeightAssignment(sample(SPEC, stream(17, 303, t), fam.ground_size))
             for t in range(trials)
         ]
         long_patches = 0
-        for mask in range(1 << 12):
-            if bin(mask).count("1") > 3:
+        for row, mask in enumerate(masks):
+            g = {i for i in range(12) if mask >> i & 1}
+            if len(g) > 3:
                 continue
-            g = tuple(i for i in range(12) if mask >> i & 1)
             for t, w in enumerate(draws):
-                found = fam.cheapest_completion(g, w)
-                long_patches += len(found.witness) >= 9
-                assert est.costs[mask, t] == found.value, (g, t)
+                folded = min(
+                    reduce(operator.add, (w.values[e] for e in sorted(set(m) - g)), 0.0)
+                    for m in members
+                )
+                assert est.costs[row, t] == folded, (g, t)
+                found = fam.cheapest_completion(tuple(sorted(g)), w)
+                if len(found.witness) <= 7:
+                    assert found.value == folded, (g, t)
+                else:
+                    long_patches += 1
         assert long_patches > 50
 
     def test_exhaustive_rejects_large_ground(self):
-        fam = SpanningTreeFamily(8)
         with pytest.raises(ValueError):
+            oracle_patchability(SpanningTreeFamily(8), SPEC, r=2, eps=0.1, trials=5)
+
+    def test_one_result_type_and_no_exhaustive_mode(self):
+        assert [f.name for f in fields(PatchabilityEstimate)] == ["r", "eps", "costs"]
+        with pytest.raises(TypeError):
             estimate_patchability(
-                fam, SPEC, r=2, eps=0.1,
-                g_strategy=GStrategy.REMOVE_FROM_OPTIMUM, trials=5,
-                exhaustive=True,
+                ExplicitFamily(3, [(0, 1), (1, 2)]), SPEC, r=1, eps=0.1,
+                g_strategy=GStrategy.REMOVE_FROM_OPTIMUM, trials=5, exhaustive=True,
             )
 
     def test_rejects_bad_eps(self):

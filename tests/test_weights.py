@@ -71,6 +71,12 @@ class TestSample:
         assert isinstance(x, float)
         assert 0.0 < x <= 1.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_scalar_overflow_is_inf(self):
+        # E^(1/q) overflows a float; the array draw gives inf, and so does this.
+        spec = WeightSpec(q=1e-3, base=BaseLaw.EXPONENTIAL_POWER)
+        assert sample(spec, stream(4)) == np.inf
+
 
 class TestCdfQuantile:
     def test_uniform_identity(self):
@@ -220,6 +226,16 @@ class TestIteratedCoupling:
     def test_rejects_k_zero(self):
         with pytest.raises(ValueError):
             iterated_coupling_batch(WeightSpec(q=1.0), 0, stream(0), 5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_overflowing_draws_are_inf_silently(self, k):
+        # As in sample and split_coupling_batch: inf, for WeightAssignment to reject.
+        spec = WeightSpec(q=2e-3, base=BaseLaw.EXPONENTIAL_POWER)
+        x, copies = iterated_coupling_batch(spec, k, stream(0), 1000)
+        assert np.isinf(x).any() and np.isinf(copies).any()
+        with np.errstate(over="ignore"):
+            assert np.all(x <= k ** (1.0 / spec.q) * copies.min(axis=0))
 
     def test_overflowing_constant_is_rejected_input(self):
         # 3^(1/q) overflows a float at q = 1e-3, as split_constants' do.
