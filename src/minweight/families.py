@@ -48,6 +48,10 @@ the caller's once, WeightAssignment.adopt keeps a fresh array handed over
 (draw adopts weights.sample's draw), and the tree edge order partitions a
 strided sample of N/16 weights only.
 
+Every tree scan is one filter-Kruskal (Osipov, Sanders & Singler 2009), on
+K_n or with a subset's components contracted: numpy drops the edges inside a
+component before the union-find loop sees a block of the order.
+
 A weight vector has one memo slot, owned by the last family that read it
 (Family._memo).  The slot holds one _Memo record: every family keeps its
 distance answers there by r, and a tree family also its edge order and
@@ -164,7 +168,7 @@ class _Memo:
     spanning-tree families fill in the rest: order is a prefix of the
     (weight, index) edge order, the head (every edge up to a threshold read
     from a strided sample) until a scan needs more, then the whole order;
-    chain is the edges `_greedy_forest` accepts without a seed.
+    chain is the edges `_greedy_forest` accepts on K_n itself.
     """
 
     family: Family
@@ -319,11 +323,9 @@ class Family(ABC):
                              f"{self.ground_size}")
 
     def _check_subset(self, subset) -> np.ndarray:
-        if isinstance(subset, np.ndarray):
-            idx = subset.astype(np.intp, copy=False)
-        else:
-            idx = np.fromiter((int(i) for i in subset), dtype=np.intp)
-        idx = np.unique(idx)
+        if not isinstance(subset, np.ndarray):
+            subset = np.fromiter(subset, dtype=np.intp)
+        idx = np.unique(subset.astype(np.intp, copy=False))
         if idx.size and (idx[0] < 0 or idx[-1] >= self.ground_size):
             raise ValueError("subset indices out of range")
         return idx
@@ -404,28 +406,38 @@ class SpanningTreeFamily(Family):
             result = scan(memo.order)
         return result
 
-    def _greedy_forest(self, w: WeightAssignment, subset=()):
-        """Kruskal over the weight order, started from `subset`'s edges.
-
-        Unions the subset's edges, then accepts each edge of the order that
-        joins two components until one component remains.  Returns the
-        accepted edges in acceptance order (their first k form the cheapest
-        k-edge forest extending the subset), or None if the order runs out
-        first.
+    def _greedy_forest(self, w: WeightAssignment, labels=None):
+        """Kruskal over the weight order on K_n with each class of `labels`
+        (0..c-1, as from component_labels; None: every vertex its own)
+        contracted to one vertex.  Returns the accepted edges in acceptance
+        order (their first k form the cheapest k-edge forest extending the
+        classes), or None if the order runs out first.
         """
-        seed = np.asarray(subset, dtype=np.intp)
         n, edge_u, edge_v = self.n, self.edge_u, self.edge_v
+        c = n if labels is None else int(labels.max()) + 1
+        step = max(n, 512)  # a floor: most chains at n <= 100 end in block one
 
         def scan(order: np.ndarray):
             # Union-find on local lists (path halving, union by size): no calls
-            # per edge.  The seed block comes first; its edges are not returned.
-            parent, size, count = list(range(n)), [1] * n, n
+            # per edge.  A block becomes lists when the loop reaches it, and
+            # only its edges between two components (the loop would reject
+            # the rest): `at` maps each vertex to its root, by pointer jumping.
+            parent, size, count = list(range(c)), [1] * c, c
             chosen: list[int] = []
-            # Blocks of n edges: only the part the loop reaches becomes lists.
-            blocks = ((order[s:s + n], chosen) for s in range(0, order.size, n))
-            for block, accepted in itertools.chain([(seed, [])], blocks):
-                ends = zip(block.tolist(), edge_u[block].tolist(), edge_v[block].tolist())
-                for i, u, v in ends:
+            at = labels  # vertex -> root; None while every vertex is a root
+            for s in range(0, order.size, step):
+                block = order[s:s + step]
+                if count < c:
+                    root = np.fromiter(parent, dtype=np.intp, count=c)
+                    while (root != (up := root[root])).any():
+                        root = up
+                    at = root if labels is None else root[labels]
+                us, vs = edge_u[block], edge_v[block]
+                if at is not None:
+                    us, vs = at[us], at[vs]
+                    keep = us != vs
+                    block, us, vs = block[keep], us[keep], vs[keep]
+                for i, u, v in zip(block.tolist(), us.tolist(), vs.tolist()):
                     while (p := parent[u]) != u:
                         parent[u] = u = parent[p]
                     while (p := parent[v]) != v:
@@ -436,7 +448,7 @@ class SpanningTreeFamily(Family):
                         u, v = v, u
                     parent[v] = u
                     size[u] += size[v]
-                    accepted.append(i)
+                    chosen.append(i)
                     count -= 1
                     if count == 1:
                         return chosen
@@ -474,27 +486,25 @@ class SpanningTreeFamily(Family):
         """Vertex component labels (0..c-1, first-occurrence order) of the
         spanning subgraph with the given edge subset."""
         idx = self._check_subset(subset)
-        graph = csr_matrix(
-            (np.ones(idx.size, dtype=np.int8), (self.edge_u[idx], self.edge_v[idx])),
-            shape=(self.n, self.n),
-        )
+        # idx ascends, so do its tails (the CSR rows); float64 spares scipy a cast.
+        indptr = np.searchsorted(self.edge_u[idx], np.arange(self.n + 1))
+        graph = csr_matrix((np.ones(idx.size), self.edge_v[idx], indptr),
+                           shape=(self.n, self.n))
         # scipy labels components in order of their smallest vertex.
         _, labels = connected_components(graph, directed=False)
         return labels.astype(np.intp)
 
     def min_patch_size(self, subset) -> int:
-        comp = self.component_labels(subset)
-        return int(comp.max())
+        return int(self.component_labels(subset).max())
 
     def cheapest_completion(self, subset, w: WeightAssignment):
-        """Kruskal started from the subset's edges.
-
-        Its accepted edges are the minimum spanning tree of K_n with each
-        component of the subset contracted to one vertex, the cheapest patch.
-        """
+        """Kruskal on K_n with the subset's components contracted: its edges,
+        the contracted graph's minimum spanning tree, are the cheapest patch."""
         self._check_weights(w)
-        idx = self._check_subset(subset)
-        patch = tuple(sorted(self._greedy_forest(w, subset=idx)))
+        labels = self.component_labels(subset)
+        if labels.max() == 0:
+            return SolveResult(0.0, ())
+        patch = tuple(sorted(self._greedy_forest(w, labels)))
         return SolveResult(value=w.total(patch), witness=patch)
 
     def enumerate_members(self):

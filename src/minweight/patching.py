@@ -64,15 +64,12 @@ def exact_patch(fam: Family, subset, w: WeightAssignment) -> SolveResult:
     return found
 
 
-def _component_order(fam: SpanningTreeFamily, comp: np.ndarray) -> np.ndarray:
-    """Position of each component id: ascending size, ties by smallest vertex."""
-    c = int(comp.max()) + 1
-    sizes = np.bincount(comp, minlength=c)
-    first_vertex = np.full(c, fam.n, dtype=np.intp)
-    np.minimum.at(first_vertex, comp, np.arange(fam.n, dtype=np.intp))
-    order = np.lexsort((first_vertex, sizes))
-    pos = np.empty(c, dtype=np.intp)
-    pos[order] = np.arange(c, dtype=np.intp)
+def _component_order(comp: np.ndarray) -> np.ndarray:
+    """Position of each component id: ascending size, ties by smallest vertex
+    (component_labels numbers the components in that order)."""
+    order = np.argsort(np.bincount(comp), kind="stable")
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
     return pos
 
 
@@ -93,7 +90,7 @@ def component_patch(fam: Family, subset, w: WeightAssignment) -> SolveResult:
     c = int(comp.max()) + 1
     if c == 1:
         return SolveResult(0.0, ())
-    pos = _component_order(fam, comp)
+    pos = _component_order(comp)
 
     def first_per_source(order: np.ndarray):
         pu = pos[comp[fam.edge_u[order]]]
@@ -121,12 +118,11 @@ def min_outgoing_edge_count(fam: Family, subset) -> int:
     """
     if not isinstance(fam, SpanningTreeFamily):
         raise TypeError("outgoing-edge counts are defined for spanning trees")
-    idx = fam._check_subset(subset)
-    comp = fam.component_labels(idx)
+    comp = fam.component_labels(subset)
     c = int(comp.max()) + 1
     if c == 1:
         raise ValueError("subset already spans; no non-largest components")
-    pos = _component_order(fam, comp)
+    pos = _component_order(comp)
     pu = pos[comp[fam.edge_u]]
     pv = pos[comp[fam.edge_v]]
     cross = pu != pv
@@ -149,7 +145,8 @@ def sample_depleted_set(
     strategy: GStrategy,
     rng: np.random.Generator,
 ) -> tuple[int, ...]:
-    """Generate G by removing r elements from a member.
+    """Generate G by removing r elements from a member (all of a member
+    with fewer than r).
 
     The member comes from an auxiliary weight draw (optimum / adversarial
     strategies) or is uniform; removal is uniform except for
@@ -173,7 +170,7 @@ def sample_depleted_set(
         heavy = np.argsort(aux.values[member_arr], kind="stable")[::-1][:r]
         removed = set(int(member_arr[i]) for i in heavy)
     else:
-        positions = rng.choice(len(member), size=r, replace=False)
+        positions = rng.choice(len(member), size=min(r, len(member)), replace=False)
         removed = set(int(member[int(p)]) for p in positions)
     return tuple(e for e in member if e not in removed)
 

@@ -806,3 +806,102 @@ def test_tree_solvers_match_textbook_kruskal(n, layout):
     patch = component_patch(fam, g, WeightAssignment(values))
     assert patch.witness == _textbook_component_patch(fam, values, g)
     assert patch.value == w.total(patch.witness)
+
+
+def _textbook_labels(fam, subset):
+    """Vertex labels of (V, subset) from a plain union-find, each component
+    numbered by the order of its smallest vertex."""
+    parent = list(range(fam.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for e in subset:
+        parent[find(int(fam.edge_u[e]))] = find(int(fam.edge_v[e]))
+    first = {}
+    return [first.setdefault(find(v), len(first)) for v in range(fam.n)]
+
+
+def _last_vertex_dear(fam, rng):
+    """Edges at vertex n-1 cost 1 more than every other edge, so once the
+    head is shorter than the clique on the rest (n >= 18), the chain and
+    every completion with n-1 isolated fall back to the full order."""
+    return rng.random(fam.ground_size) + (fam.edge_v == fam.n - 1)
+
+
+def _depleted_member(fam, rng):
+    member = fam.random_member(rng)
+    keep = rng.permutation(len(member))[rng.integers(1, len(member) + 1):]
+    return tuple(member[int(i)] for i in keep)
+
+
+_SCAN_WEIGHTS = {
+    "zero": lambda fam, rng: np.zeros(fam.ground_size),
+    "tied": lambda fam, rng: rng.integers(0, 3, fam.ground_size) / 2.0,
+    "extreme": lambda fam, rng: rng.choice([1e-300, 1.0, 1e300], fam.ground_size),
+    "cheap-clique": _last_vertex_dear,
+}
+_SCAN_SUBSETS = {
+    "empty": lambda fam, rng: (),
+    "spanning": lambda fam, rng: fam.random_member(rng),
+    # Mean degree 2.5: a giant component with cycles beside small ones, and
+    # vertex n-1 isolated.
+    "cycles": lambda fam, rng: tuple(np.flatnonzero(
+        (rng.random(fam.ground_size) < 2.5 / fam.n) & (fam.edge_v < fam.n - 1))),
+    "depleted": _depleted_member,
+}
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    st.sampled_from([2, 3, 17, 18, 40]),
+    st.sampled_from(sorted(_SCAN_WEIGHTS)),
+    st.sampled_from(sorted(_SCAN_SUBSETS)),
+    st.integers(0, 2**32 - 1),
+)
+def test_filtered_scans_match_textbook_kruskal(n, kind, subset_kind, seed):
+    """The Kruskal scan filters each block of the order down to the edges
+    between two components, on K_n or on K_n with a subset's components
+    contracted; it must accept exactly a plain Kruskal's edges, in its
+    order.  On cheap-clique weights at n = 40 the chain, and the completion
+    of a subset with cycles, scan past the first block (512 edges) of the
+    full order; n <= 17 reads the whole order as its head."""
+    fam = SpanningTreeFamily(n)
+    rng = np.random.default_rng(seed)
+    values = _SCAN_WEIGHTS[kind](fam, rng)
+    g = _SCAN_SUBSETS[subset_kind](fam, rng)
+    labels = fam.component_labels(g)
+    assert labels.tolist() == _textbook_labels(fam, g)
+    w = WeightAssignment(values)
+    assert fam._greedy_forest(w) == _textbook_forest(fam, values)
+    completion = _textbook_forest(fam, values, g)
+    if labels.max() > 0:  # a spanning subset is never scanned
+        assert fam._greedy_forest(WeightAssignment(values), labels) == completion
+    patch = tuple(sorted(completion))
+    assert fam.cheapest_completion(g, WeightAssignment(values)) == SolveResult(
+        w.total(patch), patch)
+    heuristic = component_patch(fam, g, WeightAssignment(values))
+    assert heuristic.witness == _textbook_component_patch(fam, values, g)
+
+
+@pytest.mark.parametrize("subset", [
+    (3, 1, 3),
+    [3, 1],
+    (e for e in (1, 3)),
+    (np.int64(3), np.int32(1)),
+    np.array([3, 1]),
+    (1.5, True, 3),  # truncated as int() does
+], ids=["tuple", "list", "generator", "numpy-ints", "array", "truncated"])
+def test_check_subset_reads_any_iterable_of_indices(subset):
+    assert SpanningTreeFamily(4)._check_subset(subset).tolist() == [1, 3]
+
+
+def test_check_subset_empty_and_out_of_range():
+    fam = SpanningTreeFamily(4)  # 6 edges
+    assert fam._check_subset(()).dtype == np.intp
+    assert fam._check_subset(()).size == 0
+    for bad in [(0, 6), (-1,), [2, 7.0]]:
+        with pytest.raises(ValueError, match="out of range"):
+            fam._check_subset(bad)

@@ -248,6 +248,22 @@ class TestSampleDepletedSet:
         kept = sorted(member, key=lambda e: aux.values[e])[: len(member) - 3]
         assert g_adv == tuple(e for e in member if e in set(kept))
 
+    def test_explicit_member_shorter_than_r(self):
+        # A member with fewer than r elements is removed whole.
+        fam = ExplicitFamily(6, [(0, 1, 2, 3), (4, 5)])
+        for seed in range(6):
+            for strategy in GStrategy:
+                g = sample_depleted_set(fam, SPEC, 3, strategy, stream(65, seed))
+                assert len(g) <= 1
+                assert fam.min_patch_size(g) <= 3
+        fam = ExplicitFamily(8, [(0, 1, 2, 3), (2, 3, 4, 5), (4, 5, 6, 7),
+                                 (0, 2, 5, 7), (1, 3, 6)])
+        est = estimate_patchability(fam, WeightSpec(q=1.5), 4, 0.2,
+                                    GStrategy.REMOVE_FROM_OPTIMUM, trials=6,
+                                    g_samples=3, master_seed=11)
+        assert est.costs.shape == (3, 6)
+        assert np.isfinite(est.costs).all()
+
     def test_rejects_bad_r(self):
         fam = SpanningTreeFamily(5)
         with pytest.raises(ValueError):

@@ -66,15 +66,15 @@ class TestTreeOrderMemo:
         seeds = []
         original = SpanningTreeFamily._greedy_forest
 
-        def counted(self, w, subset=()):
-            seeds.append(len(subset))
-            return original(self, w, subset)
+        def counted(self, w, labels=None):
+            seeds.append(labels)
+            return original(self, w, labels)
 
         monkeypatch.setattr(SpanningTreeFamily, "_greedy_forest", counted)
         defect_under_budget(fam, w, 0.6)
         cheapest_within_distance(fam, w, 10)
         fam.min_weight(w)
-        assert seeds == [0]
+        assert seeds == [None]  # one unseeded Kruskal scan
 
     @pytest.mark.parametrize("n", [12, 100])
     def test_interleaved_vectors_and_families_match_fresh(self, n):
