@@ -27,7 +27,9 @@ answer at r = 0; budget_witness(w, L), the smallest patch distance of a
 subset of total weight <= L, is its inverse and returns a DualResult.
 Every answer that names a weighted subset carries that subset's canonical
 total, summed once where the subset is found.  Every other module reaches
-a family only through these seven public methods.
+a family only through these seven public methods and the trees' own two:
+component_completion, the component heuristic's patch, and
+min_outgoing_edge_count, the lemma behind its bound.
 
 budget_witness searches r with few distance_witness calls, since on
 matchings each is an assignment solve.  After r = 0 it takes a free upper
@@ -325,10 +327,11 @@ class Family(ABC):
     def _check_subset(self, subset) -> np.ndarray:
         if not isinstance(subset, np.ndarray):
             subset = np.fromiter(subset, dtype=np.intp)
-        idx = np.unique(subset.astype(np.intp, copy=False))
+        idx = np.sort(subset.astype(np.intp, copy=False), axis=None)
         if idx.size and (idx[0] < 0 or idx[-1] >= self.ground_size):
             raise ValueError("subset indices out of range")
-        return idx
+        # np.unique without its extra passes: drop each repeat of its left neighbour.
+        return idx[np.append(True, idx[1:] != idx[:-1])] if idx.size else idx
 
 
 def complete_graph_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -497,6 +500,12 @@ class SpanningTreeFamily(Family):
     def min_patch_size(self, subset) -> int:
         return int(self.component_labels(subset).max())
 
+    def _component_positions(self, subset) -> np.ndarray:
+        """Position of each vertex's component among those of (V, subset):
+        ascending size, ties by smallest vertex (component_labels' order)."""
+        labels = self.component_labels(subset)
+        return np.argsort(np.argsort(np.bincount(labels), kind="stable"))[labels]
+
     def cheapest_completion(self, subset, w: WeightAssignment):
         """Kruskal on K_n with the subset's components contracted: its edges,
         the contracted graph's minimum spanning tree, are the cheapest patch."""
@@ -506,6 +515,49 @@ class SpanningTreeFamily(Family):
             return SolveResult(0.0, ())
         patch = tuple(sorted(self._greedy_forest(w, labels)))
         return SolveResult(value=w.total(patch), witness=patch)
+
+    def component_completion(self, subset, w: WeightAssignment) -> SolveResult:
+        """The component heuristic's patch, unverified: for each non-largest
+        component, the first edge in (weight, index) order toward a later
+        one.  It uses exactly min_patch_size(subset) edges and costs at least
+        cheapest_completion's patch (patching.component_patch verifies it)."""
+        self._check_weights(w)
+        pos = self._component_positions(subset)
+        c = int(pos.max()) + 1
+        if c == 1:
+            return SolveResult(0.0, ())
+
+        def first_per_source(order: np.ndarray):
+            pu, pv = pos[self.edge_u[order]], pos[self.edge_v[order]]
+            cross = pu != pv
+            # Complete graph: each of the c - 1 non-largest positions has an
+            # outgoing edge, so only a short head of the order can miss one.
+            sources, first = np.unique(np.minimum(pu, pv)[cross], return_index=True)
+            return order[cross][first] if sources.size == c - 1 else None
+
+        chosen = self._in_weight_order(w, first_per_source)
+        if chosen is None:
+            raise RuntimeError("component patch size mismatch; solver bug")
+        patch = tuple(sorted(chosen.tolist()))
+        return SolveResult(w.total(patch), patch)
+
+    def min_outgoing_edge_count(self, subset) -> int:
+        """Minimum, over non-largest components of (V, subset), of the number
+        of edges leaving the component toward later components.  For K_n at
+        distance r >= 1 it is provably at least min(n/2, n^2/(4 r^2)); a
+        smaller value is a solver bug and raises."""
+        pos = self._component_positions(subset)
+        c = int(pos.max()) + 1
+        if c == 1:
+            raise ValueError("subset already spans; no non-largest components")
+        pu, pv = pos[self.edge_u], pos[self.edge_v]
+        counts = np.bincount(np.minimum(pu, pv)[pu != pv], minlength=c)
+        smallest = int(counts[: c - 1].min())
+        bound = min(self.n / 2, self.n**2 / (4 * (c - 1) ** 2))
+        if smallest < bound:
+            raise RuntimeError(f"outgoing-edge count {smallest} below guaranteed "
+                               f"bound {bound}")
+        return smallest
 
     def enumerate_members(self):
         """All n^(n-2) labeled spanning trees, via Prufer sequences (n <= 7)."""
@@ -592,13 +644,12 @@ class MatchingFamily(Family):
 
     def min_patch_size(self, subset) -> int:
         """n minus the maximum matching inside the subset (Hopcroft-Karp)."""
-        idx = self._check_subset(subset)
-        graph = csr_matrix(
-            (np.ones(idx.size, dtype=np.int8), (idx // self.n, idx % self.n)),
-            shape=(self.n, self.n),
-        )
+        idx, n = self._check_subset(subset), self.n
+        # idx ascends, so its rows are the CSR rows in order.
+        indptr = np.searchsorted(idx, np.arange(0, n * n + 1, n))
+        graph = csr_matrix((np.ones(idx.size), idx % n, indptr), shape=(n, n))
         row_match = maximum_bipartite_matching(graph, perm_type="column")
-        return self.n - int(np.count_nonzero(row_match >= 0))
+        return n - int(np.count_nonzero(row_match >= 0))
 
     def cheapest_completion(self, subset, w: WeightAssignment):
         self._check_weights(w)

@@ -110,6 +110,7 @@ def oracle_cheapest_completion(fam: Family, subset, w: WeightAssignment):
 class MemberSubsets:
     """The distinct subsets of a family's members, one row each.
 
+    member_masks are the members as uint64 bitmasks, in enumeration order;
     masks are the subsets as ascending uint64 bitmasks; defect[g] is
     min over members of |M - subset g|; rows[g] lists subset g's elements
     in ascending order, padded to ell columns with the sentinel index
@@ -117,6 +118,7 @@ class MemberSubsets:
     """
 
     size: int
+    member_masks: np.ndarray
     masks: np.ndarray
     defect: np.ndarray
     rows: np.ndarray
@@ -165,9 +167,10 @@ def _build_member_subsets(fam: Family) -> MemberSubsets:
         low = rest & (~rest + np.uint64(1))  # lowest set bit, 0 when none
         rows[:, col] = np.where(low != 0, np.bitwise_count(low - np.uint64(1)), num)
         rest ^= low
-    for arr in (masks, defect, rows):
+    for arr in (member_masks, masks, defect, rows):
         arr.setflags(write=False)  # one table serves every caller
-    return MemberSubsets(size=num, masks=masks, defect=defect, rows=rows)
+    return MemberSubsets(size=num, member_masks=member_masks, masks=masks,
+                         defect=defect, rows=rows)
 
 
 def oracle_defect_under_budget(fam: Family, w: WeightAssignment, budget: float):
@@ -199,11 +202,9 @@ def oracle_patchability(
         raise ValueError(f"need 0 < eps < 1, 0 <= r <= {fam.ell} and trials >= 1, "
                          f"got eps={eps}, r={r}, trials={trials}")
     table = member_subsets(fam)
-    member_masks = np.array([sum(1 << e for e in m) for m in _members(fam)],
-                            dtype=np.uint64)
     depleted = table.masks[table.defect <= r]
     # M - G is itself a member subset: its row, for every G (rows) and M.
-    patches = np.searchsorted(table.masks, member_masks & ~depleted[:, None])
+    patches = np.searchsorted(table.masks, table.member_masks & ~depleted[:, None])
     costs = np.empty((depleted.size, trials))
     for t in range(trials):
         w = WeightAssignment.draw(spec, stream(master_seed, 303, t), fam.ground_size)

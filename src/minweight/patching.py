@@ -2,11 +2,10 @@
 
 For a subset G of the ground set, a patch is any set P with G + P containing
 a member; the distance min_patch_size(G) counts the fewest added elements,
-and exact_patch finds the cheapest patch under a weight assignment.  The
-component heuristic for trees adds, for each connected component except the
-largest, the cheapest edge leading to a later component (components ordered
-by ascending size, ties by smallest vertex label); it uses exactly
-min_patch_size(G) edges and never beats the exact patch.
+and exact_patch finds the cheapest patch under a weight assignment;
+component_patch is the trees' heuristic, which never beats it.  Both check
+the patch the family's solver found; this module reads a family only
+through its public methods.
 
 estimate_patchability samples depleted sets G at distance r, redraws fresh
 weights per trial, and reports the largest per-G empirical (1-eps)-quantile
@@ -36,7 +35,6 @@ __all__ = [
     "PatchabilityEstimate",
     "exact_patch",
     "component_patch",
-    "min_outgoing_edge_count",
     "sample_depleted_set",
     "estimate_patchability",
 ]
@@ -50,92 +48,30 @@ class GStrategy(Enum):
     ADVERSARIAL_HEAVIEST = "adversarial-heaviest"
 
 
-def _verify_patch(fam: Family, subset, patch) -> None:
-    merged = tuple(subset) + tuple(patch)
-    if fam.min_patch_size(merged) != 0:
+def _verify_patch(fam: Family, solve, subset, w: WeightAssignment) -> SolveResult:
+    """solve(subset, w), its patch checked to complete `subset` (both read
+    `subset`, so a one-shot iterator is read into a tuple first)."""
+    subset = tuple(subset) if iter(subset) is subset else subset
+    found = solve(subset, w)
+    if fam.min_patch_size(tuple(subset) + found.witness) != 0:
         raise RuntimeError("patch failed to complete the subset; solver bug")
+    return found
 
 
 def exact_patch(fam: Family, subset, w: WeightAssignment) -> SolveResult:
     """Cheapest patch for `subset` under w (exact for every family): the
     witness is the patch, checked to complete `subset`; the value its cost."""
-    found = fam.cheapest_completion(subset, w)
-    _verify_patch(fam, subset, found.witness)
-    return found
-
-
-def _component_order(comp: np.ndarray) -> np.ndarray:
-    """Position of each component id: ascending size, ties by smallest vertex
-    (component_labels numbers the components in that order)."""
-    order = np.argsort(np.bincount(comp), kind="stable")
-    pos = np.empty_like(order)
-    pos[order] = np.arange(order.size)
-    return pos
+    return _verify_patch(fam, fam.cheapest_completion, subset, w)
 
 
 def component_patch(fam: Family, subset, w: WeightAssignment) -> SolveResult:
-    """Per-component heuristic patch (spanning trees only).
-
-    One edge per non-largest component: the cheapest edge toward any later
-    component in the size ordering.  It scans the family's (weight, index)
-    edge order and keeps, for each source position, the first cross edge.
-    Uses exactly min_patch_size(subset) edges; cost dominates the exact
-    patch.
-    """
+    """Per-component heuristic patch (spanning trees only): the witness is
+    SpanningTreeFamily.component_completion's patch, checked to complete
+    `subset`; it uses exactly min_patch_size(subset) edges, and its cost
+    dominates the exact patch."""
     if not isinstance(fam, SpanningTreeFamily):
         raise TypeError("component_patch is defined for spanning-tree families")
-    fam._check_weights(w)
-    idx = fam._check_subset(subset)
-    comp = fam.component_labels(idx)
-    c = int(comp.max()) + 1
-    if c == 1:
-        return SolveResult(0.0, ())
-    pos = _component_order(comp)
-
-    def first_per_source(order: np.ndarray):
-        pu = pos[comp[fam.edge_u[order]]]
-        pv = pos[comp[fam.edge_v[order]]]
-        cross = pu != pv
-        # Complete graph: each of the c - 1 non-largest positions has an
-        # outgoing edge, so only a short head of the order can miss one.
-        sources, first = np.unique(np.minimum(pu, pv)[cross], return_index=True)
-        return order[cross][first] if sources.size == c - 1 else None
-
-    chosen = fam._in_weight_order(w, first_per_source)
-    if chosen is None:
-        raise RuntimeError("component patch size mismatch; solver bug")
-    patch = tuple(sorted(chosen.tolist()))
-    _verify_patch(fam, idx, patch)
-    return SolveResult(w.total(patch), patch)
-
-
-def min_outgoing_edge_count(fam: Family, subset) -> int:
-    """Minimum, over non-largest components of (V, subset), of the number of
-    edges leaving the component toward later components.
-
-    For K_n with distance r >= 1 the count is provably at least
-    min(n/2, n^2/(4 r^2)); a smaller value indicates a solver bug and raises.
-    """
-    if not isinstance(fam, SpanningTreeFamily):
-        raise TypeError("outgoing-edge counts are defined for spanning trees")
-    comp = fam.component_labels(subset)
-    c = int(comp.max()) + 1
-    if c == 1:
-        raise ValueError("subset already spans; no non-largest components")
-    pos = _component_order(comp)
-    pu = pos[comp[fam.edge_u]]
-    pv = pos[comp[fam.edge_v]]
-    cross = pu != pv
-    source = np.minimum(pu[cross], pv[cross])
-    counts = np.bincount(source, minlength=c)[: c - 1]
-    smallest = int(counts.min())
-    r = c - 1
-    bound = min(fam.n / 2, fam.n**2 / (4 * r * r))
-    if smallest < bound:
-        raise RuntimeError(
-            f"outgoing-edge count {smallest} below guaranteed bound {bound}"
-        )
-    return smallest
+    return _verify_patch(fam, fam.component_completion, subset, w)
 
 
 def sample_depleted_set(

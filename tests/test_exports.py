@@ -1,6 +1,9 @@
-"""Every exported name resolves, in the package and in each submodule."""
+"""Every exported name resolves, in the package and in each submodule, and
+no module reads another's private members."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -39,3 +42,19 @@ def test_each_public_name_is_declared_once():
         for name in importlib.import_module(f"minweight.{module}").__all__
     ]
     assert sorted(declared) == sorted(set(declared))
+
+
+def test_only_families_reads_private_members_of_other_objects():
+    # families.py owns the family internals (its classes share them); every
+    # other module reads a single-underscore attribute only on self or cls.
+    found = []
+    for path in sorted(pathlib.Path(minweight.__file__).parent.glob("*.py")):
+        if path.name == "families.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and not node.attr.startswith("__")
+                    and not (isinstance(node.value, ast.Name)
+                             and node.value.id in ("self", "cls"))):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert found == []

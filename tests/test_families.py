@@ -905,3 +905,21 @@ def test_check_subset_empty_and_out_of_range():
     for bad in [(0, 6), (-1,), [2, 7.0]]:
         with pytest.raises(ValueError, match="out of range"):
             fam._check_subset(bad)
+
+
+@pytest.mark.parametrize("as_input", [
+    lambda raw: tuple(raw.tolist()),
+    lambda raw: raw.tolist(),
+    lambda raw: (int(e) for e in raw),
+    lambda raw: raw,
+    lambda raw: raw.astype(np.int32),
+    lambda raw: tuple(raw),
+], ids=["tuple", "list", "generator", "array", "int32-array", "numpy-ints"])
+def test_check_subset_equals_np_unique(as_input):
+    fam = SpanningTreeFamily(30)  # 435 edges
+    rng = stream(91)
+    for size in (0, 1, 2, 3, 50, 435, 900):
+        raw = rng.integers(0, fam.ground_size, size=size)  # unsorted, with repeats
+        got = fam._check_subset(as_input(raw))
+        assert got.dtype == np.intp
+        assert got.tolist() == np.unique(raw).tolist()

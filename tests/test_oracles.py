@@ -370,6 +370,9 @@ class TestMemberOracles:
             assert solved.value == value and solved.witness == member
             kept = member[:2]
             assert oracle_min_patch_size(fam, kept) == fam.min_patch_size(kept)
+            mixed = stream(26, trial).integers(0, 16, size=12).tolist()  # repeats
+            for g in (mixed, (), member):
+                assert oracle_min_patch_size(fam, g) == fam.min_patch_size(g)
             cost, patch = oracle_cheapest_completion(fam, kept, w)
             assert set(patch).isdisjoint(kept)
 

@@ -24,7 +24,6 @@ from minweight.patching import (
     component_patch,
     estimate_patchability,
     exact_patch,
-    min_outgoing_edge_count,
     sample_depleted_set,
 )
 from minweight.rngs import stream
@@ -181,11 +180,20 @@ class TestComponentPatch:
             assert heur.value == exact.value
 
 
+@pytest.mark.parametrize("solve", [exact_patch, component_patch])
+def test_patch_reads_a_one_shot_iterator(solve):
+    # The solver and the completion check both read the subset.
+    fam = SpanningTreeFamily(6)
+    w = _draw(fam, (63,))
+    g = (0, 1, 2)
+    assert solve(fam, iter(g), w) == solve(fam, g, w)
+
+
 class TestMinOutgoingEdgeCount:
     def test_empty_subset(self):
         fam = SpanningTreeFamily(10)
         # all singletons: every non-last component sees at least one later one
-        count = min_outgoing_edge_count(fam, ())
+        count = fam.min_outgoing_edge_count(())
         assert count >= 1
 
     def test_balanced_split(self):
@@ -193,7 +201,7 @@ class TestMinOutgoingEdgeCount:
         comp_a = [(0, 1), (1, 2), (2, 3)]
         comp_b = [(4, 5), (5, 6), (6, 7)]
         g = fam.edge_indices(comp_a + comp_b)
-        count = min_outgoing_edge_count(fam, g)
+        count = fam.min_outgoing_edge_count(g)
         assert count == 16  # 4 * 4 cross edges
         assert count >= min(8 / 2, 8 * 8 / 4)
 
@@ -201,7 +209,7 @@ class TestMinOutgoingEdgeCount:
         fam = SpanningTreeFamily(5)
         tree = fam.min_weight(_draw(fam, (60,))).witness
         with pytest.raises(ValueError):
-            min_outgoing_edge_count(fam, tree)
+            fam.min_outgoing_edge_count(tree)
 
     @pytest.mark.parametrize("n", [20, 50])
     def test_claimed_lower_bound(self, n):
@@ -215,7 +223,7 @@ class TestMinOutgoingEdgeCount:
             g = sample_depleted_set(
                 fam, SPEC, r, GStrategy.REMOVE_FROM_RANDOM_MEMBER, rng
             )
-            count = min_outgoing_edge_count(fam, g)
+            count = fam.min_outgoing_edge_count(g)
             assert count >= min(n / 2, n * n / (4 * r * r))
 
 
