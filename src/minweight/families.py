@@ -41,14 +41,15 @@ bisect step whenever the bracket falls behind halving every two probes, so
 any curve takes O(log ell) probes.  The answer d is certified by two
 probes: r = d affordable and r = d - 1 not (or d = 0).
 
-Determinism: all tie-breaks prefer the smallest element index; solver values
-are canonical sums (witness weights added in ascending element-index order),
-so equal witnesses give bit-equal values.
+Determinism: tree and explicit tie-breaks prefer the smallest element index,
+and a matching witness is an optimum fixed by the vector; solver values are
+canonical sums (witness weights added in ascending element-index order), so
+equal witnesses give bit-equal values.
 
 A weight vector holds one N-float array: WeightAssignment(values) copies
 the caller's once, WeightAssignment.adopt keeps a fresh array handed over
-(draw adopts weights.sample's draw), and the tree edge order partitions a
-strided sample of N/16 weights only.
+(draw adopts weights.sample's draw), and one routine sorts every prefix of
+the tree edge order: its head partitions a strided sample of N/16 weights.
 
 Every tree scan is one filter-Kruskal (Osipov, Sanders & Singler 2009), on
 K_n or with a subset's components contracted: numpy drops the edges inside a
@@ -360,52 +361,48 @@ class SpanningTreeFamily(Family):
 
     # -- solvers ---------------------------------------------------------
 
-    def _order_memo(self, w: WeightAssignment) -> _Memo:
-        """The memo of `w` for this family, its order (the head, sorted) made
-        on first use.
+    @staticmethod
+    def _order_prefix(values: np.ndarray, k: int) -> np.ndarray:
+        """The read-only prefix of the (weight, index) order of `values` up to
+        t, the ceil(k/16)-th order statistic (from 0) of every 16th weight:
+        about k + 16 indices on i.i.d. weights, the whole order if k >= N
+        (t = inf).  Only a tie makes it sort the prefix stably."""
+        sample, j = values[::16], -(-k // 16)
+        t = np.partition(sample, j)[j] if j < sample.size else np.inf
+        cand = np.flatnonzero(values <= t)
+        keys = values[cand]
+        perm = np.argsort(keys)
+        ranked = keys[perm]
+        if np.any(ranked[1:] == ranked[:-1]):  # a tie (-0.0 == 0.0 too): by index
+            perm = np.argsort(keys, kind="stable")
+        order = cand[perm]
+        order.flags.writeable = False
+        return order
 
-        The head is every edge whose weight is at most a threshold t: the
-        ceil(k/16)-th order statistic (from 0) of every 16th weight.  It
-        partitions N/16 floats, not all N, and heads about k + 16 edges on
-        i.i.d. weights.  Any t heads a prefix of the (weight, index) order,
-        so the chain does not depend on it.
-        """
+    def _order_memo(self, w: WeightAssignment) -> _Memo:
+        """The memo of `w` for this family, its order made on first use: the
+        head, _order_prefix at k = 2 n floor(ln n) + 64 (the whole order for
+        n <= 17).  Any threshold heads a prefix, so the chain is the same."""
         memo = self._memo(w)
         if memo.order is None:
-            values = w.values
             # The random graph process connects by (n/2)(ln n + c) edges except with
             # probability ~e^-c (Erdos-Renyi); this k gives c > 10 (min 10.4, n=54).
             k = 2 * self.n * max(1, int(np.log(self.n))) + 64
-            # When the sample has no such statistic (k >= N for n <= 17), t = inf.
-            sample, j = values[::16], -(-k // 16)
-            t = np.partition(sample, j)[j] if j < sample.size else np.inf
-            cand = np.flatnonzero(values <= t)
-            keys = values[cand]
-            perm = np.argsort(keys)
-            ranked = keys[perm]
-            if np.any(ranked[1:] == ranked[:-1]):  # a tie (-0.0 == 0.0 too): by index
-                perm = np.argsort(keys, kind="stable")
-            memo.order = cand[perm]
-            memo.order.flags.writeable = False
+            memo.order = self._order_prefix(w.values, k)
         return memo
 
     def _in_weight_order(self, w: WeightAssignment, scan):
         """Run `scan` on edge indices in (weight, index) order.
 
         Every tree solver reads the edges through this method.  `scan` first
-        gets the head of the order: every weight at most a threshold near the
-        k-th smallest, k = 2 n floor(ln n) + 64 (see _order_memo), which is
-        exactly a prefix of the full order (all of it when k covers the
-        ground set).  A threshold set too low only makes the head short.
-        If `scan` returns None on a head shorter than the ground set, the
-        memo's order becomes the full stable argsort and `scan` runs once
-        more; later scans of the same vector start from the full order.
+        gets the memo's head (see _order_memo).  If it returns None on a head
+        shorter than the ground set, `scan` runs once more on _order_prefix at
+        k = N, the whole order, which the memo keeps for later scans.
         """
         memo = self._order_memo(w)
         result = scan(memo.order)
         if result is None and memo.order.size < w.values.size:
-            memo.order = np.argsort(w.values, kind="stable")
-            memo.order.flags.writeable = False
+            memo.order = self._order_prefix(w.values, w.values.size)
             result = scan(memo.order)
         return result
 
@@ -632,6 +629,7 @@ class MatchingFamily(Family):
         The n x n costs are padded with n - k dummy rows and columns: dummy
         to real costs 0 and dummy to dummy is forbidden, so every assignment
         pairs each dummy with a real vertex and keeps exactly k real edges.
+        A 0 dummy keeps the duals on the scale of the weights, however small.
         """
         n = self.n
         size = 2 * n - k

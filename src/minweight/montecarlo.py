@@ -9,7 +9,8 @@ execution order.  The experiments:
 - patch: cost of re-completing a depleted near-optimal subset,
 - dual: the defect (patch distance of the best affordable subset) at a
   fixed budget,
-- split: the green/red coupled two-round bound, asserted per trial,
+- split: the green/red coupled two-round bound, its violations counted
+  (the CLI exits 1 on any),
 - tail: empirical survival against the 2^(1-t^q) median tail bound,
 - coupling: distributional checks of the coupled triple construction.
 """
@@ -63,6 +64,7 @@ _QUANTILES = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
 _FAMILIES = {"trees": SpanningTreeFamily, "matchings": MatchingFamily}
 _KINDS = ("value", "patch", "dual", "split")
 COUPLING_MIN_TRIALS = 100
+_COUPLING_ALPHA = 0.01  # significance level of every coupling p-value
 
 
 def build_family(family: str, n: int) -> Family:
@@ -411,7 +413,6 @@ def coupling_experiment(
     s: float,
     trials: int,
     master_seed: int = 7,
-    alpha: float = 0.01,
 ) -> CouplingReport:
     if trials < COUPLING_MIN_TRIALS:
         raise InvalidInput(
@@ -453,7 +454,7 @@ def coupling_experiment(
         ks_pair_p=ks_pair,
         pearson_p=pearson_p,
         chi2_p=chi2_p,
-        alpha=alpha,
-        marginals_ok=min(ks_x, ks_green, ks_red, ks_pair) >= alpha,
-        independence_ok=min(pearson_p, chi2_p) >= alpha,
+        alpha=_COUPLING_ALPHA,
+        marginals_ok=min(ks_x, ks_green, ks_red, ks_pair) >= _COUPLING_ALPHA,
+        independence_ok=min(pearson_p, chi2_p) >= _COUPLING_ALPHA,
     )

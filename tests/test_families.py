@@ -305,6 +305,7 @@ _BUDGET_WEIGHTS = {
     "zero": lambda rng, size: np.zeros(size),
     "tied": lambda rng, size: rng.integers(0, 3, size) / 2.0,
     "extreme": lambda rng, size: rng.choice([1e-300, 1.0, 1e300], size),
+    "scaled": lambda rng, size: rng.random(size) * 2.0**-70,
 }
 
 
@@ -320,7 +321,9 @@ def test_budget_witness_is_the_smallest_affordable_distance(which, kind, seed):
     (defect 0 at the optimum), at 0 (defect ell under positive weights) and
     between consecutive totals.  The derived optimum min_weight(w) (the
     witness at r = 0) has the enumeration oracle's value; explicit families
-    also share its tie rule, so their whole SolveResult matches."""
+    also share its tie rule, so their whole SolveResult matches.  A tree or
+    matching witness at distance r has ell - r elements and patch size r,
+    zero and tiny weights included."""
     fam = _BUDGET_FAMILIES[which]
     values = _BUDGET_WEIGHTS[kind](np.random.default_rng(seed), fam.ground_size)
     scan = [fam.distance_witness(WeightAssignment(values), r).witness
@@ -334,8 +337,11 @@ def test_budget_witness_is_the_smallest_affordable_distance(which, kind, seed):
         assert (found.defect, found.witness) == (defect, scan[defect])
     if isinstance(fam, ExplicitFamily):
         assert fam.min_weight(w) == SolveResult(*oracle_min_weight(fam, w))
-    elif not (isinstance(fam, SpanningTreeFamily) and fam.n > 7):
-        assert fam.min_weight(w).value == oracle_min_weight(fam, w)[0]
+    else:
+        assert [(len(s), fam.min_patch_size(s)) for s in scan] == [
+            (fam.ell - r, r) for r in range(fam.ell + 1)]
+        if not (isinstance(fam, SpanningTreeFamily) and fam.n > 7):
+            assert fam.min_weight(w).value == oracle_min_weight(fam, w)[0]
 
 
 class _ScriptedFamily(Family):
@@ -622,15 +628,21 @@ class TestTieHandling:
             assert again.witness == first.witness
 
     def test_tied_weights_match_oracle(self):
-        # discrete weights force many exact ties
-        fam = SpanningTreeFamily(5)
+        # Weights in {0, 1/2, 1} force many exact ties.  Every witness is an
+        # optimum, the same on each copy of the vector (a matching's need
+        # not be the smallest-index one), and has the oracle's value.
         rng = stream(44)
-        for _ in range(20):
-            vals = rng.integers(1, 4, fam.ground_size) / 4.0
-            w = WeightAssignment(vals)
-            got = fam.min_weight(w)
-            value, _ = oracle_min_weight(fam, w)
-            assert got.value == value
+        for fam in (SpanningTreeFamily(5), MatchingFamily(5)):
+            for _ in range(20):
+                vals = rng.integers(0, 3, fam.ground_size) / 2.0
+                first = [fam.distance_witness(WeightAssignment(vals), r)
+                         for r in range(fam.ell + 1)]
+                for _ in range(2):
+                    w = WeightAssignment(vals.copy())
+                    assert [fam.distance_witness(w, r)
+                            for r in range(fam.ell + 1)] == first
+                value, _ = oracle_min_weight(fam, WeightAssignment(vals))
+                assert first[0].value == value
 
     def test_ties_prefer_smallest_index_above_threshold(self):
         # Equal weights: Kruskal in index order picks the star at vertex 0.
