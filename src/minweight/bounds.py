@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 __all__ = [
     "SplitCostMinimum",
@@ -178,6 +177,8 @@ def first_moment_lower_bound(
         raise ValueError(f"need c > 0, got {c}")
     if not t > 0.0:
         raise ValueError(f"need t > 0, got {t}")
+    from scipy.special import gammaln, logsumexp  # only here: slow to import
+
     c0 = c ** (1.0 / q) * math.gamma(1.0 + q) ** (1.0 / q) * math.e / q
     c1 = _solve_geometric_constant(q, ell0, t)
     expo = 1.0 - beta / q

@@ -53,7 +53,9 @@ the tree edge order: its head partitions a strided sample of N/16 weights.
 
 Every tree scan is one filter-Kruskal (Osipov, Sanders & Singler 2009), on
 K_n or with a subset's components contracted: numpy drops the edges inside a
-component before the union-find loop sees a block of the order.
+component before the union-find loop sees a block of the order.  The same
+union-find, run on a subset's edges, gives its component labels, so tree
+runs never load scipy; matching families load it when they are built.
 
 A weight vector has one memo slot, owned by the last family that read it
 (Family._memo).  The slot holds one _Memo record: every family keeps its
@@ -72,9 +74,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
 
 from . import weights
 from .weights import InvalidInput
@@ -341,6 +340,48 @@ def complete_graph_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
     return u.astype(np.intp), v.astype(np.intp)
 
 
+class _UnionFind:
+    """Classes of the vertices 0..c-1 under the edges merged so far.
+
+    The union-find runs on local lists (path halving, union by size), so a
+    merge makes no call per edge.  count is the number of classes left.
+    """
+
+    __slots__ = ("parent", "size", "count")
+
+    def __init__(self, c: int) -> None:
+        self.parent, self.size, self.count = list(range(c)), [1] * c, c
+
+    def merge(self, edges, us, vs, chosen: list) -> bool:
+        """Join u and v for each edge (i, u, v) in turn, appending each i that
+        joins two classes to `chosen`; stop, returning True, at one class."""
+        parent, size, count = self.parent, self.size, self.count
+        for i, u, v in zip(edges, us, vs):
+            while (p := parent[u]) != u:
+                parent[u] = u = parent[p]
+            while (p := parent[v]) != v:
+                parent[v] = v = parent[p]
+            if u == v:
+                continue
+            if size[u] < size[v]:
+                u, v = v, u
+            parent[v] = u
+            size[u] += size[v]
+            chosen.append(i)
+            count -= 1
+            if count == 1:
+                break
+        self.count = count
+        return count == 1
+
+    def roots(self) -> np.ndarray:
+        """Each vertex's class root, by pointer jumping."""
+        root = np.fromiter(self.parent, dtype=np.intp, count=len(self.parent))
+        while (root != (up := root[root])).any():
+            root = up
+        return root
+
+
 class SpanningTreeFamily(Family):
     """Spanning trees of K_n.  Element i is the i-th edge in lexicographic
     order; ell = n - 1."""
@@ -418,40 +459,24 @@ class SpanningTreeFamily(Family):
         step = max(n, 512)  # a floor: most chains at n <= 100 end in block one
 
         def scan(order: np.ndarray):
-            # Union-find on local lists (path halving, union by size): no calls
-            # per edge.  A block becomes lists when the loop reaches it, and
-            # only its edges between two components (the loop would reject
-            # the rest): `at` maps each vertex to its root, by pointer jumping.
-            parent, size, count = list(range(c)), [1] * c, c
+            # A block becomes lists when the loop reaches it, and only its
+            # edges between two classes (the loop would reject the rest):
+            # `at` maps each vertex to its class root.
+            classes = _UnionFind(c)
             chosen: list[int] = []
             at = labels  # vertex -> root; None while every vertex is a root
             for s in range(0, order.size, step):
                 block = order[s:s + step]
-                if count < c:
-                    root = np.fromiter(parent, dtype=np.intp, count=c)
-                    while (root != (up := root[root])).any():
-                        root = up
+                if classes.count < c:
+                    root = classes.roots()
                     at = root if labels is None else root[labels]
                 us, vs = edge_u[block], edge_v[block]
                 if at is not None:
                     us, vs = at[us], at[vs]
                     keep = us != vs
                     block, us, vs = block[keep], us[keep], vs[keep]
-                for i, u, v in zip(block.tolist(), us.tolist(), vs.tolist()):
-                    while (p := parent[u]) != u:
-                        parent[u] = u = parent[p]
-                    while (p := parent[v]) != v:
-                        parent[v] = v = parent[p]
-                    if u == v:
-                        continue
-                    if size[u] < size[v]:
-                        u, v = v, u
-                    parent[v] = u
-                    size[u] += size[v]
-                    chosen.append(i)
-                    count -= 1
-                    if count == 1:
-                        return chosen
+                if classes.merge(block.tolist(), us.tolist(), vs.tolist(), chosen):
+                    return chosen
             return None
 
         return self._in_weight_order(w, scan)
@@ -482,20 +507,27 @@ class SpanningTreeFamily(Family):
         seq = rng.integers(0, self.n, size=self.n - 2)
         return tuple(sorted(self.edge_indices(prufer_decode(seq, self.n))))
 
-    def component_labels(self, subset) -> np.ndarray:
-        """Vertex component labels (0..c-1, first-occurrence order) of the
-        spanning subgraph with the given edge subset."""
+    def _classes(self, subset) -> _UnionFind:
+        """The components of the spanning subgraph (V, subset), merged by the
+        union-find of the Kruskal scan."""
         idx = self._check_subset(subset)
-        # idx ascends, so do its tails (the CSR rows); float64 spares scipy a cast.
-        indptr = np.searchsorted(self.edge_u[idx], np.arange(self.n + 1))
-        graph = csr_matrix((np.ones(idx.size), self.edge_v[idx], indptr),
-                           shape=(self.n, self.n))
-        # scipy labels components in order of their smallest vertex.
-        _, labels = connected_components(graph, directed=False)
-        return labels.astype(np.intp)
+        classes = _UnionFind(self.n)
+        classes.merge(idx.tolist(), self.edge_u[idx].tolist(),
+                      self.edge_v[idx].tolist(), [])
+        return classes
+
+    def component_labels(self, subset) -> np.ndarray:
+        """Vertex component labels (0..c-1, components numbered in the order
+        of their smallest vertex) of the spanning subgraph with the given
+        edge subset, from the Kruskal scan's union-find."""
+        root, vertex = self._classes(subset).roots(), np.arange(self.n)
+        low = np.full(self.n, self.n, dtype=np.intp)
+        np.minimum.at(low, root, vertex)  # each root's smallest vertex
+        low = low[root]  # the smallest vertex of each vertex's component
+        return (np.cumsum(low == vertex) - 1)[low]  # its rank among those
 
     def min_patch_size(self, subset) -> int:
-        return int(self.component_labels(subset).max())
+        return self._classes(subset).count - 1
 
     def _component_positions(self, subset) -> np.ndarray:
         """Position of each vertex's component among those of (V, subset):
@@ -517,26 +549,45 @@ class SpanningTreeFamily(Family):
         """The component heuristic's patch, unverified: for each non-largest
         component, the first edge in (weight, index) order toward a later
         one.  It uses exactly min_patch_size(subset) edges and costs at least
-        cheapest_completion's patch (patching.component_patch verifies it)."""
+        cheapest_completion's patch (patching.component_patch verifies it).
+
+        The memo's edge order gives each source it holds an edge of; a
+        source that the head misses, such as a singleton with few later
+        vertices, takes the least of its own outgoing edges instead, so the
+        scan never needs a longer order."""
         self._check_weights(w)
         pos = self._component_positions(subset)
         c = int(pos.max()) + 1
         if c == 1:
             return SolveResult(0.0, ())
 
-        def first_per_source(order: np.ndarray):
+        def first_per_source(order: np.ndarray) -> np.ndarray:
             pu, pv = pos[self.edge_u[order]], pos[self.edge_v[order]]
             cross = pu != pv
-            # Complete graph: each of the c - 1 non-largest positions has an
-            # outgoing edge, so only a short head of the order can miss one.
             sources, first = np.unique(np.minimum(pu, pv)[cross], return_index=True)
-            return order[cross][first] if sources.size == c - 1 else None
+            chosen = order[cross][first]
+            if sources.size == c - 1:
+                return chosen
+            missed = np.ones(c, dtype=bool)  # position c - 1 has no later one
+            missed[sources] = False
+            return np.concatenate((chosen, self._first_outgoing(w, pos, missed)))
 
-        chosen = self._in_weight_order(w, first_per_source)
-        if chosen is None:
-            raise RuntimeError("component patch size mismatch; solver bug")
-        patch = tuple(sorted(chosen.tolist()))
+        patch = tuple(sorted(self._in_weight_order(w, first_per_source).tolist()))
         return SolveResult(w.total(patch), patch)
+
+    def _first_outgoing(self, w: WeightAssignment, pos: np.ndarray,
+                        sources: np.ndarray) -> np.ndarray:
+        """For each component position p with sources[p], the first edge in
+        (weight, index) order from that component toward a later position:
+        each of its vertices is paired with every vertex in a later one."""
+        tails = np.flatnonzero(sources[pos])
+        a, b = np.nonzero(pos[tails][:, None] < pos[None, :])
+        u, v = np.minimum(tails[a], b), np.maximum(tails[a], b)
+        edges = u * self.n - u * (u + 1) // 2 + (v - u - 1)  # as edge_index
+        source = pos[tails[a]]
+        ranked = np.lexsort((edges, w.values[edges], source))
+        source, edges = source[ranked], edges[ranked]
+        return edges[np.append(True, source[1:] != source[:-1])]
 
     def min_outgoing_edge_count(self, subset) -> int:
         """Minimum, over non-largest components of (V, subset), of the number
@@ -614,6 +665,13 @@ class MatchingFamily(Family):
         self.n = n = self.check_size(n)
         self.ground_size = n * n
         self.ell = n
+        # scipy loads with the first matching family, so a run pays it in
+        # set-up; tree runs never load it.
+        from scipy.optimize import linear_sum_assignment
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import maximum_bipartite_matching
+        self._assign, self._csr = linear_sum_assignment, csr_matrix
+        self._max_matching = maximum_bipartite_matching
 
     @staticmethod
     def check_size(n: int) -> int:
@@ -636,7 +694,7 @@ class MatchingFamily(Family):
         cost = np.zeros((size, size))
         cost[:n, :n] = values.reshape(n, n)
         cost[n:, n:] = np.inf
-        rows, cols = linear_sum_assignment(cost)
+        rows, cols = self._assign(cost)
         real = (rows < n) & (cols < n)
         return tuple(sorted((rows[real] * n + cols[real]).tolist()))
 
@@ -645,8 +703,8 @@ class MatchingFamily(Family):
         idx, n = self._check_subset(subset), self.n
         # idx ascends, so its rows are the CSR rows in order.
         indptr = np.searchsorted(idx, np.arange(0, n * n + 1, n))
-        graph = csr_matrix((np.ones(idx.size), idx % n, indptr), shape=(n, n))
-        row_match = maximum_bipartite_matching(graph, perm_type="column")
+        graph = self._csr((np.ones(idx.size), idx % n, indptr), shape=(n, n))
+        row_match = self._max_matching(graph, perm_type="column")
         return n - int(np.count_nonzero(row_match >= 0))
 
     def cheapest_completion(self, subset, w: WeightAssignment):

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import zeta
 
 from . import bounds, dual, patching, weights
 from .families import (
@@ -55,9 +54,9 @@ __all__ = [
     "coupling_experiment",
 ]
 
-# Limits of the mean optimum for q=1: Apery's constant for spanning trees
-# on the complete graph, pi^2/6 for the bipartite assignment problem.
-SPANNING_TREE_LIMIT = float(zeta(3.0))
+# Limits of the mean optimum for q=1: Apery's constant zeta(3) for spanning
+# trees on the complete graph, pi^2/6 for the bipartite assignment problem.
+SPANNING_TREE_LIMIT = 1.2020569031595942
 ASSIGNMENT_LIMIT = math.pi ** 2 / 6.0
 
 _QUANTILES = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)

@@ -540,8 +540,26 @@ class TestModuleEntryPoint:
         )
         assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
+    def test_tree_trials_leave_scipy_unloaded(self):
+        # Tree trials never call scipy; a matching family loads it when built.
+        code = (
+            "import sys, minweight, minweight.cli\n"
+            "from minweight.montecarlo import ExperimentConfig, run\n"
+            "for kind, extra in [('value', {}), ('patch', {'r': 2}),\n"
+            "                    ('dual', {'budget': 1.0}),\n"
+            "                    ('split', {'r': 2, 's': 0.5})]:\n"
+            "    run(ExperimentConfig(family='trees', n=6, trials=1, kind=kind,\n"
+            "                         **extra))\n"
+            "print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])\n"
+            "minweight.MatchingFamily(3)\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True)
+        assert (proc.returncode, proc.stdout) == (0, "[]\nTrue\n"), proc.stderr
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+
+README =Path(__file__).resolve().parents[1] / "README.md"
 README_COMMANDS = re.search(
     r"^minweight \{([a-z,]+)\}$", README.read_text(), re.MULTILINE
 ).group(1).split(",")

@@ -58,3 +58,28 @@ def test_only_families_reads_private_members_of_other_objects():
                              and node.value.id in ("self", "cls"))):
                 found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert found == []
+
+
+def test_scipy_is_imported_only_inside_functions():
+    # scipy takes most of the package's import time and no tree run calls
+    # it, so each scipy import sits in the function or constructor that
+    # needs it.
+    def module_level(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        yield node
+        for child in ast.iter_child_nodes(node):
+            yield from module_level(child)
+
+    found = []
+    for path in sorted(pathlib.Path(minweight.__file__).parent.glob("*.py")):
+        for node in module_level(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.partition(".")[0] == "scipy" for name in names):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert found == []

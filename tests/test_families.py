@@ -863,6 +863,9 @@ _SCAN_SUBSETS = {
     "cycles": lambda fam, rng: tuple(np.flatnonzero(
         (rng.random(fam.ground_size) < 2.5 / fam.n) & (fam.edge_v < fam.n - 1))),
     "depleted": _depleted_member,
+    # At most one edge left: the last singleton sources have few edges toward
+    # later components, which the head of the order often misses.
+    "near-empty": lambda fam, rng: _depleted_member(fam, rng)[:1],
 }
 
 
@@ -896,6 +899,24 @@ def test_filtered_scans_match_textbook_kruskal(n, kind, subset_kind, seed):
         w.total(patch), patch)
     heuristic = component_patch(fam, g, WeightAssignment(values))
     assert heuristic.witness == _textbook_component_patch(fam, values, g)
+
+
+@pytest.mark.parametrize("kept", [0, 1])
+def test_component_patch_of_a_near_empty_subset_reads_only_the_head(kept):
+    # With at least n - 2 singletons, the last sources have one or two
+    # edges toward a later component, and at these seeds the head of the
+    # order misses some: such a source takes the least of its own edges,
+    # and the memo's order stays the head.
+    fam = SpanningTreeFamily(100)
+    rng = stream(50, kept)
+    values = rng.random(fam.ground_size)
+    g = fam.random_member(rng)[:kept]
+    w = WeightAssignment(values)
+    patch = component_patch(fam, g, w)
+    assert patch.witness == _textbook_component_patch(fam, values, g)
+    assert patch.value == w.total(patch.witness)
+    assert w._memo.order.size < fam.ground_size
+    assert not np.isin(patch.witness, w._memo.order).all()
 
 
 @pytest.mark.parametrize("subset", [

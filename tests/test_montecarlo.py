@@ -9,6 +9,7 @@ import pytest
 from minweight.bounds import split_cost_minimum, upper_tail_bound
 from minweight.families import SpanningTreeFamily
 from minweight.montecarlo import (
+    SPANNING_TREE_LIMIT,
     ExperimentConfig,
     _trial,
     build_family,
@@ -23,6 +24,13 @@ from minweight.rngs import stream, stream_id
 from minweight.weights import BaseLaw, InvalidInput, WeightSpec
 
 Q1 = WeightSpec(q=1.0, base=BaseLaw.UNIFORM_POWER)
+
+
+def test_spanning_tree_limit_is_zeta_3():
+    # A literal, so that importing montecarlo does not load scipy.special.
+    from scipy.special import zeta
+
+    assert SPANNING_TREE_LIMIT.hex() == float(zeta(3.0)).hex()  # bit for bit
 
 
 class TestExperimentConfig:
