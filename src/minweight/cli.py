@@ -336,9 +336,8 @@ def _cmd_value(args, family: str, limit: float) -> list[str]:
 
 def _cmd_patch(args) -> list[str]:
     r = _require(args, "r")
-    config = _experiment_config(
-        args, args.family, "patch", r=r, g_strategy=GStrategy(args.g_strategy)
-    )
+    config = _experiment_config(args, args.family, "patch", r=r,
+                                g_strategy=args.g_strategy)
     records = montecarlo.run(config)
     emit(records, args.format, args.out)
     q = config.spec.q

@@ -51,11 +51,12 @@ the caller's once, WeightAssignment.adopt keeps a fresh array handed over
 (draw adopts weights.sample's draw), and one routine sorts every prefix of
 the tree edge order: its head partitions a strided sample of N/16 weights.
 
-Every tree scan is one filter-Kruskal (Osipov, Sanders & Singler 2009), on
-K_n or with a subset's components contracted: numpy drops the edges inside a
-component before the union-find loop sees a block of the order.  The same
-union-find, run on a subset's edges, gives its component labels, so tree
-runs never load scipy; matching families load it when they are built.
+Every tree scan is one filter-Kruskal (Osipov, Sanders & Singler 2009)
+whose union-find starts from a subset's components (from the empty subset
+for the chain): numpy drops the edges inside a component before the
+union-find loop sees a block of the order.  The same union-find gives a
+subset's component labels and patch distance, so tree runs never load
+scipy; matching families load it when they are built.
 
 A weight vector has one memo slot, owned by the last family that read it
 (Family._memo).  The slot holds one _Memo record: every family keeps its
@@ -137,7 +138,10 @@ class WeightAssignment:
         idx = np.asarray(indices, dtype=np.intp)
         if idx.size == 0:
             return 0.0
-        return float(self.values[np.sort(idx)].sum())
+        idx = np.sort(idx)
+        if idx[0] < 0 or idx[-1] >= self.values.size:  # no wrap-around
+            raise ValueError("subset indices out of range")
+        return float(self.values[idx].sum())
 
 
 @dataclass(frozen=True)
@@ -432,54 +436,40 @@ class SpanningTreeFamily(Family):
             memo.order = self._order_prefix(w.values, k)
         return memo
 
-    def _in_weight_order(self, w: WeightAssignment, scan):
-        """Run `scan` on edge indices in (weight, index) order.
+    def _greedy_forest(self, w: WeightAssignment, subset=()) -> list[int]:
+        """Kruskal over the (weight, index) edge order, its union-find seeded
+        with the components of (V, subset) (_classes).  Returns the accepted
+        edges in acceptance order: their first k form the cheapest k-edge
+        forest extending the subset, and all of them its cheapest patch;
+        [] if the subset already spans, without reading the memo.
 
-        Every tree solver reads the edges through this method.  `scan` first
-        gets the memo's head (see _order_memo).  If it returns None on a head
-        shorter than the ground set, `scan` runs once more on _order_prefix at
-        k = N, the whole order, which the memo keeps for later scans.
+        The scan reads the memo's head of the order (see _order_memo).  If
+        the head runs out first, the memo takes the whole order
+        (_order_prefix at k = N) and the scan starts over from the seed.
         """
+        # A rescan reads the subset again, so a one-shot iterator becomes a tuple.
+        subset = tuple(subset) if iter(subset) is subset else subset
+        classes = self._classes(subset)
+        if classes.count == 1:
+            return []
         memo = self._order_memo(w)
-        result = scan(memo.order)
-        if result is None and memo.order.size < w.values.size:
-            memo.order = self._order_prefix(w.values, w.values.size)
-            result = scan(memo.order)
-        return result
-
-    def _greedy_forest(self, w: WeightAssignment, labels=None):
-        """Kruskal over the weight order on K_n with each class of `labels`
-        (0..c-1, as from component_labels; None: every vertex its own)
-        contracted to one vertex.  Returns the accepted edges in acceptance
-        order (their first k form the cheapest k-edge forest extending the
-        classes), or None if the order runs out first.
-        """
-        n, edge_u, edge_v = self.n, self.edge_u, self.edge_v
-        c = n if labels is None else int(labels.max()) + 1
-        step = max(n, 512)  # a floor: most chains at n <= 100 end in block one
-
-        def scan(order: np.ndarray):
-            # A block becomes lists when the loop reaches it, and only its
-            # edges between two classes (the loop would reject the rest):
-            # `at` maps each vertex to its class root.
-            classes = _UnionFind(c)
+        step = max(self.n, 512)  # a floor: most chains at n <= 100 end in block one
+        while True:  # at most twice: the whole order spans K_n
             chosen: list[int] = []
-            at = labels  # vertex -> root; None while every vertex is a root
-            for s in range(0, order.size, step):
-                block = order[s:s + step]
-                if classes.count < c:
+            for s in range(0, memo.order.size, step):
+                # A block becomes lists when the loop reaches it, and only its
+                # edges between two classes (the loop would reject the rest).
+                block = memo.order[s:s + step]
+                us, vs = self.edge_u[block], self.edge_v[block]
+                if classes.count < self.n:  # a merge happened: map to roots
                     root = classes.roots()
-                    at = root if labels is None else root[labels]
-                us, vs = edge_u[block], edge_v[block]
-                if at is not None:
-                    us, vs = at[us], at[vs]
+                    us, vs = root[us], root[vs]
                     keep = us != vs
                     block, us, vs = block[keep], us[keep], vs[keep]
                 if classes.merge(block.tolist(), us.tolist(), vs.tolist(), chosen):
                     return chosen
-            return None
-
-        return self._in_weight_order(w, scan)
+            memo.order = self._order_prefix(w.values, w.values.size)
+            classes = self._classes(subset)
 
     def _chain(self, w: WeightAssignment) -> tuple[int, ...]:
         """The unseeded Kruskal chain of `w`, computed once per weight vector.
@@ -536,13 +526,10 @@ class SpanningTreeFamily(Family):
         return np.argsort(np.argsort(np.bincount(labels), kind="stable"))[labels]
 
     def cheapest_completion(self, subset, w: WeightAssignment):
-        """Kruskal on K_n with the subset's components contracted: its edges,
-        the contracted graph's minimum spanning tree, are the cheapest patch."""
+        """Kruskal from the subset's components (_greedy_forest): the edges
+        that join them into one tree are the cheapest patch."""
         self._check_weights(w)
-        labels = self.component_labels(subset)
-        if labels.max() == 0:
-            return SolveResult(0.0, ())
-        patch = tuple(sorted(self._greedy_forest(w, labels)))
+        patch = tuple(sorted(self._greedy_forest(w, subset)))
         return SolveResult(value=w.total(patch), witness=patch)
 
     def component_completion(self, subset, w: WeightAssignment) -> SolveResult:
@@ -551,28 +538,25 @@ class SpanningTreeFamily(Family):
         one.  It uses exactly min_patch_size(subset) edges and costs at least
         cheapest_completion's patch (patching.component_patch verifies it).
 
-        The memo's edge order gives each source it holds an edge of; a
-        source that the head misses, such as a singleton with few later
-        vertices, takes the least of its own outgoing edges instead, so the
-        scan never needs a longer order."""
+        The memo's edge order (see _order_memo) gives each source it holds
+        an edge of; a source that the head misses, such as a singleton with
+        few later vertices, takes the least of its own outgoing edges
+        instead, so the heuristic never needs a longer order."""
         self._check_weights(w)
         pos = self._component_positions(subset)
         c = int(pos.max()) + 1
         if c == 1:
             return SolveResult(0.0, ())
-
-        def first_per_source(order: np.ndarray) -> np.ndarray:
-            pu, pv = pos[self.edge_u[order]], pos[self.edge_v[order]]
-            cross = pu != pv
-            sources, first = np.unique(np.minimum(pu, pv)[cross], return_index=True)
-            chosen = order[cross][first]
-            if sources.size == c - 1:
-                return chosen
+        order = self._order_memo(w).order
+        pu, pv = pos[self.edge_u[order]], pos[self.edge_v[order]]
+        cross = pu != pv
+        sources, first = np.unique(np.minimum(pu, pv)[cross], return_index=True)
+        chosen = order[cross][first]
+        if sources.size < c - 1:
             missed = np.ones(c, dtype=bool)  # position c - 1 has no later one
             missed[sources] = False
-            return np.concatenate((chosen, self._first_outgoing(w, pos, missed)))
-
-        patch = tuple(sorted(self._in_weight_order(w, first_per_source).tolist()))
+            chosen = np.concatenate((chosen, self._first_outgoing(w, pos, missed)))
+        patch = tuple(sorted(chosen.tolist()))
         return SolveResult(w.total(patch), patch)
 
     def _first_outgoing(self, w: WeightAssignment, pos: np.ndarray,

@@ -92,6 +92,8 @@ class ExperimentConfig:
     g_strategy: GStrategy = GStrategy.REMOVE_FROM_OPTIMUM
 
     def __post_init__(self) -> None:
+        # A string names its strategy; an unknown one fails here.
+        object.__setattr__(self, "g_strategy", GStrategy(self.g_strategy))
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.kind not in _KINDS:

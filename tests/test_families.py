@@ -32,27 +32,18 @@ def _draw(fam, key):
     return WeightAssignment(sample(SPEC, stream(*key), fam.ground_size))
 
 
-def _count_scans(monkeypatch):
-    """Record, per call of the tree edge order, how many times it ran `scan`
-    (1: the memo's order sufficed, 2: the head fell short and the scan ran
-    again on the full order)."""
-    runs: list[int] = []
-    original = SpanningTreeFamily._in_weight_order
+def _count_sorts(monkeypatch):
+    """Record each sort of the tree edge order: "head" for a prefix, "full"
+    for the whole order (_order_prefix at k >= N)."""
+    sorts: list[str] = []
+    original = SpanningTreeFamily._order_prefix
 
-    def counted(self, w, scan):
-        calls = 0
+    def counted(values, k):
+        sorts.append("full" if k >= values.size else "head")
+        return original(values, k)
 
-        def counting_scan(order):
-            nonlocal calls
-            calls += 1
-            return scan(order)
-
-        result = original(self, w, counting_scan)
-        runs.append(calls)
-        return result
-
-    monkeypatch.setattr(SpanningTreeFamily, "_in_weight_order", counted)
-    return runs
+    monkeypatch.setattr(SpanningTreeFamily, "_order_prefix", staticmethod(counted))
+    return sorts
 
 
 def _count_k_matchings(monkeypatch):
@@ -98,6 +89,14 @@ class TestWeightAssignment:
         assert w.total((0, 2, 4)) == total
         # order of the index argument must not matter
         assert w.total((4, 0, 2)) == total
+
+    def test_total_rejects_indices_out_of_range(self):
+        # Neither end wraps around or reaches past the vector.
+        w = WeightAssignment([1.0, 2.0, 4.0])
+        assert w.total([2, 0]) == 5.0
+        for bad in ([-1], [3], [0, 3], [-1, 2]):
+            with pytest.raises(ValueError, match="subset indices out of range"):
+                w.total(bad)
 
     def test_immutability(self):
         w = WeightAssignment([1.0, 2.0])
@@ -690,13 +689,13 @@ class TestTieHandling:
                 component_patch(fam, g, w),
             )
 
-        scans = _count_scans(monkeypatch)
+        sorts = _count_sorts(monkeypatch)
         head = solve(w)
         if case == "cheap-clique":
             # The Kruskal chain (shared by min_weight, distance_witness and
-            # budget_forest) fell back to the full order; cheapest_completion
-            # and component_patch then scanned that order once each.
-            assert scans == [2, 1, 1]
+            # budget_forest) ran out of the head and sorted the full order
+            # once; cheapest_completion and component_patch then read it.
+            assert sorts == ["head", "full"]
         # A fresh vector whose memo starts from the full stable argsort.
         full = WeightAssignment(w.values.copy())
         fam._memo(full).order = np.argsort(full.values, kind="stable")
@@ -714,7 +713,7 @@ class TestTieHandling:
         fam = SpanningTreeFamily(n)
         spec = WeightSpec(q=q, base=base)
         strategies = list(GStrategy)
-        scans = _count_scans(monkeypatch)
+        sorts = _count_sorts(monkeypatch)
         for draw in range(20):
             rng = stream(47, n, list(BaseLaw).index(base), int(2 * q), draw)
             r = 1 + draw % (n // 5)
@@ -727,12 +726,11 @@ class TestTieHandling:
             fam.budget_forest(w, 0.5 * opt.value)
             fam.cheapest_completion(g, w)
             component_patch(fam, g, w)
-        # Per draw: one order call for the Kruskal chain (min_weight,
-        # distance_witness, budget_forest), one each for cheapest_completion
-        # and component_patch, plus the auxiliary optimum of the 13 draws
-        # whose strategy is not a uniform random member.
-        assert len(scans) == 3 * 20 + 13
-        assert set(scans) == {1}
+        # One head sort per weight vector: the 20 draws' w, which the chain
+        # (min_weight, distance_witness, budget_forest), cheapest_completion
+        # and component_patch share, and the auxiliary weights of the 13
+        # draws whose strategy is not a uniform random member.
+        assert sorts == ["head"] * (20 + 13)
 
 
 def _textbook_forest(fam, values, seed=()):
@@ -878,22 +876,21 @@ _SCAN_SUBSETS = {
 )
 def test_filtered_scans_match_textbook_kruskal(n, kind, subset_kind, seed):
     """The Kruskal scan filters each block of the order down to the edges
-    between two components, on K_n or on K_n with a subset's components
-    contracted; it must accept exactly a plain Kruskal's edges, in its
-    order.  On cheap-clique weights at n = 40 the chain, and the completion
-    of a subset with cycles, scan past the first block (512 edges) of the
-    full order; n <= 17 reads the whole order as its head."""
+    between two components, its union-find seeded with the components of
+    a subset (empty, spanning or between); it must accept exactly a plain
+    Kruskal's edges, in its order.  On cheap-clique weights at n = 40 the
+    chain, and the completion of a subset with cycles, scan past the first
+    block (512 edges) of the full order; n <= 17 reads the whole order as
+    its head."""
     fam = SpanningTreeFamily(n)
     rng = np.random.default_rng(seed)
     values = _SCAN_WEIGHTS[kind](fam, rng)
     g = _SCAN_SUBSETS[subset_kind](fam, rng)
-    labels = fam.component_labels(g)
-    assert labels.tolist() == _textbook_labels(fam, g)
+    assert fam.component_labels(g).tolist() == _textbook_labels(fam, g)
     w = WeightAssignment(values)
     assert fam._greedy_forest(w) == _textbook_forest(fam, values)
     completion = _textbook_forest(fam, values, g)
-    if labels.max() > 0:  # a spanning subset is never scanned
-        assert fam._greedy_forest(WeightAssignment(values), labels) == completion
+    assert fam._greedy_forest(WeightAssignment(values), g) == completion
     patch = tuple(sorted(completion))
     assert fam.cheapest_completion(g, WeightAssignment(values)) == SolveResult(
         w.total(patch), patch)

@@ -20,6 +20,7 @@ from minweight.montecarlo import (
     summarize,
     tail_experiment,
 )
+from minweight.patching import GStrategy
 from minweight.rngs import stream, stream_id
 from minweight.weights import BaseLaw, InvalidInput, WeightSpec
 
@@ -83,6 +84,19 @@ class TestExperimentConfig:
         for t_grid in [(-1.0,), (float("nan"),)]:
             with pytest.raises(ValueError, match="non-negative"):
                 ExperimentConfig(family="trees", n=5, t_grid=t_grid)
+
+    def test_g_strategy_by_name(self):
+        # A name runs its own strategy, not the default; an unknown name
+        # fails at construction.
+        fields = dict(family="trees", n=8, trials=4, kind="patch", r=3, master_seed=5)
+        named = ExperimentConfig(g_strategy="adversarial-heaviest", **fields)
+        assert named.g_strategy is GStrategy.ADVERSARIAL_HEAVIEST
+        records = run(named)
+        assert records == run(ExperimentConfig(
+            g_strategy=GStrategy.ADVERSARIAL_HEAVIEST, **fields))
+        assert records != run(ExperimentConfig(**fields))
+        with pytest.raises(ValueError, match="no-such"):
+            ExperimentConfig(g_strategy="no-such", **fields)
 
     def test_sizes_property(self):
         assert ExperimentConfig(family="trees", n=5).sizes == (5,)

@@ -18,10 +18,11 @@ from minweight.dual import cheapest_within_distance, defect_under_budget
 from minweight.families import (
     ExplicitFamily,
     MatchingFamily,
+    SolveResult,
     SpanningTreeFamily,
     WeightAssignment,
 )
-from minweight.patching import component_patch
+from minweight.patching import component_patch, exact_patch
 from minweight.rngs import stream
 
 SOLVERS = ("min_weight", "budget_witness", "distance_witness",
@@ -66,15 +67,43 @@ class TestTreeOrderMemo:
         seeds = []
         original = SpanningTreeFamily._greedy_forest
 
-        def counted(self, w, labels=None):
-            seeds.append(labels)
-            return original(self, w, labels)
+        def counted(self, w, subset=()):
+            seeds.append(subset)
+            return original(self, w, subset)
 
         monkeypatch.setattr(SpanningTreeFamily, "_greedy_forest", counted)
         defect_under_budget(fam, w, 0.6)
         cheapest_within_distance(fam, w, 10)
         fam.min_weight(w)
-        assert seeds == [None]  # one unseeded Kruskal scan
+        assert seeds == [()]  # one unseeded Kruskal scan
+
+    @pytest.mark.parametrize("solve", [
+        lambda fam, g, w: fam.cheapest_completion(g, w),
+        lambda fam, g, w: exact_patch(fam, g, w),
+    ], ids=["cheapest_completion", "exact_patch"])
+    def test_spanning_subset_needs_no_scan(self, solve):
+        # A subset that already spans has the empty patch, found before the
+        # edge order is sorted: the memo slot of w stays empty.
+        fam = SpanningTreeFamily(40)
+        rng = stream(63)
+        w = WeightAssignment(rng.random(fam.ground_size))
+        member = fam.random_member(rng)
+        for g in (member, member + (0, 1)):  # a spanning tree, and with a cycle
+            assert solve(fam, g, w) == SolveResult(0.0, ())
+            assert w._memo is None
+
+    def test_rescan_reads_a_one_shot_subset_again(self):
+        # The edges inside vertices 0..29 outnumber the head and vertex 39
+        # is isolated in g, so the scan runs out of the head and starts over
+        # on the whole order, from the subset's components once more.
+        fam = SpanningTreeFamily(40)
+        rng = stream(64)
+        values = np.where(fam.edge_v < 30, 1e-3, 1.0) * rng.random(fam.ground_size)
+        g = tuple(e for e in _depleted(fam, rng, 10) if fam.edge_v[e] != 39)
+        expected = fam.cheapest_completion(g, WeightAssignment(values))
+        w = WeightAssignment(values)
+        assert fam.cheapest_completion(iter(g), w) == expected
+        assert w._memo.order.size == fam.ground_size
 
     @pytest.mark.parametrize("n", [12, 100])
     def test_interleaved_vectors_and_families_match_fresh(self, n):
