@@ -51,6 +51,12 @@ the caller's once, WeightAssignment.adopt keeps a fresh array handed over
 (draw adopts weights.sample's draw), and one routine sorts every prefix of
 the tree edge order: its head partitions a strided sample of N/16 weights.
 
+A tree family holds K_n's edge endpoints, edge_u and edge_v, in the
+narrowest unsigned dtype that holds n - 1 (uint8 up to n = 256, uint16 up
+to 65536): 2 to 4 bytes per edge.  They are only indexed with, compared
+and turned into lists; arithmetic on vertices widens to intp first, as
+_first_outgoing does, since a narrow dtype wraps.
+
 Every tree scan is one filter-Kruskal (Osipov, Sanders & Singler 2009)
 whose union-find starts from a subset's components (from the empty subset
 for the chain): numpy drops the edges inside a component before the
@@ -339,9 +345,21 @@ class Family(ABC):
 
 
 def complete_graph_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint arrays of K_n's edges in lexicographic (u, v) order."""
-    u, v = np.triu_indices(n, k=1)
-    return u.astype(np.intp), v.astype(np.intp)
+    """Endpoint arrays of K_n's edges in lexicographic (u, v) order.
+
+    Both are in the narrowest unsigned dtype that holds n - 1 (uint8 up to
+    n = 256, uint16 up to 65536), filled row by row, so the build peaks at
+    what it holds.  Index and compare with them; widen before arithmetic.
+    """
+    dtype = np.min_scalar_type(n - 1)
+    u, v = np.empty((2, n * (n - 1) // 2), dtype=dtype)
+    vertices = np.arange(n, dtype=dtype)
+    end = 0
+    for a in range(n - 1):  # row a: the edges (a, a+1), ..., (a, n-1)
+        start, end = end, end + n - 1 - a
+        u[start:end] = a
+        v[start:end] = vertices[a + 1:]
+    return u, v
 
 
 class _UnionFind:
@@ -500,8 +518,10 @@ class SpanningTreeFamily(Family):
     def _classes(self, subset) -> _UnionFind:
         """The components of the spanning subgraph (V, subset), merged by the
         union-find of the Kruskal scan."""
-        idx = self._check_subset(subset)
         classes = _UnionFind(self.n)
+        if isinstance(subset, tuple) and not subset:  # the chain's seed: no check
+            return classes
+        idx = self._check_subset(subset)
         classes.merge(idx.tolist(), self.edge_u[idx].tolist(),
                       self.edge_v[idx].tolist(), [])
         return classes
@@ -577,13 +597,16 @@ class SpanningTreeFamily(Family):
         """Minimum, over non-largest components of (V, subset), of the number
         of edges leaving the component toward later components.  For K_n at
         distance r >= 1 it is provably at least min(n/2, n^2/(4 r^2)); a
-        smaller value is a solver bug and raises."""
-        pos = self._component_positions(subset)
-        c = int(pos.max()) + 1
+        smaller value is a solver bug and raises.
+
+        K_n is complete, so with the component sizes s_0 <= s_1 <= ... in
+        position order, the count at p is s_p (n - s_0 - ... - s_p)."""
+        sizes = np.bincount(self._classes(subset).roots())
+        sizes = np.sort(sizes[sizes > 0])  # by position: ascending size
+        c = sizes.size
         if c == 1:
             raise ValueError("subset already spans; no non-largest components")
-        pu, pv = pos[self.edge_u], pos[self.edge_v]
-        counts = np.bincount(np.minimum(pu, pv)[pu != pv], minlength=c)
+        counts = sizes * (self.n - np.cumsum(sizes))
         smallest = int(counts[: c - 1].min())
         bound = min(self.n / 2, self.n**2 / (4 * (c - 1) ** 2))
         if smallest < bound:

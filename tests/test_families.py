@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -166,6 +167,26 @@ class TestSpanningTreeFamily:
         assert (fam.edge_u[0], fam.edge_v[0]) == (0, 1)
         assert (fam.edge_u[-1], fam.edge_v[-1]) == (4, 5)
         assert np.all(u < v)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 255, 256, 257, 1000])
+    def test_endpoints_are_triu_indices_in_the_narrowest_dtype(self, n):
+        u, v = complete_graph_edges(n)
+        a, b = np.triu_indices(n, k=1)
+        assert np.array_equal(u, a) and np.array_equal(v, b)
+        assert u.dtype == v.dtype and u.dtype.kind == "u"
+        assert u.dtype.itemsize == (1 if n <= 256 else 2)
+
+    def test_build_holds_four_bytes_per_edge_and_peaks_there(self):
+        # Two uint16 endpoints per edge at n = 2000, filled row by row; the
+        # family's other fields take a few kB.
+        tracemalloc.start()
+        try:
+            fam = SpanningTreeFamily(2000)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 4 * fam.ground_size + 16_384
+        assert peak <= 1.25 * held
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Patch solvers: exactness, the component heuristic, patchability estimates."""
 
 import operator
+import tracemalloc
 from dataclasses import fields
 from functools import reduce
 
@@ -225,6 +226,60 @@ class TestMinOutgoingEdgeCount:
             )
             count = fam.min_outgoing_edge_count(g)
             assert count >= min(n / 2, n * n / (4 * r * r))
+
+    @pytest.mark.parametrize("kind", ["depleted", "cyclic"])
+    @pytest.mark.parametrize("n", [3, 5, 20, 50])
+    def test_closed_form_equals_edge_by_edge_count(self, n, kind):
+        # The count comes from the component sizes alone; here every edge
+        # of K_n between two components is counted at the earlier one.
+        fam = SpanningTreeFamily(n)
+        for seed in range(20):
+            rng = stream(64, n, seed)
+            if kind == "depleted":
+                g = sample_depleted_set(fam, SPEC, int(rng.integers(1, n)),
+                                        GStrategy.REMOVE_FROM_RANDOM_MEMBER, rng)
+            else:  # mean degree 2.5, with cycles; vertex n - 1 isolated
+                g = np.flatnonzero((rng.random(fam.ground_size) < 2.5 / n)
+                                   & (fam.edge_v < n - 1))
+            assert fam.min_outgoing_edge_count(g) == _edge_by_edge_count(fam, g)
+
+    def test_reads_no_array_the_size_of_the_ground_set(self):
+        # At n = 2000 (1,999,000 edges) one intp gather of an endpoint
+        # array would trace 16 MB.
+        fam = SpanningTreeFamily(2000)
+        g = fam.random_member(stream(65))[:1000]
+        tracemalloc.start()
+        try:
+            fam.min_outgoing_edge_count(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < fam.ground_size  # under one byte per edge
+
+
+def _edge_by_edge_count(fam, g):
+    """min_outgoing_edge_count by brute force: a plain union-find, the
+    components ranked by (size, smallest vertex), and each edge between two
+    of them counted at the earlier one; the minimum over all but the last."""
+    parent = list(range(fam.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for e in g:
+        parent[find(int(fam.edge_u[e]))] = find(int(fam.edge_v[e]))
+    groups = {}
+    for v in range(fam.n):
+        groups.setdefault(find(v), []).append(v)
+    ranked = sorted(groups.values(), key=lambda vs: (len(vs), vs[0]))
+    pos = {v: p for p, vs in enumerate(ranked) for v in vs}
+    counts = [0] * len(ranked)
+    for u, v in zip(fam.edge_u.tolist(), fam.edge_v.tolist()):
+        if pos[u] != pos[v]:
+            counts[min(pos[u], pos[v])] += 1
+    return min(counts[:-1])
 
 
 class TestSampleDepletedSet:
