@@ -8,18 +8,21 @@ returns its failed checks, and main alone decides the exit code: 0 success,
 the library rejects (InvalidInput), inside a trial or not, is exit 2 too,
 and any other exception, a ValueError included, is exit 5.
 
-Each subcommand takes only the flags its handler reads.  A flag's default
-is ExperimentConfig's field default where one exists, and each argument
-check is the library's.  A config file's `key = value` lines are parsed as
-the flags `--key=value`, ahead of the command line, so explicit flags win.
+Each subcommand takes only the flags its handler reads (a bounds op those its
+function reads, as the table _BOUND_OPS declares).  A flag's default is
+ExperimentConfig's field default where one exists, and each argument check
+is the library's.  A config file's `key = value` lines are parsed as the
+flags `--key=value`, ahead of the command line, so explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import traceback
+import typing
 from dataclasses import asdict, fields as dataclass_fields
 from functools import partial
 
@@ -137,24 +140,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, "q", "base", "trials", "seed")
 
     p = command("bounds", _cmd_bounds, "evaluate a closed-form bound")
-    p.add_argument("--op", required=False, choices=(
-        "ab-min", "concentration", "r-min", "ball-volume", "upper-tail",
-        "mean-median", "first-moment", "fluctuation-exponent",
-    ))
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--p", type=float)
-    p.add_argument("--L", dest="L", type=float)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--eps", type=float, default=0.05, help="(default %(default)s)")
-    p.add_argument("--m", type=int)
-    p.add_argument("--t", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--ell0", type=int)
-    p.add_argument("--ell1", type=int)
-    add_common(p, "q")
+    p.add_argument("--op", choices=tuple(_BOUND_OPS))
+    for name, kind in _BOUND_FLAGS.items():  # None if not given (_cmd_bounds)
+        shown = f"(default {_BOUND_DEFAULTS[name]})" if name in _BOUND_DEFAULTS else None
+        p.add_argument(f"--{name}", type=kind, help=shown)
+    add_common(p)
 
     p = command("tail", _cmd_tail, "empirical survival against the tail bound")
     add_sizes(p)
@@ -392,57 +382,47 @@ def _cmd_coupling(args) -> list[str]:
     return [] if report.all_ok else ["coupling checks did not pass"]
 
 
+# Each bounds op: its function, the flags it reads in that function's argument
+# order, and its output: one label for a number, or (label, field) pairs.
+_BOUND_OPS = {
+    "ab-min": (bounds_mod.split_cost_minimum, ("a", "b", "p"), (
+        ("s0", "split"), ("fmin", "minimum"), ("secant_bound", "secant_bound"))),
+    "concentration": (bounds_mod.concentration_upper_bound, ("L", "lam", "q"), "bound"),
+    "r-min": (bounds_mod.required_patch_radius, ("ell", "eps"), "radius"),
+    "ball-volume": (bounds_mod.cheap_set_prob_bound, ("q", "m", "L"), "probability"),
+    "upper-tail": (bounds_mod.upper_tail_bound, ("t", "q"), "probability"),
+    "mean-median": (bounds_mod.mean_to_median_ratio_bound, ("q",), "ratio"),
+    "first-moment": (bounds_mod.first_moment_lower_bound,
+                     ("q", "ell0", "ell1", "beta", "c", "t"),
+                     tuple((f, f) for f in ("l_lower", "failure_prob_bound", "c0", "c1",
+                                            "small_sets_dominate", "log_markov_sum"))),
+    "fluctuation-exponent": (bounds_mod.fluctuation_exponent_bound, ("q",), "exponent"),
+}
+_BOUND_DEFAULTS = {"q": ExperimentConfig.spec.q, "eps": 0.05}
+# Each op flag, in order of first use, typed as the argument it fills.
+_BOUND_FLAGS = {name: typing.get_type_hints(fn)[param]
+                for fn, names, _ in _BOUND_OPS.values()
+                for name, param in zip(names, inspect.signature(fn).parameters)}
+
+
 def _cmd_bounds(args) -> list[str]:
     op = args.op
     if op is None:
         raise CliError("--op is required for the bounds subcommand", EXIT_USAGE)
+    fn, names, output = _BOUND_OPS[op]
+    for name in _BOUND_FLAGS:
+        if getattr(args, name) is None:  # not given: --q and --eps have defaults
+            setattr(args, name, _BOUND_DEFAULTS.get(name))
+        elif name not in names:
+            raise CliError(f"--{name} is not read by --op {op}", EXIT_USAGE)
     try:
-        lines = _evaluate_bound(args, op)
+        result = fn(*(_require(args, name) for name in names))
     except ValueError as exc:
         raise CliError(f"bad value for --op {op}: {exc}", EXIT_USAGE)
-    _write("\n".join(lines) + "\n", args.out)
+    pairs = [(output, result)] if isinstance(output, str) else [
+        (label, getattr(result, field)) for label, field in output]
+    _write("".join(f"{label} = {_fmt(v)}\n" for label, v in pairs), args.out)
     return []
-
-
-def _evaluate_bound(args, op: str) -> list[str]:
-    q = args.q
-    if op == "ab-min":
-        a, b, p = _require(args, "a"), _require(args, "b"), _require(args, "p")
-        res = bounds_mod.split_cost_minimum(a, b, p)
-        return [
-            f"s0 = {_fmt(res.split)}",
-            f"fmin = {_fmt(res.minimum)}",
-            f"secant_bound = {_fmt(res.secant_bound)}",
-        ]
-    if op == "concentration":
-        level, lam = _require(args, "L"), _require(args, "lam")
-        return [f"bound = {_fmt(bounds_mod.concentration_upper_bound(level, lam, q))}"]
-    if op == "r-min":
-        radius = bounds_mod.required_patch_radius(_require(args, "ell"), args.eps)
-        return [f"radius = {_fmt(radius)}"]
-    if op == "ball-volume":
-        m, level = _require(args, "m"), _require(args, "L")
-        return [f"probability = {_fmt(bounds_mod.cheap_set_prob_bound(q, m, level))}"]
-    if op == "upper-tail":
-        t = _require(args, "t")
-        return [f"probability = {_fmt(bounds_mod.upper_tail_bound(t, q))}"]
-    if op == "mean-median":
-        return [f"ratio = {_fmt(bounds_mod.mean_to_median_ratio_bound(q))}"]
-    if op == "fluctuation-exponent":
-        return [f"exponent = {_fmt(bounds_mod.fluctuation_exponent_bound(q))}"]
-    # The parser's choices leave one op: first-moment.
-    res = bounds_mod.first_moment_lower_bound(
-        q,
-        *(_require(args, name) for name in ("ell0", "ell1", "beta", "c", "t")),
-    )
-    return [
-        f"l_lower = {_fmt(res.l_lower)}",
-        f"failure_prob_bound = {_fmt(res.failure_prob_bound)}",
-        f"c0 = {_fmt(res.c0)}",
-        f"c1 = {_fmt(res.c1)}",
-        f"small_sets_dominate = {res.small_sets_dominate}",
-        f"log_markov_sum = {_fmt(res.log_markov_sum)}",
-    ]
 
 
 def _cmd_tail(args) -> list[str]:

@@ -14,22 +14,22 @@ A family is one class implementing five primitives:
 * min_patch_size(G): the fewest elements that must be added to G so that it
   contains a member (Hamming distance to the upward closure);
 * cheapest_completion(G, w): the cheapest such addition, as a SolveResult;
-* _distance_witness(w, r): the cheapest subset at patch distance r <= ell,
+* _distance_witness(w, r): the cheapest subset at patch distance r < ell,
   as a SolveResult;
 * random_member(rng): a uniformly random member;
 * enumerate_members(): every member (small instances only).
 
 The base class builds the rest on _distance_witness, once for every
-family: distance_witness(w, r) checks w and r, clamps r to ell (every
-r >= ell has the empty witness) and returns the memoised SolveResult,
-the witness with its canonical total; min_weight(w), the optimum, is the
-answer at r = 0; budget_witness(w, L), the smallest patch distance of a
-subset of total weight <= L, is its inverse and returns a DualResult.
-Every answer that names a weighted subset carries that subset's canonical
-total, summed once where the subset is found.  Every other module reaches
-a family only through these seven public methods and the trees' own two:
-component_completion, the component heuristic's patch, and
-min_outgoing_edge_count, the lemma behind its bound.
+family: distance_witness(w, r) checks w and r, answers every r >= ell with
+the empty witness without a solve, and otherwise returns the memoised
+SolveResult, the witness with its canonical total; min_weight(w), the
+optimum, is the answer at r = 0; budget_witness(w, L), the smallest patch
+distance of a subset of total weight <= L, is its inverse and returns a
+DualResult.  Every answer that names a weighted subset carries that
+subset's canonical total, summed once where the subset is found.  Every
+other module reaches a family only through these seven public methods and
+the trees' own two: component_completion, the component heuristic's patch,
+and min_outgoing_edge_count, the lemma behind its bound.
 
 budget_witness searches r with few distance_witness calls, since on
 matchings each is an assignment solve.  After r = 0 it takes a free upper
@@ -61,7 +61,7 @@ Every tree scan is one filter-Kruskal (Osipov, Sanders & Singler 2009)
 whose union-find starts from a subset's components (from the empty subset
 for the chain): numpy drops the edges inside a component before the
 union-find loop sees a block of the order.  The same union-find gives a
-subset's component labels and patch distance, so tree runs never load
+subset's component positions and patch distance, so tree runs never load
 scipy; matching families load it when they are built.
 
 A weight vector has one memo slot, owned by the last family that read it
@@ -176,7 +176,7 @@ class DualResult:
 class _Memo:
     """What `family` keeps in a weight vector's memo slot (Family._memo).
 
-    solved maps each distance r <= ell asked for to its SolveResult.  Only
+    solved maps each distance r < ell asked for to its SolveResult.  Only
     spanning-tree families fill in the rest: order is a prefix of the
     (weight, index) edge order, the head (every edge up to a threshold read
     from a strided sample) until a scan needs more, then the whole order;
@@ -210,7 +210,7 @@ class Family(ABC):
     @abstractmethod
     def _distance_witness(self, w: WeightAssignment, r: int) -> SolveResult:
         """Cheapest subset (sorted indices) at patch distance at most r, for
-        checked arguments with r <= ell, with its canonical sum."""
+        checked arguments with r < ell, with its canonical sum."""
 
     @abstractmethod
     def random_member(self, rng: np.random.Generator) -> tuple[int, ...]:
@@ -224,14 +224,15 @@ class Family(ABC):
         """Cheapest subset (sorted indices) at patch distance at most r, with
         its canonical sum.
 
-        Every r >= ell has the same answer, the empty set, so r is clamped
-        to ell.  The answer is solved and summed on the first call for
-        (w, r) only; later calls read it from the memo of w.
+        Every r >= ell has the same answer, the empty set, without a solve.
+        Any other answer is solved and summed on the first call for (w, r)
+        only; later calls read it from the memo of w.
         """
         self._check_weights(w)
         if r < 0:
             raise ValueError(f"patch distance must be non-negative, got {r}")
-        r = min(r, self.ell)
+        if r >= self.ell:
+            return SolveResult(0.0, ())
         solved = self._memo(w).solved
         if r not in solved:
             solved[r] = self._distance_witness(w, r)
@@ -276,7 +277,6 @@ class Family(ABC):
         if not budget >= 0:  # also rejects NaN
             raise InvalidInput(f"budget must be non-negative, got {budget}")
         misses: list[tuple[int, float]] = []  # unaffordable (r, total), r ascending
-        empty = SolveResult(0.0, ())  # the answer at r = ell, never solved
 
         def affordable(r: int) -> bool:
             total = self.distance_witness(w, r).value
@@ -285,11 +285,11 @@ class Family(ABC):
             misses.append((r, total))
             return False
 
-        def answer(defect: int) -> DualResult:  # r = defect < ell was probed
-            found = self.distance_witness(w, defect) if defect < self.ell else empty
+        def answer(defect: int) -> DualResult:
+            found = self.distance_witness(w, defect)
             return DualResult(budget, defect, found.witness, found.value)
 
-        if self.ell == 0 or affordable(0):
+        if affordable(0):  # always, if ell = 0
             return answer(0)
         # lo: the largest probe known unaffordable; hi: the smallest r known
         # affordable (probed, or ell); top: the bracket's upper end, hi or the
@@ -526,24 +526,19 @@ class SpanningTreeFamily(Family):
                       self.edge_v[idx].tolist(), [])
         return classes
 
-    def component_labels(self, subset) -> np.ndarray:
-        """Vertex component labels (0..c-1, components numbered in the order
-        of their smallest vertex) of the spanning subgraph with the given
-        edge subset, from the Kruskal scan's union-find."""
-        root, vertex = self._classes(subset).roots(), np.arange(self.n)
-        low = np.full(self.n, self.n, dtype=np.intp)
-        np.minimum.at(low, root, vertex)  # each root's smallest vertex
-        low = low[root]  # the smallest vertex of each vertex's component
-        return (np.cumsum(low == vertex) - 1)[low]  # its rank among those
-
     def min_patch_size(self, subset) -> int:
         return self._classes(subset).count - 1
 
     def _component_positions(self, subset) -> np.ndarray:
         """Position of each vertex's component among those of (V, subset):
-        ascending size, ties by smallest vertex (component_labels' order)."""
-        labels = self.component_labels(subset)
-        return np.argsort(np.argsort(np.bincount(labels), kind="stable"))[labels]
+        ascending size, ties by smallest vertex, from the Kruskal scan's
+        union-find."""
+        _, first, label, size = np.unique(self._classes(subset).roots(),
+                                          return_index=True, return_inverse=True,
+                                          return_counts=True)
+        position = np.empty_like(first)
+        position[np.lexsort((first, size))] = np.arange(first.size)
+        return position[label]
 
     def cheapest_completion(self, subset, w: WeightAssignment):
         """Kruskal from the subset's components (_greedy_forest): the edges
@@ -601,8 +596,7 @@ class SpanningTreeFamily(Family):
 
         K_n is complete, so with the component sizes s_0 <= s_1 <= ... in
         position order, the count at p is s_p (n - s_0 - ... - s_p)."""
-        sizes = np.bincount(self._classes(subset).roots())
-        sizes = np.sort(sizes[sizes > 0])  # by position: ascending size
+        sizes = np.bincount(self._component_positions(subset))
         c = sizes.size
         if c == 1:
             raise ValueError("subset already spans; no non-largest components")

@@ -36,6 +36,12 @@ def invoke(argv, capsys):
     return code, captured.out, captured.err
 
 
+def bounds_ops():
+    """The `--op` choices of the bounds subcommand's parser."""
+    bounds = build_parser().parse_args(["bounds"]).subparser
+    return next(a.choices for a in bounds._actions if a.dest == "op")
+
+
 class TestExitCodes:
     def test_success(self, capsys):
         code, out, err = invoke(["mst", "--n", "8", "--trials", "3"], capsys)
@@ -386,6 +392,42 @@ class TestBoundsCommand:
         assert out == ""
         assert target.read_text() == "radius = 69.059436570956422\n"
 
+    # Each op's flags and stdout; an op missing here fails below.
+    PINNED = {
+        "ab-min": ("--a 4 --b 1 --p 1",
+                   "s0 = 0.33333333333333331\nfmin = 9\nsecant_bound = 10\n"),
+        "concentration": ("--L 1 --lam 0.5 --q 2", "bound = 2.0809690924707316\n"),
+        "r-min": ("--ell 199 --eps 0.05", "radius = 69.059436570956422\n"),
+        "ball-volume": ("--q 1 --m 3 --L 1", "probability = 0.16666666666666666\n"),
+        "upper-tail": ("--q 1 --t 2", "probability = 0.5\n"),
+        "mean-median": ("--q 1", "ratio = 2.8853900817779268\n"),
+        "first-moment": ("--ell0 16 --ell1 64 --beta 0.5 --c 1 --t 1",
+                         "l_lower = 0.52656128073101027\n"
+                         "failure_prob_bound = 1.1253517471925912e-07\n"
+                         "c0 = 2.7182818284590451\n"
+                         "c1 = 0.35783549024530675\n"
+                         "small_sets_dominate = True\n"
+                         "log_markov_sum = -18.522691462924502\n"),
+        "fluctuation-exponent": ("--q 3", "exponent = -0.375\n"),
+    }
+
+    @pytest.mark.parametrize("op", bounds_ops())
+    def test_every_op_prints_its_pinned_output(self, op, capsys):
+        flags, expected = self.PINNED[op]
+        argv = ["bounds", "--op", op, *flags.split()]
+        assert invoke(argv, capsys) == (EXIT_OK, expected, "")
+
+    @pytest.mark.parametrize("argv, flag", [
+        ("--op mean-median --a 3", "--a"),
+        ("--op r-min --ell 199 --q 7", "--q"),
+        ("--op ab-min --a 4 --b 1 --p 1 --eps 0.2 --m 3", "--eps"),
+    ])
+    def test_a_flag_the_op_does_not_read_is_usage_error(self, argv, flag, capsys):
+        code, out, err = invoke(["bounds", *argv.split()], capsys)
+        op = argv.split()[1]
+        assert (code, out, err) == (
+            EXIT_USAGE, "", f"error: {flag} is not read by --op {op}\n")
+
 
 class TestConfigFile:
     def test_config_provides_defaults_flags_override(self, tmp_path, capsys):
@@ -579,6 +621,12 @@ class TestFlagTable:
             main(["-h"])
         usage = capsys.readouterr().out
         assert "{" + ",".join(README_COMMANDS) + "}" in usage
+
+    def test_readme_command_line_names_every_op(self):
+        section = README.read_text().split("## Command line", 1)[1].split("\n## ")[0]
+        missing = [op for op in bounds_ops()
+                   if not re.search(rf"(?<![\w-]){op}(?![\w-])", section)]
+        assert missing == []
 
     def test_parsed_defaults_are_the_experiment_defaults(self):
         args = build_parser().parse_args(["mst", "--n", "8"])

@@ -907,7 +907,9 @@ def test_filtered_scans_match_textbook_kruskal(n, kind, subset_kind, seed):
     rng = np.random.default_rng(seed)
     values = _SCAN_WEIGHTS[kind](fam, rng)
     g = _SCAN_SUBSETS[subset_kind](fam, rng)
-    assert fam.component_labels(g).tolist() == _textbook_labels(fam, g)
+    labels = _textbook_labels(fam, g)  # ranked by size, ties by smallest vertex
+    ranking = np.argsort(np.argsort(np.bincount(labels), kind="stable"))
+    assert fam._component_positions(g).tolist() == ranking[labels].tolist()
     w = WeightAssignment(values)
     assert fam._greedy_forest(w) == _textbook_forest(fam, values)
     completion = _textbook_forest(fam, values, g)

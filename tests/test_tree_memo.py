@@ -1,11 +1,12 @@
 """The per-vector memo: distance answers, tree edge orders and chains.
 
 A WeightAssignment has one memo slot, owned by the last family that read it.
-Every family keeps its distance answers (SolveResults) there by r, clamped
-to ell; a spanning-tree family also keeps its edge order and unseeded
-Kruskal chain.  Every answer must equal the one a fresh family gives on a
-fresh copy of the weights, whatever the call order and whichever family
-owned the slot before, and each distinct witness of a trial is summed once.
+Every family keeps its distance answers (SolveResults) there by r < ell
+(every r >= ell is the empty set, never solved); a spanning-tree family
+also keeps its edge order and unseeded Kruskal chain.  Every answer must
+equal the one a fresh family gives on a fresh copy of the weights, whatever
+the call order and whichever family owned the slot before, and each
+distinct witness of a trial is summed once.
 """
 
 import numpy as np
@@ -249,8 +250,8 @@ def test_distances_beyond_ell_share_one_answer(fam, monkeypatch):
         found = fam.distance_witness(w, r)
         assert found == _copy(fam).distance_witness(WeightAssignment(values), r)
         assert (found.value, found.witness) == (0.0, ())
-    # One solve for this vector, then one for each fresh copy.
-    assert solved == [fam.ell] * 5
+    # The empty answer needs no solve, for this vector or a fresh copy.
+    assert solved == []
 
 
 @pytest.mark.parametrize("label, fields", [
