@@ -43,13 +43,14 @@ probes: r = d affordable and r = d - 1 not (or d = 0).
 
 Determinism: tree and explicit tie-breaks prefer the smallest element index,
 and a matching witness is an optimum fixed by the vector; solver values are
-canonical sums (witness weights added in ascending element-index order), so
-equal witnesses give bit-equal values.
+canonical sums (_canonical_sum: numpy's pairwise sum of the witness weights
+in ascending element-index order), so equal witnesses give bit-equal values.
 
 A weight vector holds one N-float array: WeightAssignment(values) copies
 the caller's once, WeightAssignment.adopt keeps a fresh array handed over
 (draw adopts weights.sample's draw), and one routine sorts every prefix of
-the tree edge order: its head partitions a strided sample of N/16 weights.
+the tree edge order: its head partitions a strided sample of N/16 weights,
+and holds about the (n/2)(ln n + 4) edges that connect K_n but for odds ~e^-4.
 
 A tree family holds K_n's edge endpoints, edge_u and edge_v, in the
 narrowest unsigned dtype that holds n - 1 (uint8 up to n = 256, uint16 up
@@ -96,6 +97,16 @@ __all__ = [
 ]
 
 _EXPLICIT_MAX_GROUND = 24
+# The random graph process connects K_n by (n/2)(ln n + c) edges except with
+# probability ~e^-c (Erdos-Renyi 1960): the tree head's c, and its regrowth.
+_HEAD_C = 4
+_HEAD_GROWTH = 4
+_INF_BITS = np.float64(np.inf).view(np.uint64)  # NaNs and sign bits lie above
+
+
+def _canonical_sum(values: np.ndarray, idx: np.ndarray) -> float:
+    """numpy's pairwise sum of the weights at `idx` (ascending, in range)."""
+    return float(values[idx].sum())
 
 
 class WeightAssignment:
@@ -120,15 +131,17 @@ class WeightAssignment:
         return cls.adopt(weights.sample(spec, rng, size))
 
     def _freeze(self, arr: np.ndarray) -> None:
-        """Check `arr` (which this vector then owns) and make it read-only."""
+        """Check `arr` (which this vector then owns) and make it read-only;
+        one reduction over the bits passes float64 weights without -0.0."""
         if arr.ndim != 1:
             raise ValueError("weights must be one-dimensional")
         if arr.size == 0:
             raise ValueError("weights must be non-empty")
-        if not arr.min() >= 0:  # also rejects NaN
-            raise InvalidInput("weights must be non-negative")
-        if not arr.max() < np.inf:
-            raise InvalidInput("weights must be finite")
+        if arr.dtype != np.float64 or not arr.view(np.uint64).max() < _INF_BITS:
+            if not arr.min() >= 0:  # also rejects NaN; accepts -0.0
+                raise InvalidInput("weights must be non-negative")
+            if not arr.max() < np.inf:
+                raise InvalidInput("weights must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "_memo", None)
@@ -140,14 +153,15 @@ class WeightAssignment:
         return int(self.values.size)
 
     def total(self, indices) -> float:
-        """Canonical subset sum: weights added in ascending index order."""
+        """Canonical subset sum: numpy's pairwise sum of the weights gathered
+        in ascending index order (_canonical_sum)."""
         idx = np.asarray(indices, dtype=np.intp)
         if idx.size == 0:
             return 0.0
         idx = np.sort(idx)
         if idx[0] < 0 or idx[-1] >= self.values.size:  # no wrap-around
             raise ValueError("subset indices out of range")
-        return float(self.values[idx].sum())
+        return _canonical_sum(self.values, idx)
 
 
 @dataclass(frozen=True)
@@ -178,15 +192,15 @@ class _Memo:
 
     solved maps each distance r < ell asked for to its SolveResult.  Only
     spanning-tree families fill in the rest: order is a prefix of the
-    (weight, index) edge order, the head (every edge up to a threshold read
-    from a strided sample) until a scan needs more, then the whole order;
-    chain is the edges `_greedy_forest` accepts on K_n itself.
+    (weight, index) edge order, _order_prefix at k = head, grown while scans
+    need more; chain is the edges `_greedy_forest` accepts on K_n itself.
     """
 
     family: Family
     solved: dict[int, SolveResult] = field(default_factory=dict)
     order: np.ndarray | None = None
-    chain: tuple[int, ...] | None = None
+    head: int = 0
+    chain: np.ndarray | None = None
 
 
 class Family(ABC):
@@ -413,6 +427,7 @@ class SpanningTreeFamily(Family):
         self.edge_u, self.edge_v = complete_graph_edges(n)
         self.ground_size = self.edge_u.size
         self.ell = n - 1
+        self._head = int(n / 2 * (math.log(n) + _HEAD_C)) + 64  # the first k
 
     @staticmethod
     def check_size(n: int) -> int:
@@ -444,14 +459,13 @@ class SpanningTreeFamily(Family):
 
     def _order_memo(self, w: WeightAssignment) -> _Memo:
         """The memo of `w` for this family, its order made on first use: the
-        head, _order_prefix at k = 2 n floor(ln n) + 64 (the whole order for
-        n <= 17).  Any threshold heads a prefix, so the chain is the same."""
+        head, _order_prefix at k = floor((n/2)(ln n + 4)) + 64 (the whole
+        order for n <= 16).  Any threshold heads a prefix, so the chain is
+        the same."""
         memo = self._memo(w)
         if memo.order is None:
-            # The random graph process connects by (n/2)(ln n + c) edges except with
-            # probability ~e^-c (Erdos-Renyi); this k gives c > 10 (min 10.4, n=54).
-            k = 2 * self.n * max(1, int(np.log(self.n))) + 64
-            memo.order = self._order_prefix(w.values, k)
+            memo.head = self._head
+            memo.order = self._order_prefix(w.values, memo.head)
         return memo
 
     def _greedy_forest(self, w: WeightAssignment, subset=()) -> list[int]:
@@ -462,8 +476,8 @@ class SpanningTreeFamily(Family):
         [] if the subset already spans, without reading the memo.
 
         The scan reads the memo's head of the order (see _order_memo).  If
-        the head runs out first, the memo takes the whole order
-        (_order_prefix at k = N) and the scan starts over from the seed.
+        the head runs out first, the memo's k grows fourfold, up to N (the
+        whole order), and the scan starts over from the seed.
         """
         # A rescan reads the subset again, so a one-shot iterator becomes a tuple.
         subset = tuple(subset) if iter(subset) is subset else subset
@@ -472,7 +486,7 @@ class SpanningTreeFamily(Family):
             return []
         memo = self._order_memo(w)
         step = max(self.n, 512)  # a floor: most chains at n <= 100 end in block one
-        while True:  # at most twice: the whole order spans K_n
+        while True:  # at most ceil(log4(N / k0)) + 1 scans: the whole order spans K_n
             chosen: list[int] = []
             for s in range(0, memo.order.size, step):
                 # A block becomes lists when the loop reaches it, and only its
@@ -486,29 +500,31 @@ class SpanningTreeFamily(Family):
                     block, us, vs = block[keep], us[keep], vs[keep]
                 if classes.merge(block.tolist(), us.tolist(), vs.tolist(), chosen):
                     return chosen
-            memo.order = self._order_prefix(w.values, w.values.size)
+            memo.head = min(_HEAD_GROWTH * memo.head, w.values.size)
+            memo.order = self._order_prefix(w.values, memo.head)
             classes = self._classes(subset)
 
-    def _chain(self, w: WeightAssignment) -> tuple[int, ...]:
-        """The unseeded Kruskal chain of `w`, computed once per weight vector.
+    def _chain(self, w: WeightAssignment) -> np.ndarray:
+        """The unseeded Kruskal chain of `w` (read-only intp), made once.
 
         Its first k edges are the minimum-weight k-edge forest, so the
         optimum, every budget prefix and every distance witness read it.
         """
         memo = self._order_memo(w)
         if memo.chain is None:
-            memo.chain = tuple(self._greedy_forest(w))
+            memo.chain = np.array(self._greedy_forest(w), dtype=np.intp)
+            memo.chain.flags.writeable = False
         return memo.chain
 
     def budget_forest(self, w: WeightAssignment, budget: float) -> list[int]:
         """Largest affordable prefix of the greedy forest, in chain order."""
         # Kept only as a trace target of perfbench/tracing.py and a test subject.
         defect = self.budget_witness(w, budget).defect
-        return list(self._chain(w)[:self.n - 1 - defect])
+        return self._chain(w)[:self.n - 1 - defect].tolist()
 
     def _distance_witness(self, w: WeightAssignment, r: int) -> SolveResult:
-        witness = tuple(sorted(self._chain(w)[:self.n - 1 - r]))
-        return SolveResult(value=w.total(witness), witness=witness)
+        witness = np.sort(self._chain(w)[:self.n - 1 - r])
+        return SolveResult(_canonical_sum(w.values, witness), tuple(witness.tolist()))
 
     def random_member(self, rng: np.random.Generator) -> tuple[int, ...]:
         """Decode a uniform Prufer sequence (Cayley's bijection)."""

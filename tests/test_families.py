@@ -24,7 +24,7 @@ from minweight.families import (
 from minweight.oracles import oracle_min_weight
 from minweight.patching import GStrategy, component_patch, sample_depleted_set
 from minweight.rngs import stream
-from minweight.weights import BaseLaw, WeightSpec, sample
+from minweight.weights import BaseLaw, InvalidInput, WeightSpec, sample
 
 SPEC = WeightSpec(q=1.0, base=BaseLaw.UNIFORM_POWER)
 
@@ -34,13 +34,13 @@ def _draw(fam, key):
 
 
 def _count_sorts(monkeypatch):
-    """Record each sort of the tree edge order: "head" for a prefix, "full"
-    for the whole order (_order_prefix at k >= N)."""
-    sorts: list[str] = []
+    """Record the k of each sort of the tree edge order (_order_prefix): a
+    head for k < N, the whole order for k = N."""
+    sorts: list[int] = []
     original = SpanningTreeFamily._order_prefix
 
     def counted(values, k):
-        sorts.append("full" if k >= values.size else "head")
+        sorts.append(k)
         return original(values, k)
 
     monkeypatch.setattr(SpanningTreeFamily, "_order_prefix", staticmethod(counted))
@@ -61,17 +61,18 @@ def _count_k_matchings(monkeypatch):
 
 
 # (n, weight maker) pairs whose ground sets are larger than the head of the
-# weight order (2 n floor(ln n) + 64 edges), so tree solvers first scan a
-# proper prefix of the order unless ties fill it.
+# weight order (floor((n/2)(ln n + 4)) + 64 edges), so tree solvers first
+# scan a proper prefix of the order unless ties fill it.
 HEAD_CASES = {
     "uniform": (100, lambda fam, rng: rng.random(fam.ground_size)),
     "half-zero": (200, lambda fam, rng: np.where(
         rng.random(fam.ground_size) < 0.5, 0.0, rng.random(fam.ground_size)
     )),
     "all-ones": (200, lambda fam, rng: np.ones(fam.ground_size)),
-    # The 3321 edges inside vertices 0..81 outnumber the head (864 edges),
-    # so no scan can finish inside the head: the first one falls back to the
-    # full order, which every later scan of the vector then reads.
+    # The 3321 edges inside vertices 0..81 outnumber the head (k = 494) and
+    # its fourfold regrowth (k = 1976), so no scan can finish inside either:
+    # the first one goes on to the full order, which every later scan of the
+    # vector then reads.
     "cheap-clique": (100, lambda fam, rng: np.where(fam.edge_v < 82, 1e-3, 1.0)
                      * rng.random(fam.ground_size)),
 }
@@ -110,6 +111,41 @@ class TestWeightAssignment:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="non-negative|finite"):
             WeightAssignment([0.5, bad])
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "non-negative"),
+        (-np.nan, "non-negative"),
+        (np.inf, "finite"),
+        (-np.inf, "non-negative"),
+        (-5e-324, "non-negative"),  # the negative float nearest 0
+    ], ids=["nan", "-nan", "inf", "-inf", "-5e-324"])
+    def test_rejects_with_the_two_checks_messages(self, bad, message):
+        # The one-reduction check lets no such bits through, and the two
+        # checks behind it name the failure, alone or among valid weights.
+        for values in ([bad], [0.5, bad], [bad, 0.0, -0.0, 2.0]):
+            for make in (WeightAssignment, lambda v: WeightAssignment.adopt(np.array(v))):
+                with pytest.raises(InvalidInput, match=f"^weights must be {message}$"):
+                    make(values)
+
+    def test_accepts_negative_zero_as_zero(self):
+        # -0.0 fails the one-reduction check (its sign bit is set) and passes
+        # the two checks behind it, alone or among other weights, and every
+        # solver answers as for +0.0.
+        assert WeightAssignment([-0.0]).values.tobytes() == np.array([-0.0]).tobytes()
+        rng = stream(72)
+        for fam in (SpanningTreeFamily(6), MatchingFamily(4)):
+            plain = rng.random(fam.ground_size)
+            plain[::3] = 0.0
+            signed = plain.copy()
+            signed[::3] = -0.0
+            g = fam.random_member(rng)[2:]
+
+            def solve(values):
+                w = WeightAssignment(values)
+                return ([fam.distance_witness(w, r) for r in range(fam.ell + 1)],
+                        fam.budget_witness(w, 0.0), fam.cheapest_completion(g, w))
+
+            assert solve(signed) == solve(plain)
 
     def test_infinite_weights_fail_before_any_solver(self):
         # They leave scipy's assignment solver no finite k-matching.
@@ -714,9 +750,10 @@ class TestTieHandling:
         head = solve(w)
         if case == "cheap-clique":
             # The Kruskal chain (shared by min_weight, distance_witness and
-            # budget_forest) ran out of the head and sorted the full order
-            # once; cheapest_completion and component_patch then read it.
-            assert sorts == ["head", "full"]
+            # budget_forest) ran out of the head and of its regrowth, and
+            # sorted the full order once; cheapest_completion and
+            # component_patch then read it.
+            assert sorts == [fam._head, 4 * fam._head, fam.ground_size]
         # A fresh vector whose memo starts from the full stable argsort.
         full = WeightAssignment(w.values.copy())
         fam._memo(full).order = np.argsort(full.values, kind="stable")
@@ -726,11 +763,12 @@ class TestTieHandling:
     @pytest.mark.parametrize("base", list(BaseLaw), ids=[b.value for b in BaseLaw])
     @pytest.mark.parametrize("n", [20, 50, 54, 100, 400])
     def test_head_suffices_on_iid_weights(self, n, base, q, monkeypatch):
-        # The head is sized so that i.i.d. weights essentially never need the
-        # full order; a fallback here means it was cut too short.  G misses
-        # r <= n/5 edges of a member.  Near r = n - 1 the component patch needs
-        # the one edge between the last two singletons, so it may fall back
-        # at any n.
+        # The head is sized so that i.i.d. weights run out of it with
+        # probability ~e^-4 and never need the full order; a full sort here
+        # means it was cut too short.  G misses r <= n/5 edges of a member.
+        # Near r = n - 1 the component patch needs the one edge between the
+        # last two singletons, which it takes from their own edges, so it
+        # never regrows the head.
         fam = SpanningTreeFamily(n)
         spec = WeightSpec(q=q, base=base)
         strategies = list(GStrategy)
@@ -750,8 +788,12 @@ class TestTieHandling:
         # One head sort per weight vector: the 20 draws' w, which the chain
         # (min_weight, distance_witness, budget_forest), cheapest_completion
         # and component_patch share, and the auxiliary weights of the 13
-        # draws whose strategy is not a uniform random member.
-        assert sorts == ["head"] * (20 + 13)
+        # draws whose strategy is not a uniform random member.  A vector that
+        # runs out of its head regrows it once, fourfold, short of the whole
+        # order.
+        k0 = fam._head
+        assert sorts.count(k0) == 20 + 13
+        assert all(k in (k0, 4 * k0) and k < fam.ground_size for k in sorts)
 
 
 def _textbook_forest(fam, values, seed=()):
@@ -821,9 +863,9 @@ LAYOUTS = {
 @pytest.mark.parametrize("n", [2, 3, 16, 17, 54, 100])
 def test_tree_solvers_match_textbook_kruskal(n, layout):
     # The head of the order comes from a threshold on every 16th weight, so
-    # these layouts make it far too short or nearly everything; n <= 17 has
-    # k >= N.  Whatever the head, the solvers must read the full order's
-    # answers.
+    # these layouts make it far too short or nearly everything; n <= 16
+    # reads the whole order as its head.  Whatever the head, the solvers
+    # must read the full order's answers.
     fam = SpanningTreeFamily(n)
     rng = stream(49, n, list(LAYOUTS).index(layout))
     values = LAYOUTS[layout](rng, fam.ground_size)
@@ -831,12 +873,53 @@ def test_tree_solvers_match_textbook_kruskal(n, layout):
     keep = rng.permutation(n - 1)[max(1, (n - 1) // 3):]
     g = tuple(sorted(member[int(i)] for i in keep))
     w = WeightAssignment(values)
-    assert fam._chain(w) == tuple(_textbook_forest(fam, values))
+    assert fam._chain(w).tolist() == _textbook_forest(fam, values)
     completion = fam.cheapest_completion(g, WeightAssignment(values))
     assert completion.witness == tuple(sorted(_textbook_forest(fam, values, g)))
     patch = component_patch(fam, g, WeightAssignment(values))
     assert patch.witness == _textbook_component_patch(fam, values, g)
     assert patch.value == w.total(patch.witness)
+
+
+# (weight maker, the k of each sort the chain makes) at n = 100, where the
+# first head has k0 = 494 of N = 4950 edges.
+REGROWTH_CASES = {
+    # The 990 edges inside vertices 0..44 outnumber the head but not its
+    # fourfold regrowth, which also holds the edges that join the rest.
+    "one-regrowth": (lambda fam, rng: np.where(fam.edge_v < 45, 1e-3, 1.0)
+                     * rng.random(fam.ground_size), [494, 1976]),
+    # Every 16th weight is among the smallest, so a head holds about k/16
+    # edges: 31, then 124, then the whole order.  A head regrown from its
+    # own length instead of from k would shrink each time.
+    "to-full": (lambda fam, rng: _every_16th(rng, fam.ground_size, low=True),
+                [494, 1976, 4950]),
+}
+
+
+@pytest.mark.parametrize("case", list(REGROWTH_CASES))
+def test_head_regrows_fourfold_up_to_the_full_order(case, monkeypatch):
+    fam = SpanningTreeFamily(100)
+    make, expected = REGROWTH_CASES[case]
+    rng = stream(51, list(REGROWTH_CASES).index(case))
+    values = make(fam, rng)
+    g = _depleted_member(fam, rng)
+    sorts = _count_sorts(monkeypatch)
+    scans = []  # each scan seeds its union-find once
+    original = SpanningTreeFamily._classes
+
+    def counted(self, subset):
+        scans.append(subset)
+        return original(self, subset)
+
+    monkeypatch.setattr(SpanningTreeFamily, "_classes", counted)
+    most = math.ceil(math.log(fam.ground_size / fam._head, 4)) + 1
+    assert fam._greedy_forest(WeightAssignment(values)) == _textbook_forest(fam, values)
+    assert sorts == expected
+    assert len(scans) <= most
+    del scans[:]
+    completion = fam._greedy_forest(WeightAssignment(values), g)
+    assert completion == _textbook_forest(fam, values, g)
+    assert len(scans) <= most
 
 
 def _textbook_labels(fam, subset):
@@ -901,7 +984,7 @@ def test_filtered_scans_match_textbook_kruskal(n, kind, subset_kind, seed):
     a subset (empty, spanning or between); it must accept exactly a plain
     Kruskal's edges, in its order.  On cheap-clique weights at n = 40 the
     chain, and the completion of a subset with cycles, scan past the first
-    block (512 edges) of the full order; n <= 17 reads the whole order as
+    block (512 edges) of the full order; n <= 3 reads the whole order as
     its head."""
     fam = SpanningTreeFamily(n)
     rng = np.random.default_rng(seed)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minweight import montecarlo
+from minweight import families, montecarlo
 from minweight.dual import cheapest_within_distance, defect_under_budget
 from minweight.families import (
     ExplicitFamily,
@@ -261,14 +261,15 @@ def test_distances_beyond_ell_share_one_answer(fam, monkeypatch):
 def test_dual_trial_sums_each_witness_once(label, fields, monkeypatch):
     # A dual trial asks for the budget defect, the cheapest set within r
     # and the optimum: every distinct witness of its vector is summed once.
+    # Tree witnesses and WeightAssignment.total share one canonical sum.
     summed = []
-    original = WeightAssignment.total
+    original = families._canonical_sum
 
-    def counted(self, indices):
-        summed.append(tuple(sorted(int(i) for i in indices)))
-        return original(self, indices)
+    def counted(values, idx):
+        summed.append(tuple(idx.tolist()))
+        return original(values, idx)
 
-    monkeypatch.setattr(WeightAssignment, "total", counted)
+    monkeypatch.setattr(families, "_canonical_sum", counted)
     config = montecarlo.ExperimentConfig(kind="dual", trials=1, master_seed=7, **fields)
     montecarlo.run(config)
     assert len(summed) >= 2 and len(summed) == len(set(summed))
