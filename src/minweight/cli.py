@@ -1,12 +1,14 @@
 """Command-line interface: experiments, bound evaluation, record emission.
 
 Machine output (CSV/JSON records) goes to stdout or --out; human-readable
-summaries and verification results go to stderr.  Each subcommand handler
-returns its failed checks, and main alone decides the exit code: 0 success,
-1 verification failure, 2 bad flags, 3 bad config file, 4 output I/O error,
-5 internal error.  Flags are checked before any work starts; input that
-the library rejects (InvalidInput), inside a trial or not, is exit 2 too,
-and any other exception, a ValueError included, is exit 5.
+summaries and verification results go to stderr.  One writer emits the records
+of every experiment, each as its trial finishes, so a run that fails or is
+interrupted keeps the records before it.  Each subcommand handler returns its
+failed checks, and main alone decides the exit code: 0 success, 1
+verification failure, 2 bad flags, 3 bad config file, 4 output I/O error, 5
+internal error.  Flags (and --out) are checked before any work starts; input
+that the library rejects (InvalidInput), inside a trial or not, is exit 2
+too, and any other exception, a ValueError included, is exit 5.
 
 Each subcommand takes only the flags its handler reads (a bounds op those its
 function reads, as the table _BOUND_OPS declares).  A flag's default is
@@ -19,10 +21,12 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import io
 import json
 import sys
 import traceback
 import typing
+from contextlib import contextmanager
 from dataclasses import asdict, fields as dataclass_fields
 from functools import partial
 
@@ -131,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("dual", _cmd_dual, "defect of the best affordable subset")
     add_sizes(p)
-    p.add_argument("--L", dest="L", type=float, help="weight budget")
+    p.add_argument("--L", dest="budget", metavar="L", type=float, help="weight budget")
     p.add_argument("--r", type=int, help="also check duality at distance r")
     add_common(p, *experiment)
 
@@ -221,61 +225,80 @@ def _weight_spec(args) -> WeightSpec:
         raise CliError(f"--q/--base invalid: {exc}", EXIT_USAGE)
 
 
-def _experiment_config(args, family: str, kind: str, **extra) -> ExperimentConfig:
+def _experiment_config(args, family: str, kind: str) -> ExperimentConfig:
+    """The given flags named as config fields (sizes, trials and the kind's
+    parameters), with the family, the weight law, the seed and the kind."""
+    names = {f.name for f in dataclass_fields(ExperimentConfig)}
+    given = {k: v for k, v in vars(args).items() if k in names and v is not None}
     try:
-        return ExperimentConfig(
-            family=family,
-            n=args.n,
-            n_grid=args.n_grid or (),
-            spec=_weight_spec(args),
-            trials=args.trials,
-            master_seed=args.seed,
-            kind=kind,
-            **extra,
-        )
+        return ExperimentConfig(**{**given, "family": family}, kind=kind,
+                                spec=_weight_spec(args), master_seed=args.seed)
     except ValueError as exc:
         raise CliError(f"bad flags: {exc}", EXIT_USAGE)
 
 
-def render_csv(records: list[TrialRecord]) -> str:
-    fields = _active_fields(records)
-    lines = [",".join(fields)]
+def _write_records(records, fmt: str, out: typing.TextIO) -> list[TrialRecord]:
+    """Write each record to `out` as it arrives, flushed; return them all.
+    The columns are the mandatory fields and those the first record sets (a
+    config's trials all set the same ones).  If `records` raises, `out` holds
+    the header and each earlier record: a prefix of the full output."""
+    written, fields = [], _MANDATORY_FIELDS
     for rec in records:
-        lines.append(",".join(_fmt(getattr(rec, f)) for f in fields))
-    return "\n".join(lines) + "\n"
+        if not written:
+            fields += tuple(f for f in _RECORD_FIELDS[5:]
+                            if getattr(rec, f) is not None)
+            out.write(",".join(fields) + "\n" if fmt == "csv" else "[")
+        if fmt == "csv":
+            out.write(",".join(_fmt(getattr(rec, f)) for f in fields) + "\n")
+        else:  # this element's bytes in json.dumps(records, indent=2)
+            element = json.dumps({f: getattr(rec, f) for f in fields}, indent=2)
+            out.write(("," if written else "") + "\n  " + element.replace("\n", "\n  "))
+        out.flush()
+        written.append(rec)
+    if fmt == "json":
+        out.write("\n]\n" if written else "[]\n")
+    elif not written:
+        out.write(",".join(fields) + "\n")
+    out.flush()
+    return written
+
+
+def render_csv(records: list[TrialRecord]) -> str:
+    return _render(records, "csv")
 
 
 def render_json(records: list[TrialRecord]) -> str:
-    fields = _active_fields(records)
-    payload = [{f: getattr(rec, f) for f in fields} for rec in records]
-    return json.dumps(payload, indent=2) + "\n"
+    return _render(records, "json")
 
 
-def _active_fields(records: list[TrialRecord]) -> tuple[str, ...]:
-    if not records:
-        return _MANDATORY_FIELDS
-    extra = tuple(
-        f
-        for f in _RECORD_FIELDS[5:]
-        if any(getattr(rec, f) is not None for rec in records)
-    )
-    return _MANDATORY_FIELDS + extra
+def _render(records: list[TrialRecord], fmt: str) -> str:
+    text = io.StringIO()
+    _write_records(records, fmt, text)
+    return text.getvalue()
+
+
+@contextmanager
+def _output(path: str | None) -> typing.Iterator[typing.TextIO]:
+    """The one output sink: machine output to `path`, or stdout if None."""
+    try:
+        if path is None:
+            yield sys.stdout
+        else:
+            with open(path, "w") as fh:
+                yield fh
+    except OSError as exc:  # stdout too: its reader may have closed it
+        raise CliError(f"cannot write {path or 'stdout'}: {exc}", EXIT_IO)
 
 
 def _write(text: str, path: str | None) -> None:
-    """The one output sink: machine output to `path`, or stdout if None."""
-    if path is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}", EXIT_IO)
+    with _output(path) as out:
+        out.write(text)
 
 
-def emit(records: list[TrialRecord], fmt: str, path: str | None) -> None:
-    _write(render_csv(records) if fmt == "csv" else render_json(records), path)
+def emit(config: ExperimentConfig, args) -> list[TrialRecord]:
+    """Run the config's trials and write each record as its trial finishes."""
+    with _output(args.out) as out:  # opened before the first trial
+        return _write_records(montecarlo.trials(config), args.format, out)
 
 
 def _note(line: str) -> None:
@@ -290,8 +313,9 @@ def _cmd_value(args, family: str, limit: float) -> list[str]:
     if args.tolerance is not None and len(config.sizes) == 2:
         raise CliError("--n-grid needs at least 3 sizes for slope verification",
                        EXIT_USAGE)
-    records = montecarlo.run(config)
-    emit(records, args.format, args.out)
+    if len(config.sizes) >= 3 and config.trials == 1:
+        raise CliError("the std slope over --n-grid needs --trials >= 2", EXIT_USAGE)
+    records = emit(config, args)
     failures = []
     if len(config.sizes) == 1:
         stats = montecarlo.summarize(r.value for r in records)
@@ -307,11 +331,14 @@ def _cmd_value(args, family: str, limit: float) -> list[str]:
     else:
         points = []
         for n in config.sizes:
-            values = [r.value for r in records if r.n == n]
-            stats = montecarlo.summarize(values)
+            stats = montecarlo.summarize(r.value for r in records if r.n == n)
             _note(f"{family} n={n}: mean={_fmt(stats.mean)} std={_fmt(stats.std)}")
             points.append((n, stats.std))
-        if len(points) >= 3:
+        if len(points) >= 3 and min(std for _, std in points) == 0.0:
+            _note("std slope: undefined, a size's std is 0")
+            if args.tolerance is not None:
+                failures.append("std slope undefined")
+        elif len(points) >= 3:
             fit = montecarlo.fit_exponent(points)
             _note(f"std slope: {_fmt(fit.slope)} (intercept {_fmt(fit.intercept)}, "
                   f"residual {_fmt(fit.residual)})")
@@ -325,46 +352,31 @@ def _cmd_value(args, family: str, limit: float) -> list[str]:
 
 
 def _cmd_patch(args) -> list[str]:
-    r = _require(args, "r")
-    config = _experiment_config(args, args.family, "patch", r=r,
-                                g_strategy=args.g_strategy)
-    records = montecarlo.run(config)
-    emit(records, args.format, args.out)
-    q = config.spec.q
-    dominance_violations = 0
+    config = _experiment_config(args, args.family, "patch")
+    records = emit(config, args)
+    q, r = config.spec.q, config.r
     for n in config.sizes:
-        recs = [rec for rec in records if rec.n == n]
-        costs = [rec.patch_cost for rec in recs]
-        stats = montecarlo.summarize(costs)
+        stats = montecarlo.summarize(rec.patch_cost for rec in records if rec.n == n)
         line = f"patch n={n} r={r}: mean_cost={_fmt(stats.mean)}"
         if r:  # r = 0 patches nothing: there is no scale to normalize by
             line += f" normalized={_fmt(stats.mean / (r * n ** (-1.0 / q)))}"
         _note(line)
-        dominance_violations += sum(
-            1
-            for rec in recs
-            if rec.component_cost is not None and rec.component_cost < rec.patch_cost
-        )
-    if dominance_violations:
-        return [f"component patch beat the exact patch {dominance_violations} times"]
-    return []
+    beaten = sum(rec.component_cost is not None and rec.component_cost < rec.patch_cost
+                 for rec in records)
+    return [f"component patch beat the exact patch {beaten} times"] if beaten else []
 
 
 def _cmd_dual(args) -> list[str]:
-    budget, r = _require(args, "L"), args.r
-    config = _experiment_config(args, args.family, "dual", budget=budget, r=r)
-    records = montecarlo.run(config)
-    emit(records, args.format, args.out)
+    config = _experiment_config(args, args.family, "dual")
+    budget, r = config.budget, config.r
+    records = emit(config, args)
     defects = [rec.defect for rec in records]
     stats = montecarlo.summarize(defects)
     _note(f"defect at budget {_fmt(budget)}: mean={_fmt(stats.mean)} "
           f"max={max(defects)}")
     if r is not None:
-        violations = sum(
-            1
-            for rec in records
-            if (rec.near_value <= budget) != (rec.defect <= r)
-        )
+        violations = sum((rec.near_value <= budget) != (rec.defect <= r)
+                         for rec in records)
         _note(f"duality check at r={r}: {violations} violations")
         if violations:
             return ["budget/distance duality violated"]
@@ -428,30 +440,23 @@ def _cmd_bounds(args) -> list[str]:
 def _cmd_tail(args) -> list[str]:
     if not args.t_grid:
         raise CliError("--t-grid is required for the tail subcommand", EXIT_USAGE)
-    config = _experiment_config(args, args.family, "value", t_grid=args.t_grid)
-    report = montecarlo.tail_experiment(config)
-    emit(report.records, args.format, args.out)
+    config = _experiment_config(args, args.family, "value")
+    report = montecarlo.tail_experiment(config, emit(config, args))
     _note(f"median estimate: {_fmt(report.mu_hat)}")
-    ok = True
     for i, t in enumerate(report.t_grid):
-        _note(
-            f"t={_fmt(t)}: survival={_fmt(float(report.survival[i]))} "
-            f"bound={_fmt(float(report.bound[i]))} "
-            f"se={_fmt(float(report.std_error[i]))} "
-            f"ok={bool(report.within_bound[i])}"
-        )
-        ok = ok and bool(report.within_bound[i])
+        _note(f"t={_fmt(t)}: survival={_fmt(float(report.survival[i]))} "
+              f"bound={_fmt(float(report.bound[i]))} "
+              f"se={_fmt(float(report.std_error[i]))} "
+              f"ok={bool(report.within_bound[i])}")
     _note(f"mean={_fmt(report.mean_value)} <= ratio_bound={_fmt(report.mean_bound)}"
           f": {report.mean_ok}")
-    return [] if ok and report.mean_ok else ["tail bound exceeded"]
+    ok = report.within_bound.all() and report.mean_ok
+    return [] if ok else ["tail bound exceeded"]
 
 
 def _cmd_split(args) -> list[str]:
-    config = _experiment_config(
-        args, args.family, "split", r=_require(args, "r"), s=_require(args, "s")
-    )
-    report = montecarlo.split_experiment(config)
-    emit(report.records, args.format, args.out)
+    config = _experiment_config(args, args.family, "split")
+    report = montecarlo.split_experiment(config, emit(config, args))
     _note(f"violations: {report.violations} / {len(report.records)}")
     _note(f"median value={_fmt(report.median_value)} "
           f"green={_fmt(report.median_green)} red={_fmt(report.median_red)}")

@@ -2,7 +2,8 @@
 
 Every trial draws its generator from (master_seed, n, trial) through one
 SeedSequence, so records are reproducible bit for bit and independent of
-execution order.  The experiments:
+execution order; trials(config) yields each record as its trial finishes.
+The experiments, the first four the trial kinds of one table (_KINDS):
 
 - value: distribution of the minimum member weight (limit constants,
   fluctuation scaling via fit_exponent),
@@ -18,7 +19,8 @@ execution order.  The experiments:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -46,6 +48,7 @@ __all__ = [
     "TailReport",
     "CouplingReport",
     "build_family",
+    "trials",
     "run",
     "summarize",
     "fit_exponent",
@@ -61,7 +64,6 @@ ASSIGNMENT_LIMIT = math.pi ** 2 / 6.0
 
 _QUANTILES = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
 _FAMILIES = {"trees": SpanningTreeFamily, "matchings": MatchingFamily}
-_KINDS = ("value", "patch", "dual", "split")
 COUPLING_MIN_TRIALS = 100
 _COUPLING_ALPHA = 0.01  # significance level of every coupling p-value
 
@@ -98,12 +100,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if self.kind not in _KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.kind == "dual" and self.budget is None:
-            raise ValueError("dual experiment needs a budget")
-        if self.kind in ("patch", "split") and self.r is None:
-            raise ValueError(f"{self.kind} experiment needs r")
-        if self.kind == "split" and self.s is None:
-            raise ValueError("split experiment needs s")
         grid = tuple(int(v) for v in self.n_grid)
         object.__setattr__(self, "n_grid", grid)
         if (self.n is None) == (len(grid) == 0):
@@ -114,6 +110,13 @@ class ExperimentConfig:
             _FAMILIES[self.family].check_size(n)
         tgrid = tuple(float(t) for t in self.t_grid)
         object.__setattr__(self, "t_grid", tgrid)
+        _, requires, takes = _KINDS[self.kind]
+        for f in fields(self):
+            if f.name in requires and getattr(self, f.name) is None:
+                raise ValueError(f"{self.kind} experiment needs {f.name}")
+            if (f.name in _KIND_PARAMETERS.difference(requires, takes)
+                    and getattr(self, f.name) != f.default):
+                raise ValueError(f"{self.kind} experiment does not take {f.name}")
         if any(b <= a for a, b in zip(tgrid, tgrid[1:])):
             raise ValueError("t_grid must be strictly increasing")
         if self.trials < 1:
@@ -155,64 +158,58 @@ class TrialRecord:
     slack: float | None = None
 
 
-def run(config: ExperimentConfig) -> list[TrialRecord]:
-    """Execute all trials; record i at size n depends only on (seed, n, i)."""
-    records = []
+def trials(config: ExperimentConfig) -> Iterator[TrialRecord]:
+    """Yield each record as its trial finishes; it depends only on (seed, n, i)."""
     for n in config.sizes:
         fam = build_family(config.family, n)
         for i in range(config.trials):
             rng = stream(config.master_seed, n, i)
             sid = stream_id(config.master_seed, n, i)
             try:
-                records.append(_trial(config, fam, n, i, sid, rng))
+                record = _trial(config, fam, n, i, sid, rng)
             except Exception as exc:
                 raise RuntimeError(
                     f"{config.kind} trial {i} at n={n} failed: {exc}"
                 ) from exc
-    return records
+            yield record
 
 
-def _trial(
-    config: ExperimentConfig,
-    fam: Family,
-    n: int,
-    i: int,
-    sid: int,
-    rng: np.random.Generator,
-) -> TrialRecord:
-    spec = config.spec
-    size = fam.ground_size
-    if config.kind == "value":
-        w = WeightAssignment.draw(spec, rng, size)
-        return TrialRecord(
-            trial=i, n=n, q=spec.q, seed=sid, value=fam.min_weight(w).value
-        )
-    if config.kind == "dual":
-        w = WeightAssignment.draw(spec, rng, size)
-        res = dual.defect_under_budget(fam, w, config.budget)
-        near = None
-        if config.r is not None:
-            near = dual.cheapest_within_distance(fam, w, config.r).value
-        return TrialRecord(
-            trial=i, n=n, q=spec.q, seed=sid,
-            value=fam.min_weight(w).value, defect=res.defect, near_value=near,
-        )
-    if config.kind == "patch":
-        g = patching.sample_depleted_set(fam, spec, config.r, config.g_strategy, rng)
-        w = WeightAssignment.draw(spec, rng, size)
-        res = patching.exact_patch(fam, g, w)
-        comp_cost = None
-        if config.family == "trees" and config.r > 0:
-            comp_cost = patching.component_patch(fam, g, w).value
-        return TrialRecord(
-            trial=i, n=n, q=spec.q, seed=sid,
-            value=fam.min_weight(w).value,
-            patch_cost=res.value, component_cost=comp_cost,
-        )
-    return _split_trial(config, fam, n, i, sid, rng)  # the one kind left
+def run(config: ExperimentConfig) -> list[TrialRecord]:
+    """Execute all trials: the records trials(config) yields, in order."""
+    return list(trials(config))
 
 
-def _split_trial(config, fam, n, i, sid, rng) -> TrialRecord:
+def _trial(config: ExperimentConfig, fam: Family, n: int, i: int, sid: int,
+           rng: np.random.Generator) -> TrialRecord:
+    kind_trial = _KINDS[config.kind][0]
+    return TrialRecord(trial=i, n=n, q=config.spec.q, seed=sid,
+                       **kind_trial(config, fam, rng))
+
+
+def _value_trial(config, fam, rng) -> dict:
+    w = WeightAssignment.draw(config.spec, rng, fam.ground_size)
+    return dict(value=fam.min_weight(w).value)
+
+
+def _dual_trial(config, fam, rng) -> dict:
+    w = WeightAssignment.draw(config.spec, rng, fam.ground_size)
+    defect = dual.defect_under_budget(fam, w, config.budget).defect
+    near = (None if config.r is None
+            else dual.cheapest_within_distance(fam, w, config.r).value)
+    return dict(value=fam.min_weight(w).value, defect=defect, near_value=near)
+
+
+def _patch_trial(config, fam, rng) -> dict:
+    g = patching.sample_depleted_set(fam, config.spec, config.r, config.g_strategy, rng)
+    w = WeightAssignment.draw(config.spec, rng, fam.ground_size)
+    cost = patching.exact_patch(fam, g, w).value
+    comp_cost = (patching.component_patch(fam, g, w).value
+                 if config.family == "trees" and config.r > 0 else None)
+    return dict(value=fam.min_weight(w).value, patch_cost=cost,
+                component_cost=comp_cost)
+
+
+def _split_trial(config, fam, rng) -> dict:
     spec = config.spec
     x, y, y_prime = weights.split_coupling_batch(spec, config.s, rng, fam.ground_size)
     # Fresh arrays that nothing else holds: the weight vectors keep them uncopied.
@@ -228,11 +225,20 @@ def _split_trial(config, fam, n, i, sid, rng) -> TrialRecord:
     union = np.unique(np.asarray(green.witness + red.witness, dtype=np.intp))
     per_element = np.minimum(y[union] * c_green, y_prime[union] * c_red)
     envelope = WeightAssignment(per_element).total(range(union.size))
-    return TrialRecord(
-        trial=i, n=n, q=spec.q, seed=sid, value=value,
-        w_green=green.value, w_red=red.value,
-        bound=bound, envelope_bound=envelope, slack=bound - value,
-    )
+    return dict(value=value, w_green=green.value, w_red=red.value, bound=bound,
+                envelope_bound=envelope, slack=bound - value)
+
+
+# kind -> (trial function, parameters it requires, parameters it may take); a
+# trial returns its record's value and kind fields.
+_KINDS = {
+    "value": (_value_trial, (), ("t_grid",)),
+    "dual": (_dual_trial, ("budget",), ("r",)),
+    "patch": (_patch_trial, ("r",), ("g_strategy",)),
+    "split": (_split_trial, ("r", "s"), ()),
+}
+_KIND_PARAMETERS = {name for _, requires, takes in _KINDS.values()
+                    for name in requires + takes}
 
 
 @dataclass(frozen=True)
@@ -300,13 +306,11 @@ class SplitReport:
     composite_holds: bool
 
 
-def split_experiment(config: ExperimentConfig) -> SplitReport:
-    records = run(replace(config, kind="split"))
-    violations = sum(
-        1
-        for rec in records
-        if rec.value > rec.bound or rec.value > rec.envelope_bound
-    )
+def split_experiment(config: ExperimentConfig, records=None) -> SplitReport:
+    """The report on the config's split trials: `records`, or run here."""
+    records = run(replace(config, kind="split")) if records is None else list(records)
+    violations = sum(rec.value > rec.bound or rec.value > rec.envelope_bound
+                     for rec in records)
     median_value = summarize(r.value for r in records).median
     median_green = summarize(r.w_green for r in records).median
     median_red = summarize(r.w_red for r in records).median
@@ -322,16 +326,11 @@ def split_experiment(config: ExperimentConfig) -> SplitReport:
         best_split = 1.0 - bounds.split_cost_minimum(
             median_red, median_green, 1.0 / q
         ).split
-    return SplitReport(
-        records=records,
-        violations=violations,
-        median_value=median_value,
-        median_green=median_green,
-        median_red=median_red,
-        best_split=best_split,
-        composite_bound=composite,
-        composite_holds=median_value <= composite,
-    )
+    return SplitReport(records=records, violations=violations,
+                       median_value=median_value, median_green=median_green,
+                       median_red=median_red, best_split=best_split,
+                       composite_bound=composite,
+                       composite_holds=median_value <= composite)
 
 
 @dataclass(frozen=True)
@@ -350,11 +349,12 @@ class TailReport:
     mean_ok: bool
 
 
-def tail_experiment(config: ExperimentConfig) -> TailReport:
-    """Calibrate the median on the first half, test tails on the second."""
+def tail_experiment(config: ExperimentConfig, records=None) -> TailReport:
+    """Calibrate the median on the first half of the config's value trials
+    (`records`, or run here), test tails on the second."""
     if not config.t_grid:
         raise ValueError("tail experiment needs t_grid")
-    records = run(replace(config, kind="value"))
+    records = run(config) if records is None else list(records)
     values = np.array([rec.value for rec in records])
     half = values.size // 2
     calibration, evaluation = values[:half], values[half:]
@@ -366,18 +366,11 @@ def tail_experiment(config: ExperimentConfig) -> TailReport:
     std_error = np.sqrt(bound * (1.0 - bound) / evaluation.size)
     mean_value = summarize(evaluation).mean
     mean_bound = bounds.mean_to_median_ratio_bound(q) * mu_hat
-    return TailReport(
-        records=records,
-        mu_hat=mu_hat,
-        t_grid=grid,
-        survival=survival,
-        bound=bound,
-        std_error=std_error,
-        within_bound=survival <= bound + 3.0 * std_error,
-        mean_value=mean_value,
-        mean_bound=mean_bound,
-        mean_ok=mean_value <= mean_bound,
-    )
+    return TailReport(records=records, mu_hat=mu_hat, t_grid=grid, survival=survival,
+                      bound=bound, std_error=std_error,
+                      within_bound=survival <= bound + 3.0 * std_error,
+                      mean_value=mean_value, mean_bound=mean_bound,
+                      mean_ok=mean_value <= mean_bound)
 
 
 @dataclass(frozen=True)

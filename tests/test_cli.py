@@ -4,6 +4,7 @@ Everything runs in-process through main(argv); one subprocess test covers
 the module entry point.
 """
 
+import hashlib
 import json
 import re
 import subprocess
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from minweight import montecarlo
 from minweight.cli import (
     EXIT_CONFIG,
     EXIT_INTERNAL,
@@ -28,6 +30,7 @@ from minweight.cli import (
 )
 from minweight.families import MatchingFamily, SolveResult, SpanningTreeFamily
 from minweight.montecarlo import ExperimentConfig, run
+from minweight.weights import InvalidInput
 
 
 def invoke(argv, capsys):
@@ -97,13 +100,16 @@ class TestExitCodes:
         )
         assert code == EXIT_USAGE
 
-    def test_unwritable_out_is_io_error(self, capsys):
+    def test_unwritable_out_is_io_error(self, monkeypatch, capsys):
+        ran = []  # the file is opened before the first trial
+        monkeypatch.setattr(montecarlo, "_trial", lambda *args: ran.append(args))
         code, _, err = invoke(
             ["mst", "--n", "8", "--trials", "2",
              "--out", "/nonexistent-dir/x.csv"], capsys
         )
         assert code == EXIT_IO
         assert "cannot write" in err
+        assert ran == []
 
     def test_missing_required_flags(self, capsys):
         assert invoke(["patch", "--n", "10", "--trials", "2"], capsys)[0] == \
@@ -239,11 +245,24 @@ class TestExitCodes:
         "coupling --s 0", "coupling --s 1.5", "coupling --s nan",
         "coupling --s 0.5 --trials 99", "coupling --s 0.5 --seed -1",
         "oracle --trials 0", "oracle --trials -3", "oracle --seed -1",
+        "mst --n-grid 5,6,7 --trials 1", "assignment --n-grid 2,3,4 --trials 1",
     ])
     def test_argument_checks_run_before_the_work(self, argv, capsys):
         code, out, err = invoke(argv.split(), capsys)
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("tolerance, expected", [
+        ([], EXIT_OK), (["--tolerance", "5"], EXIT_VERIFY),
+    ], ids=["no-check", "tolerance"])
+    def test_a_zero_std_leaves_the_slope_undefined(self, tolerance, expected,
+                                                   capsys):
+        # At q = 0.001 most weights underflow to 0: every size's std is 0.
+        argv = "mst --n-grid 5,6,7 --trials 3 --q 0.001".split() + tolerance
+        code, out, err = invoke(argv, capsys)
+        assert code == expected
+        assert len(out.splitlines()) == 10
+        assert "std slope: undefined" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv, message", [
         (["mst", "--n", "20", "--q", "2"], "needs --q 1"),
@@ -327,6 +346,82 @@ class TestRecordEmission:
     def test_empty_renders_header_only(self):
         assert render_csv([]) == "trial,n,q,seed,value\n"
         assert render_json([]) == "[]\n"
+
+    # sha256 of stdout at seed 7, in each format.  A change that alters
+    # records on purpose updates these digests and says so.
+    PINNED = [
+        ("mst --n 8 --trials 3",
+         "33cd2c18412e18af81b724555784e720b4035de9948a586bf34b6f2499699ad6",
+         "2ec31a364b723d0a2a042753b392bf97900e1ec9114fd6d871138b4b891a396f"),
+        ("mst --n-grid 5,8,11 --trials 3",
+         "fe9a47a019a65ff3f94f628eb0f43c19f1fbec90c608050fc7ff1deed10ebabb",
+         "73d16d913a78c7a0357959bb30ed5fdc8be2a1a2df447b7cdd7f145911a7b7b5"),
+        ("assignment --n 5 --trials 3",
+         "a52f5eb35545b8ad06914df1f9c7d7745180472a69224ab097daa01992c46299",
+         "d099da25bdd0b393ea07fe57ba175235207702147600d6e7cebcd422c57e493e"),
+        ("patch --n 8 --r 0 --trials 3",
+         "e6bf8663e962d725df057def9d67c0e3509e6b0f065e6a62f1440a6a6285ba88",
+         "25854ec34d5a5b8e53ab3f5b5c9b6ee3944451c3ba0faf52acfac87cd0e1f636"),
+        ("patch --n 8 --r 2 --trials 3",
+         "4c26d7a0df768c0d89dfde2704110aa2e03b9b61c00603cb31805b7ed0a31740",
+         "7c5160880ea3c75cc7a35670c29baa8ee88cae51e68cc9871dc3ef9cb249707c"),
+        ("patch --family matchings --n 5 --r 2 --trials 3",
+         "4538b2303dbc525df25bb9a412f162a6346c0b079022fb9784ce7e190b915f26",
+         "89dc3914578b11bda1ec004862e6274f48bb0742af4029c7167b5553e92ce4c0"),
+        ("dual --n 8 --L 1 --trials 3",
+         "46961e0a039e145778f0b738ab489a9d16801fc6c700ca6e6680f6ba3e2a9385",
+         "93dab51c186f159d603d9096494776c0f50c5d14826e365a31e0ef54232519a1"),
+        ("dual --family matchings --n 5 --L 1 --r 2 --trials 3",
+         "46e02d8863e7ff436d33ee52993d439d835aadbbdc795471c389414e564b95c7",
+         "00a378b827e92011010f8975a718c095ded5e146176a9a4781c6da7edf003ea3"),
+        ("split --n 8 --r 2 --s 0.3 --trials 3",
+         "4cd5edca14bdc7f289b2d9d96af7a74820ab96c8e88c86db6dfc993b1cbb50fc",
+         "4916ef87ad1fe587d7c8e90e07936b9aa4271f5dc80e12390d8e950943e79dde"),
+        ("tail --n 8 --t-grid 1,2 --trials 4",
+         "4dc44cb5843e9a9f34b2a4fee3abf0e9f9b6d790d1faf2521acfce1abf3650f2",
+         "d5942e8d1f053bf7a388d715c1fc3dae5ffe3285d9c2000afc1cba5e71beb6ab"),
+    ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv, csv_digest, json_digest", PINNED,
+                             ids=[argv for argv, _, _ in PINNED])
+    def test_records_match_their_pinned_digest(self, argv, csv_digest,
+                                               json_digest, fmt, capsys):
+        code, out, _ = invoke(argv.split() + ["--seed", "7", "--format", fmt],
+                              capsys)
+        assert code == EXIT_OK
+        digest = csv_digest if fmt == "csv" else json_digest
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("cause, expected", [
+        (InvalidInput, EXIT_USAGE), (ZeroDivisionError, EXIT_INTERNAL),
+    ], ids=["invalid-input", "crash"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_a_failed_trial_keeps_the_records_before_it(
+            self, k, fmt, cause, expected, monkeypatch, tmp_path, capsys):
+        argv = self.ARGS[:3] + ["--trials", "5", "--format", fmt]
+        _, full, _ = invoke(argv, capsys)
+        trial = montecarlo._trial
+
+        def failing(config, fam, n, i, sid, rng):
+            if i == k:
+                raise cause("trial broke")
+            return trial(config, fam, n, i, sid, rng)
+
+        monkeypatch.setattr(montecarlo, "_trial", failing)
+        target = tmp_path / "records.out"
+        code, out, err = invoke(argv, capsys)
+        assert (code, f"value trial {k} at n=8" in err) == (expected, True)
+        code, empty, _ = invoke(argv + ["--out", str(target)], capsys)
+        assert (code, empty, target.read_text()) == (expected, "", out)
+        # The full run's bytes up to the end of record k - 1.
+        assert full.startswith(out)
+        if fmt == "csv":  # the header and k rows
+            assert out.splitlines() == full.splitlines()[:k + 1]
+        else:  # "[" and k elements, each ending with "}"
+            assert out.endswith("}") and full[len(out)] == ","
+            assert json.loads(out + "\n]") == json.loads(full)[:k]
 
 
 class TestBoundsCommand:
@@ -570,6 +665,17 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == EXIT_OK
         assert "fmin = 9" in proc.stdout
+
+    def test_stdout_closed_by_its_reader_is_an_io_error(self):
+        # A reader that stops early, as `| head -1` does, ends the run.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "minweight", "mst", "--n", "30", "--trials",
+             "100000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"trial,n,q,seed,value\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == EXIT_IO
+        assert proc.stderr.read() == b"error: cannot write stdout: [Errno 32] Broken pipe\n"
+        proc.stderr.close()
 
     def test_import_leaves_scipy_stats_unloaded(self):
         # Only the coupling experiment needs scipy.stats, and it is slow to import.

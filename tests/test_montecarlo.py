@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from minweight import montecarlo
 from minweight.bounds import split_cost_minimum, upper_tail_bound
 from minweight.families import SpanningTreeFamily
 from minweight.montecarlo import (
@@ -19,6 +20,7 @@ from minweight.montecarlo import (
     split_experiment,
     summarize,
     tail_experiment,
+    trials,
 )
 from minweight.patching import GStrategy
 from minweight.rngs import stream, stream_id
@@ -79,6 +81,29 @@ class TestExperimentConfig:
         # Caught before any trial, not wrapped in the RuntimeError of trial 0.
         with pytest.raises(ValueError, match=f"{kind} experiment needs"):
             ExperimentConfig(family="trees", n=5, kind=kind, **fields)
+
+    @pytest.mark.parametrize("kind, fields, name", [
+        ("value", {"r": 3}, "r"),
+        ("value", {"budget": 2.0}, "budget"),
+        ("value", {"s": 0.5}, "s"),
+        ("value", {"g_strategy": "adversarial-heaviest"}, "g_strategy"),
+        ("dual", {"budget": 1.0, "s": 0.5}, "s"),
+        ("dual", {"budget": 1.0, "t_grid": (1.0,)}, "t_grid"),
+        ("patch", {"r": 2, "budget": 1.0}, "budget"),
+        ("patch", {"r": 2, "t_grid": (1.0, 2.0)}, "t_grid"),
+        ("split", {"r": 2, "s": 0.5, "budget": 0.0}, "budget"),
+        ("split", {"r": 2, "s": 0.5, "g_strategy": "adversarial-heaviest"},
+         "g_strategy"),
+    ])
+    def test_rejects_a_parameter_its_kind_does_not_take(self, kind, fields, name):
+        with pytest.raises(ValueError,
+                           match=f"^{kind} experiment does not take {name}$"):
+            ExperimentConfig(family="trees", n=5, kind=kind, **fields)
+
+    def test_accepts_unread_parameters_at_their_defaults(self):
+        config = ExperimentConfig(family="trees", n=5, r=None, budget=None, s=None,
+                                  t_grid=[], g_strategy="remove-from-optimum")
+        assert config == ExperimentConfig(family="trees", n=5)
 
     def test_rejects_bad_tail_grids(self):
         for t_grid in [(-1.0,), (float("nan"),)]:
@@ -141,6 +166,22 @@ class TestRun:
             assert rec.seed == stream_id(5, 6, i)
             assert rec.value > 0.0
             assert rec.defect is None and rec.patch_cost is None
+
+    def test_trials_yield_each_record_as_its_trial_finishes(self, monkeypatch):
+        config = ExperimentConfig(family="trees", n=6, trials=4, master_seed=3)
+        expected = run(config)
+        trial = montecarlo._trial
+
+        def failing(config, fam, n, i, sid, rng):
+            if i == 2:
+                raise ZeroDivisionError("trial broke")
+            return trial(config, fam, n, i, sid, rng)
+
+        monkeypatch.setattr(montecarlo, "_trial", failing)
+        records = trials(config)
+        assert [next(records), next(records)] == expected[:2]
+        with pytest.raises(RuntimeError, match="value trial 2 at n=6 failed"):
+            next(records)
 
     def test_error_message_names_trial_and_size(self):
         config = ExperimentConfig(family="trees", n=6, trials=3, kind="patch", r=9)
@@ -302,6 +343,8 @@ class TestSplitExperiment:
         b = split_experiment(self.CONFIG)
         assert a.records == b.records
         assert a.composite_bound == b.composite_bound
+        # The report over records already run, as the CLI passes them.
+        assert split_experiment(self.CONFIG, iter(run(self.CONFIG))) == a
 
 
 class TestTailExperiment:
@@ -325,6 +368,12 @@ class TestTailExperiment:
         assert bool(report.within_bound.all())
         assert report.mean_ok
         assert report.mean_value <= report.mean_bound
+
+    def test_report_over_given_records(self):
+        report = tail_experiment(self.CONFIG, iter(run(self.CONFIG)))
+        again = tail_experiment(self.CONFIG)
+        assert report.records == again.records and report.mu_hat == again.mu_hat
+        assert (report.survival == again.survival).all()
 
     def test_t_one_never_fails(self):
         report = tail_experiment(self.CONFIG)
