@@ -9,17 +9,16 @@ and kicks in fast past t=1.
 import numpy as np
 
 from minweight.bounds import mean_to_median_ratio_bound
-from minweight.montecarlo import ExperimentConfig, tail_experiment
+from minweight.montecarlo import ExperimentConfig, run, tail_experiment
 from minweight.weights import BaseLaw, WeightSpec
 
 for q in (1.0, 2.0):
-    report = tail_experiment(
-        ExperimentConfig(
-            family="trees", n=50, trials=3000,
-            spec=WeightSpec(q=q, base=BaseLaw.UNIFORM_POWER),
-            t_grid=(1.0, 1.1, 1.25, 1.5, 2.0, 2.5),
-        )
+    config = ExperimentConfig(
+        family="trees", n=50, trials=3000,
+        spec=WeightSpec(q=q, base=BaseLaw.UNIFORM_POWER),
+        t_grid=(1.0, 1.1, 1.25, 1.5, 2.0, 2.5),
     )
+    report = tail_experiment(config, run(config))
     print(f"q={q}  median estimate {report.mu_hat:.4f}")
     print("    t   survival      bound")
     for t, surv, bnd in zip(report.t_grid, report.survival, report.bound):

@@ -23,6 +23,7 @@ import argparse
 import inspect
 import io
 import json
+import os
 import sys
 import traceback
 import typing
@@ -212,8 +213,8 @@ def _config_flags(args) -> list[str]:
 
 def _require(args, name: str) -> object:
     value = getattr(args, name)
-    if value is None:
-        flag = "--" + name.replace("_", "-")
+    if value is None:  # dual's --L is the one flag named apart from its dest
+        flag = "--L" if name == "budget" else "--" + name.replace("_", "-")
         raise CliError(f"{flag} is required for this subcommand", EXIT_USAGE)
     return value
 
@@ -228,6 +229,8 @@ def _weight_spec(args) -> WeightSpec:
 def _experiment_config(args, family: str, kind: str) -> ExperimentConfig:
     """The given flags named as config fields (sizes, trials and the kind's
     parameters), with the family, the weight law, the seed and the kind."""
+    for name in montecarlo.KINDS[kind][1]:  # the parameters the kind requires
+        _require(args, name)
     names = {f.name for f in dataclass_fields(ExperimentConfig)}
     given = {k: v for k, v in vars(args).items() if k in names and v is not None}
     try:
@@ -287,6 +290,8 @@ def _output(path: str | None) -> typing.Iterator[typing.TextIO]:
             with open(path, "w") as fh:
                 yield fh
     except OSError as exc:  # stdout too: its reader may have closed it
+        if path is None:  # drop its unwritten bytes, so exit does not flush them
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise CliError(f"cannot write {path or 'stdout'}: {exc}", EXIT_IO)
 
 
@@ -331,7 +336,8 @@ def _cmd_value(args, family: str, limit: float) -> list[str]:
     else:
         points = []
         for n in config.sizes:
-            stats = montecarlo.summarize(r.value for r in records if r.n == n)
+            values = [r.value for r in records if r.n == n]
+            stats = montecarlo.summarize(values)
             _note(f"{family} n={n}: mean={_fmt(stats.mean)} std={_fmt(stats.std)}")
             points.append((n, stats.std))
         if len(points) >= 3 and min(std for _, std in points) == 0.0:
@@ -355,15 +361,23 @@ def _cmd_patch(args) -> list[str]:
     config = _experiment_config(args, args.family, "patch")
     records = emit(config, args)
     q, r = config.spec.q, config.r
+    dominance_violations = 0
     for n in config.sizes:
-        stats = montecarlo.summarize(rec.patch_cost for rec in records if rec.n == n)
+        recs = [rec for rec in records if rec.n == n]
+        costs = [rec.patch_cost for rec in recs]
+        stats = montecarlo.summarize(costs)
         line = f"patch n={n} r={r}: mean_cost={_fmt(stats.mean)}"
         if r:  # r = 0 patches nothing: there is no scale to normalize by
             line += f" normalized={_fmt(stats.mean / (r * n ** (-1.0 / q)))}"
         _note(line)
-    beaten = sum(rec.component_cost is not None and rec.component_cost < rec.patch_cost
-                 for rec in records)
-    return [f"component patch beat the exact patch {beaten} times"] if beaten else []
+        dominance_violations += sum(
+            1
+            for rec in recs
+            if rec.component_cost is not None and rec.component_cost < rec.patch_cost
+        )
+    if dominance_violations:
+        return [f"component patch beat the exact patch {dominance_violations} times"]
+    return []
 
 
 def _cmd_dual(args) -> list[str]:
@@ -375,8 +389,11 @@ def _cmd_dual(args) -> list[str]:
     _note(f"defect at budget {_fmt(budget)}: mean={_fmt(stats.mean)} "
           f"max={max(defects)}")
     if r is not None:
-        violations = sum((rec.near_value <= budget) != (rec.defect <= r)
-                         for rec in records)
+        violations = sum(
+            1
+            for rec in records
+            if (rec.near_value <= budget) != (rec.defect <= r)
+        )
         _note(f"duality check at r={r}: {violations} violations")
         if violations:
             return ["budget/distance duality violated"]
@@ -443,15 +460,18 @@ def _cmd_tail(args) -> list[str]:
     config = _experiment_config(args, args.family, "value")
     report = montecarlo.tail_experiment(config, emit(config, args))
     _note(f"median estimate: {_fmt(report.mu_hat)}")
+    ok = True
     for i, t in enumerate(report.t_grid):
-        _note(f"t={_fmt(t)}: survival={_fmt(float(report.survival[i]))} "
-              f"bound={_fmt(float(report.bound[i]))} "
-              f"se={_fmt(float(report.std_error[i]))} "
-              f"ok={bool(report.within_bound[i])}")
+        _note(
+            f"t={_fmt(t)}: survival={_fmt(float(report.survival[i]))} "
+            f"bound={_fmt(float(report.bound[i]))} "
+            f"se={_fmt(float(report.std_error[i]))} "
+            f"ok={bool(report.within_bound[i])}"
+        )
+        ok = ok and bool(report.within_bound[i])
     _note(f"mean={_fmt(report.mean_value)} <= ratio_bound={_fmt(report.mean_bound)}"
           f": {report.mean_ok}")
-    ok = report.within_bound.all() and report.mean_ok
-    return [] if ok else ["tail bound exceeded"]
+    return [] if ok and report.mean_ok else ["tail bound exceeded"]
 
 
 def _cmd_split(args) -> list[str]:

@@ -3,7 +3,7 @@
 Every trial draws its generator from (master_seed, n, trial) through one
 SeedSequence, so records are reproducible bit for bit and independent of
 execution order; trials(config) yields each record as its trial finishes.
-The experiments, the first four the trial kinds of one table (_KINDS):
+The experiments, the first four the trial kinds of one table (KINDS):
 
 - value: distribution of the minimum member weight (limit constants,
   fluctuation scaling via fit_exponent),
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,6 +47,7 @@ __all__ = [
     "SplitReport",
     "TailReport",
     "CouplingReport",
+    "KINDS",
     "build_family",
     "trials",
     "run",
@@ -98,7 +99,7 @@ class ExperimentConfig:
         object.__setattr__(self, "g_strategy", GStrategy(self.g_strategy))
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         grid = tuple(int(v) for v in self.n_grid)
         object.__setattr__(self, "n_grid", grid)
@@ -110,7 +111,7 @@ class ExperimentConfig:
             _FAMILIES[self.family].check_size(n)
         tgrid = tuple(float(t) for t in self.t_grid)
         object.__setattr__(self, "t_grid", tgrid)
-        _, requires, takes = _KINDS[self.kind]
+        _, requires, takes = KINDS[self.kind]
         for f in fields(self):
             if f.name in requires and getattr(self, f.name) is None:
                 raise ValueError(f"{self.kind} experiment needs {f.name}")
@@ -179,9 +180,15 @@ def run(config: ExperimentConfig) -> list[TrialRecord]:
     return list(trials(config))
 
 
-def _trial(config: ExperimentConfig, fam: Family, n: int, i: int, sid: int,
-           rng: np.random.Generator) -> TrialRecord:
-    kind_trial = _KINDS[config.kind][0]
+def _trial(
+    config: ExperimentConfig,
+    fam: Family,
+    n: int,
+    i: int,
+    sid: int,
+    rng: np.random.Generator,
+) -> TrialRecord:
+    kind_trial = KINDS[config.kind][0]
     return TrialRecord(trial=i, n=n, q=config.spec.q, seed=sid,
                        **kind_trial(config, fam, rng))
 
@@ -231,13 +238,13 @@ def _split_trial(config, fam, rng) -> dict:
 
 # kind -> (trial function, parameters it requires, parameters it may take); a
 # trial returns its record's value and kind fields.
-_KINDS = {
+KINDS = {
     "value": (_value_trial, (), ("t_grid",)),
     "dual": (_dual_trial, ("budget",), ("r",)),
     "patch": (_patch_trial, ("r",), ("g_strategy",)),
     "split": (_split_trial, ("r", "s"), ()),
 }
-_KIND_PARAMETERS = {name for _, requires, takes in _KINDS.values()
+_KIND_PARAMETERS = {name for _, requires, takes in KINDS.values()
                     for name in requires + takes}
 
 
@@ -306,11 +313,15 @@ class SplitReport:
     composite_holds: bool
 
 
-def split_experiment(config: ExperimentConfig, records=None) -> SplitReport:
-    """The report on the config's split trials: `records`, or run here."""
-    records = run(replace(config, kind="split")) if records is None else list(records)
-    violations = sum(rec.value > rec.bound or rec.value > rec.envelope_bound
-                     for rec in records)
+def split_experiment(
+    config: ExperimentConfig, records: list[TrialRecord]
+) -> SplitReport:
+    """The report on `records`, the split config's trials (run(config))."""
+    violations = sum(
+        1
+        for rec in records
+        if rec.value > rec.bound or rec.value > rec.envelope_bound
+    )
     median_value = summarize(r.value for r in records).median
     median_green = summarize(r.w_green for r in records).median
     median_red = summarize(r.w_red for r in records).median
@@ -326,11 +337,16 @@ def split_experiment(config: ExperimentConfig, records=None) -> SplitReport:
         best_split = 1.0 - bounds.split_cost_minimum(
             median_red, median_green, 1.0 / q
         ).split
-    return SplitReport(records=records, violations=violations,
-                       median_value=median_value, median_green=median_green,
-                       median_red=median_red, best_split=best_split,
-                       composite_bound=composite,
-                       composite_holds=median_value <= composite)
+    return SplitReport(
+        records=records,
+        violations=violations,
+        median_value=median_value,
+        median_green=median_green,
+        median_red=median_red,
+        best_split=best_split,
+        composite_bound=composite,
+        composite_holds=median_value <= composite,
+    )
 
 
 @dataclass(frozen=True)
@@ -349,12 +365,13 @@ class TailReport:
     mean_ok: bool
 
 
-def tail_experiment(config: ExperimentConfig, records=None) -> TailReport:
-    """Calibrate the median on the first half of the config's value trials
-    (`records`, or run here), test tails on the second."""
+def tail_experiment(
+    config: ExperimentConfig, records: list[TrialRecord]
+) -> TailReport:
+    """Calibrate the median on the first half of `records`, the value config's
+    trials (run(config)), test tails on the second."""
     if not config.t_grid:
         raise ValueError("tail experiment needs t_grid")
-    records = run(config) if records is None else list(records)
     values = np.array([rec.value for rec in records])
     half = values.size // 2
     calibration, evaluation = values[:half], values[half:]
@@ -366,11 +383,18 @@ def tail_experiment(config: ExperimentConfig, records=None) -> TailReport:
     std_error = np.sqrt(bound * (1.0 - bound) / evaluation.size)
     mean_value = summarize(evaluation).mean
     mean_bound = bounds.mean_to_median_ratio_bound(q) * mu_hat
-    return TailReport(records=records, mu_hat=mu_hat, t_grid=grid, survival=survival,
-                      bound=bound, std_error=std_error,
-                      within_bound=survival <= bound + 3.0 * std_error,
-                      mean_value=mean_value, mean_bound=mean_bound,
-                      mean_ok=mean_value <= mean_bound)
+    return TailReport(
+        records=records,
+        mu_hat=mu_hat,
+        t_grid=grid,
+        survival=survival,
+        bound=bound,
+        std_error=std_error,
+        within_bound=survival <= bound + 3.0 * std_error,
+        mean_value=mean_value,
+        mean_bound=mean_bound,
+        mean_ok=mean_value <= mean_bound,
+    )
 
 
 @dataclass(frozen=True)

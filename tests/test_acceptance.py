@@ -174,11 +174,10 @@ def test_criterion_07_closed_form_cross_checks():
 def test_criterion_08_sure_split_inequality():
     """Trees n=100, q=1, s=0.1, r=14, 200 trials: the coupled two-round
     bound holds surely, with zero violations."""
-    report = split_experiment(
-        ExperimentConfig(
-            family="trees", n=100, trials=200, kind="split", r=14, s=0.1
-        )
+    config = ExperimentConfig(
+        family="trees", n=100, trials=200, kind="split", r=14, s=0.1
     )
+    report = split_experiment(config, run(config))
     print(f"violations={report.violations}/200 "
           f"median value={report.median_value:.4f} "
           f"composite={report.composite_bound:.4f}")
@@ -189,13 +188,12 @@ def test_criterion_09_tail_bound_never_violated():
     """Trees n=50, q in {1,2}, 5000 trials: empirical survival at every
     grid point t stays below 2^(1-t^q) plus 3 binomial SE."""
     for q in (1.0, 2.0):
-        report = tail_experiment(
-            ExperimentConfig(
-                family="trees", n=50, trials=5000,
-                spec=WeightSpec(q=q, base=BaseLaw.UNIFORM_POWER),
-                t_grid=(1.0, 1.25, 1.5, 2.0, 2.5, 3.0),
-            )
+        config = ExperimentConfig(
+            family="trees", n=50, trials=5000,
+            spec=WeightSpec(q=q, base=BaseLaw.UNIFORM_POWER),
+            t_grid=(1.0, 1.25, 1.5, 2.0, 2.5, 3.0),
         )
+        report = tail_experiment(config, run(config))
         for j, t in enumerate(report.t_grid):
             limit = report.bound[j] + 3.0 * report.std_error[j]
             assert report.survival[j] <= limit, f"q={q} t={t}"

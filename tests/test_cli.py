@@ -123,6 +123,16 @@ class TestExitCodes:
             EXIT_USAGE
         assert invoke(["bounds"], capsys)[0] == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv, flag", [
+        ("patch --n 10", "--r"), ("dual --n 8", "--L"),
+        ("split --n 8 --s 0.3", "--r"), ("split --n 8 --r 2", "--s"),
+    ], ids=["patch-r", "dual-L", "split-r", "split-s"])
+    def test_a_missing_kind_parameter_names_its_flag(self, argv, flag, capsys):
+        # dual's --L fills the config's budget; the message names the flag.
+        code, out, err = invoke(argv.split() + ["--trials", "2"], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: {flag} is required for this subcommand\n"
+
     @pytest.mark.parametrize("argv", [
         ["patch", "--n", "5", "--r", "10", "--trials", "1"],
         ["dual", "--n", "5", "--L", "-1", "--trials", "1"],

@@ -308,7 +308,7 @@ class TestSplitExperiment:
     )
 
     def test_sure_bounds_never_violated(self):
-        report = split_experiment(self.CONFIG)
+        report = split_experiment(self.CONFIG, run(self.CONFIG))
         assert report.violations == 0
         for rec in report.records:
             assert rec.value <= rec.envelope_bound
@@ -318,7 +318,7 @@ class TestSplitExperiment:
             assert rec.envelope_bound <= rec.bound * (1 + 1e-12)
 
     def test_composite_and_best_split(self):
-        report = split_experiment(self.CONFIG)
+        report = split_experiment(self.CONFIG, run(self.CONFIG))
         assert report.composite_holds
         assert report.median_value <= report.composite_bound
         assert 0.0 <= report.best_split <= 1.0
@@ -333,18 +333,16 @@ class TestSplitExperiment:
             family="trees", n=6, trials=20, master_seed=7,
             kind="split", r=5, s=0.3, spec=Q1,
         )
-        report = split_experiment(config)
+        report = split_experiment(config, run(config))
         assert report.median_green == 0.0
         assert report.best_split == 1.0
         assert report.violations == 0
 
     def test_reproducible(self):
-        a = split_experiment(self.CONFIG)
-        b = split_experiment(self.CONFIG)
+        a = split_experiment(self.CONFIG, run(self.CONFIG))
+        b = split_experiment(self.CONFIG, run(self.CONFIG))
         assert a.records == b.records
         assert a.composite_bound == b.composite_bound
-        # The report over records already run, as the CLI passes them.
-        assert split_experiment(self.CONFIG, iter(run(self.CONFIG))) == a
 
 
 class TestTailExperiment:
@@ -354,7 +352,7 @@ class TestTailExperiment:
     )
 
     def test_halves_and_survival(self):
-        report = tail_experiment(self.CONFIG)
+        report = tail_experiment(self.CONFIG, run(self.CONFIG))
         values = np.array([rec.value for rec in report.records])
         assert values.size == 400
         assert report.mu_hat == summarize(values[:200]).median
@@ -364,35 +362,30 @@ class TestTailExperiment:
             assert report.bound[j] == upper_tail_bound(t, 1.0)
 
     def test_bounds_hold_at_seed(self):
-        report = tail_experiment(self.CONFIG)
+        report = tail_experiment(self.CONFIG, run(self.CONFIG))
         assert bool(report.within_bound.all())
         assert report.mean_ok
         assert report.mean_value <= report.mean_bound
 
-    def test_report_over_given_records(self):
-        report = tail_experiment(self.CONFIG, iter(run(self.CONFIG)))
-        again = tail_experiment(self.CONFIG)
-        assert report.records == again.records and report.mu_hat == again.mu_hat
-        assert (report.survival == again.survival).all()
-
     def test_t_one_never_fails(self):
-        report = tail_experiment(self.CONFIG)
+        report = tail_experiment(self.CONFIG, run(self.CONFIG))
         assert report.bound[0] == 1.0
         assert report.std_error[0] == 0.0
         assert bool(report.within_bound[0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            tail_experiment(ExperimentConfig(family="trees", n=12, trials=50))
+            tail_experiment(ExperimentConfig(family="trees", n=12, trials=50), [])
         with pytest.raises(ValueError):
             tail_experiment(
                 ExperimentConfig(
                     family="trees", n_grid=(6, 12), trials=50, t_grid=(1.0,)
-                )
+                ),
+                [],
             )
         with pytest.raises(ValueError):
             tail_experiment(
-                ExperimentConfig(family="trees", n=12, trials=1, t_grid=(1.0,))
+                ExperimentConfig(family="trees", n=12, trials=1, t_grid=(1.0,)), []
             )
 
 
