@@ -32,14 +32,15 @@ the trees' own two: component_completion, the component heuristic's patch,
 and min_outgoing_edge_count, the lemma behind its bound.
 
 budget_witness searches r with few distance_witness calls, since on
-matchings each is an assignment solve.  After r = 0 it takes a free upper
-bracket: the optimum minus its r heaviest weights bounds the cost at r.
-Inside the bracket it takes secant steps through the two largest
-unaffordable probes (a lower bound on the defect when the costs are convex
-in r, as minimum k-matching costs and tree chain prefix sums are), with a
-bisect step whenever the bracket falls behind halving every two probes, so
-any curve takes O(log ell) probes.  The answer d is certified by two
-probes: r = d affordable and r = d - 1 not (or d = 0).
+matchings each is an assignment solve.  Every distance the memo already
+holds is a free probe, and after r = 0 it takes a free upper bracket: the
+optimum minus its r heaviest weights bounds the cost at r.  Inside the
+bracket it aims at the defect: it scales that bound's drop to the cost
+solved at the bracket's end, probes where the scaled curve meets the
+budget, then that probe's certifying neighbour.  A bisect step replaces
+the aim whenever the bracket falls behind halving every two probes, so any
+curve takes O(log ell) probes.  The answer d is certified by two probes:
+r = d affordable and r = d - 1 not (or d = 0).
 
 Determinism: tree and explicit tie-breaks prefer the smallest element index,
 and a matching witness is an optimum fixed by the vector; solver values are
@@ -267,37 +268,43 @@ class Family(ABC):
         always affordable.
 
         The search probes r = 0 first (the optimum, which a trial needs
-        anyway) and returns 0 if it is affordable.  Otherwise the r = 0
-        witness gives a free upper bracket: dropping its r heaviest elements
-        leaves a subset at patch distance <= r, so the cost at r is at most
-        the optimum minus its r heaviest weights, and the first r where that
-        bound is <= budget tops the bracket (ell if none is).  Inside it the
-        first probe is the midpoint; after that each probe is a secant step
-        through the two largest unaffordable probes.  Minimum k-matching
-        costs and tree chain prefix sums are convex in r, so the secant is a
-        lower bound on the defect and climbs onto it in a few probes.  The
-        bracket must keep pace with halving every two probes (its width
-        against a pace that starts at its first width and shrinks by sqrt 2
-        a probe); whenever it falls behind the probe is a bisect step, which
-        keeps any curve (explicit families need not be convex) to
-        O(log ell) probes.  Convexity only guides the probes: the defect
-        d is returned once r = d was probed affordable and r = d - 1 probed
-        unaffordable (or d = 0).  The bracket top is a hint, not a proof: if
-        it probes unaffordable, say by rounding, the search goes on up to
-        ell.  r = ell is never solved; its witness is the empty set.
+        anyway) and returns 0 if it is affordable.  Every other distance
+        already solved for w (a trial's r, say) is a free probe: the
+        smallest affordable one is the bracket's upper end, the largest
+        unaffordable one below it the lower end.  The r = 0 witness gives a
+        free upper bracket too: dropping its r heaviest elements leaves a
+        subset at patch distance <= r, so the cost at r is at most the
+        optimum minus its r heaviest weights, and the first r where that
+        bound is <= budget tops the bracket (ell if none is).
+
+        While no r > 0 is solved the probe is the bracket's midpoint.  After
+        that each probe aims at the defect: the bound's drop below the
+        optimum, scaled to the drop solved at the bracket's lower end (its
+        upper end if the lower is r = 0), meets the budget at the aimed r.
+        The next probe is the aimed one's certifying neighbour, r - 1 if it
+        was affordable and r + 1 if not.  On trees the bound is exact (a
+        distance witness is the chain less its r heaviest edges), so the
+        aim is the defect; on matchings the scale drifts slowly with r, and
+        the aim is the defect or next to it in most trials.  The bracket
+        must keep pace with halving every two probes (its width against a
+        pace that starts at its first width and shrinks by sqrt 2 a probe);
+        whenever it falls behind, a bisect step replaces the aimed probe,
+        which keeps any curve (an explicit family's need not be anything
+        like the bound) to O(log ell) probes.  The aim only guides the
+        probes: the defect d is returned once r = d was probed affordable
+        and r = d - 1 probed unaffordable (or d = 0), so the answer does not
+        depend on what was solved before.  The bracket top is a hint, not a
+        proof: if it probes unaffordable, say by rounding, the search goes
+        on up to ell.  r = ell is never solved; its witness is the empty
+        set.
         """
         self._check_weights(w)
         budget = float(budget)
         if not budget >= 0:  # also rejects NaN
             raise InvalidInput(f"budget must be non-negative, got {budget}")
-        misses: list[tuple[int, float]] = []  # unaffordable (r, total), r ascending
 
         def affordable(r: int) -> bool:
-            total = self.distance_witness(w, r).value
-            if total <= budget:
-                return True
-            misses.append((r, total))
-            return False
+            return self.distance_witness(w, r).value <= budget
 
         def answer(defect: int) -> DualResult:
             found = self.distance_witness(w, defect)
@@ -305,29 +312,39 @@ class Family(ABC):
 
         if affordable(0):  # always, if ell = 0
             return answer(0)
-        # lo: the largest probe known unaffordable; hi: the smallest r known
-        # affordable (probed, or ell); top: the bracket's upper end, hi or the
-        # unproven bound below it.
-        optimum = np.asarray(self.distance_witness(w, 0).witness, dtype=np.intp)
-        lightest = np.cumsum(np.sort(w.values[optimum]))
+        # lo: the largest r solved unaffordable; hi: the smallest r solved
+        # affordable (or ell); top: the bracket's upper end, hi or the
+        # unproven bound below it.  Every distance solved before is a probe.
+        solved = self._memo(w).solved
+        hi = min((r for r, s in solved.items() if s.value <= budget), default=self.ell)
+        lo = max(r for r, s in solved.items() if r < hi and s.value > budget)
+        optimum = solved[0]
+        ascending = np.sort(w.values[np.asarray(optimum.witness, dtype=np.intp)])
+        lightest = np.cumsum(ascending)
         bound_r = lightest.size - int(np.searchsorted(lightest, budget, side="right"))
-        lo, hi = 0, self.ell
-        top = min(max(bound_r, 1), hi)
+        drop = np.concatenate(([0.0], np.cumsum(ascending[::-1])))  # r heaviest, summed
+        top = min(max(bound_r, lo + 1), hi)
         pace = float(top - lo)
+        aimed = None  # the last probe aimed at the defect, until its neighbour
         while True:
             width = top - lo
             if width == 1:
                 if top == hi or affordable(top):
                     return answer(top)
-                lo, top = top, hi
+                lo, top, aimed = top, hi, None
                 continue
             probe = (lo + top) // 2
-            if len(misses) >= 2 and width <= pace:  # on pace: a secant step
-                (r1, c1), (r2, c2) = misses[-2:]  # r2 == lo
-                step = (c2 - budget) * (r2 - r1) / (c1 - c2) if c1 > c2 else math.inf
+            if aimed is not None:  # the aimed probe's certifying neighbour
+                probe, aimed = (lo + 1 if aimed == lo else top - 1), None
+            elif width <= pace and (lo > 0 or hi < self.ell):  # on pace: aim
+                anchor = lo if lo > 0 else hi
+                gain = optimum.value - solved[anchor].value
                 probe = top - 1
-                if step < width:
-                    probe = lo + min(max(math.ceil(step), 1), width - 1)
+                if gain > 0:  # Python floats: an overflow is inf, not a warning
+                    scale = float(drop[min(anchor, drop.size - 1)]) / gain
+                    need = (optimum.value - budget) * scale
+                    probe = min(max(int(np.searchsorted(drop, need)), lo + 1), top - 1)
+                aimed = probe
             if affordable(probe):
                 hi = top = probe
             else:

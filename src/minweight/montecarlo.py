@@ -200,9 +200,11 @@ def _value_trial(config, fam, rng) -> dict:
 
 def _dual_trial(config, fam, rng) -> dict:
     w = WeightAssignment.draw(config.spec, rng, fam.ground_size)
-    defect = dual.defect_under_budget(fam, w, config.budget).defect
+    # r first: the budget search reads every distance already solved, and
+    # the defect often lies next to r.
     near = (None if config.r is None
             else dual.cheapest_within_distance(fam, w, config.r).value)
+    defect = dual.defect_under_budget(fam, w, config.budget).defect
     return dict(value=fam.min_weight(w).value, defect=defect, near_value=near)
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minweight import montecarlo
 from minweight.dual import cheapest_within_distance, defect_under_budget
 from minweight.families import (
     ExplicitFamily,
@@ -400,6 +401,43 @@ def test_budget_witness_is_the_smallest_affordable_distance(which, kind, seed):
             assert fam.min_weight(w).value == oracle_min_weight(fam, w)[0]
 
 
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(
+    st.sampled_from(range(len(_BUDGET_FAMILIES))),
+    st.sampled_from(sorted(_BUDGET_WEIGHTS)),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_budget_witness_does_not_depend_on_the_memo(which, kind, seed, data):
+    """budget_witness returns the same DualResult from an empty memo as after
+    any set of distances was solved first (each a free probe), at every
+    attained total, at 0 and between consecutive totals."""
+    fam = _BUDGET_FAMILIES[which]
+    values = _BUDGET_WEIGHTS[kind](np.random.default_rng(seed), fam.ground_size)
+    first = data.draw(st.sets(st.integers(0, fam.ell - 1)), label="solved first")
+    totals = sorted({fam.distance_witness(WeightAssignment(values), r).value
+                     for r in range(fam.ell + 1)})
+    budgets = totals + [0.0] + [(a + b) / 2 for a, b in zip(totals, totals[1:])]
+    for budget in budgets:
+        w = WeightAssignment(values)
+        for r in first:
+            fam.distance_witness(w, r)
+        assert fam.budget_witness(w, budget) == fam.budget_witness(
+            WeightAssignment(values), budget)
+
+
+def test_budget_witness_reads_a_probe_past_the_optimum_size():
+    # The optimum (2, 3) has 2 elements and ell = 4: the solved r = 3 tops
+    # the bracket, and the aim scales by the optimum's drop there, all of it.
+    fam = ExplicitFamily(6, [(0, 1, 2), (2, 3), (0, 1, 4, 5)])
+    values = [5.0, 5.0, 1.0, 1.0, 5.0, 5.0]
+    w = WeightAssignment(values)
+    fam.distance_witness(w, 3)
+    found = fam.budget_witness(w, 0.5)
+    assert found == fam.budget_witness(WeightAssignment(values), 0.5)
+    assert (found.defect, found.witness) == (2, ())
+
+
 class _ScriptedFamily(Family):
     """A stub whose distance-witness totals follow a scripted integer curve
     c(0) >= c(1) >= ... >= c(ell - 1), recording every r it is asked for.
@@ -460,7 +498,8 @@ _CURVES = {
 def test_budget_search_on_scripted_curves(shape):
     """The search equals a linear scan over r on every curve, bracket hint
     right or wrong, in at most 2 ceil(log2(ell + 1)) + 2 probes, each r at
-    most once and never r = ell."""
+    most once and never r = ell; so it does again after r0 in {1, ell // 2,
+    ell - 1} was solved first, counting only the probes that come after."""
     for ell in range(1, 65):
         curve = [_CURVES[shape](r, ell) for r in range(ell)]
         assert all(a >= b for a, b in zip(curve, curve[1:]))
@@ -470,13 +509,16 @@ def test_budget_search_on_scripted_curves(shape):
         for budget in budgets:
             defect = next((r for r, c in enumerate(curve) if c <= budget), ell)
             expected = (defect, fam.distance_witness(fam.weights(), defect).witness)
-            w = fam.weights()
-            del fam.probes[:]
-            found = fam.budget_witness(w, budget)
-            assert (found.defect, found.witness) == expected
-            assert len(fam.probes) <= 2 * math.ceil(math.log2(ell + 1)) + 2
-            assert len(set(fam.probes)) == len(fam.probes)
-            assert all(r < ell for r in fam.probes)
+            for r0 in (None, 1, ell // 2, ell - 1):
+                w = fam.weights()
+                if r0 is not None:
+                    fam.distance_witness(w, r0)
+                del fam.probes[:]
+                found = fam.budget_witness(w, budget)
+                assert (found.defect, found.witness) == expected
+                assert len(fam.probes) <= 2 * math.ceil(math.log2(ell + 1)) + 2
+                assert len(set(fam.probes)) == len(fam.probes)
+                assert all(r < ell for r in fam.probes)
 
 
 class TestPrufer:
@@ -581,8 +623,8 @@ class TestMatchingFamily:
         assert solved and 0 not in solved and len(solved) == len(set(solved))
 
     def test_budget_probes_stay_near_the_defect(self, monkeypatch):
-        # The bracketed secant search probes r <= 2 defect - 1, never the
-        # large padded problems around r = n/2 that a bisect over range(n)
+        # The aimed search probes r <= 2 defect - 1, never the large
+        # padded problems around r = n/2 that a bisect over range(n)
         # starts with.
         fam = MatchingFamily(100)
         w = WeightAssignment(np.random.default_rng(1).random(fam.ground_size))
@@ -591,9 +633,11 @@ class TestMatchingFamily:
         assert min(solved) >= fam.n - max(2 * defect - 1, 0)
 
     def test_dual_trial_solves(self, monkeypatch):
-        # A matching-dual trial: the budget defect, the cheapest set within
-        # r = 10 and the optimum.  The bracketed secant search averages
-        # about 4.7 solves here, the gallop plus bisect it replaced 8.35.
+        # The budget defect, the cheapest set within r = 10 and the
+        # optimum, the search first.  The aimed search averages 4.4 solves
+        # here, the secant search it replaced 4.65, the gallop plus bisect
+        # before that 8.35; a dual trial solves r = 10 first and makes fewer
+        # (the next test).
         fam = MatchingFamily(100)
         solved = _count_k_matchings(monkeypatch)
         for seed in range(20):
@@ -602,6 +646,19 @@ class TestMatchingFamily:
             cheapest_within_distance(fam, w, 10)
             fam.min_weight(w)
         assert len(solved) / 20 <= 5.5
+
+    def test_dual_trial_search_reads_its_r(self, monkeypatch):
+        # montecarlo's dual trial solves its r before the budget search,
+        # which reads it: r = 0, 10, d and d - 1 are the fewest solves that
+        # certify d (3.65 a trial on these 80), and the trial makes 3.76
+        # (4.73 when it searched first).
+        solved = _count_k_matchings(monkeypatch)
+        for c in range(20):
+            montecarlo.run(montecarlo.ExperimentConfig(
+                family="matchings", n=100, trials=4, master_seed=7 + c * 2**32,
+                kind="dual", budget=1.0, r=10,
+            ))
+        assert len(solved) / 80 <= 3.9
 
     def test_min_weight_reads_the_budget_probe(self, monkeypatch):
         fam = MatchingFamily(100)
