@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .weights import InvalidInput
+
 __all__ = [
     "SplitCostMinimum",
     "FirstMomentBound",
@@ -77,8 +79,19 @@ def split_cost_minimum(a: float, b: float, p: float) -> SplitCostMinimum:
     u = a ** inv
     v = b ** inv
     split = v / (u + v)
-    minimum = (u + v) ** (p + 1.0)
-    secant = a * (1.0 + (2.0 ** (p + 1.0) - 1.0) * (b / a) ** inv)
+    try:
+        minimum = (u + v) ** (p + 1.0)
+    except OverflowError:  # beyond double range
+        minimum = math.inf
+    try:
+        secant = a * (1.0 + (2.0 ** (p + 1.0) - 1.0) * (b / a) ** inv)
+    except OverflowError:  # 2^(p+1) is beyond double range, but with a tiny a
+        # the bound may not be: it is a (b/a)^inv 2^(p+1) to its last bit.
+        k = math.floor(p)
+        try:
+            secant = math.ldexp(a * (b / a) ** inv * 2.0 ** (p + 1.0 - k), k)
+        except OverflowError:
+            secant = math.inf
     return SplitCostMinimum(split=split, minimum=minimum, secant_bound=secant)
 
 
@@ -179,7 +192,13 @@ def first_moment_lower_bound(
         raise ValueError(f"need t > 0, got {t}")
     from scipy.special import gammaln, logsumexp  # only here: slow to import
 
-    c0 = c ** (1.0 / q) * math.gamma(1.0 + q) ** (1.0 / q) * math.e / q
+    try:
+        c0 = c ** (1.0 / q) * math.gamma(1.0 + q) ** (1.0 / q) * math.e / q
+    except OverflowError:
+        c0 = math.inf
+    if not 0.0 < c0 < math.inf:
+        raise InvalidInput(f"c0 = c^(1/q) Gamma(1+q)^(1/q) e/q overflows or "
+                           f"underflows at c={c}, q={q}")
     c1 = _solve_geometric_constant(q, ell0, t)
     expo = 1.0 - beta / q
     scale = min(ell0 ** expo, ell1 ** expo)
@@ -241,7 +260,10 @@ def upper_tail_bound(t: float, q: float) -> float:
         raise ValueError(f"need t >= 0, got {t}")
     if not q > 0.0:
         raise ValueError(f"need q > 0, got q={q}")
-    exponent = 1.0 - t ** q
+    try:
+        exponent = 1.0 - t ** q
+    except OverflowError:  # t^q beyond double range: 2^(1 - t^q) is 0
+        return 0.0
     if exponent >= 0.0:
         return 1.0
     return 2.0 ** exponent
@@ -266,4 +288,7 @@ def mean_to_median_ratio_bound(q: float) -> float:
     """
     if not q > 0.0:
         raise ValueError(f"need q > 0, got q={q}")
-    return 2.0 * math.log(2.0) ** (-1.0 / q) * math.gamma(1.0 + 1.0 / q)
+    try:
+        return 2.0 * math.log(2.0) ** (-1.0 / q) * math.gamma(1.0 + 1.0 / q)
+    except OverflowError:  # beyond double range
+        return math.inf

@@ -59,12 +59,14 @@ to 65536): 2 to 4 bytes per edge.  They are only indexed with, compared
 and turned into lists; arithmetic on vertices widens to intp first, as
 _first_outgoing does, since a narrow dtype wraps.
 
-Every tree scan is one filter-Kruskal (Osipov, Sanders & Singler 2009)
-whose union-find starts from a subset's components (from the empty subset
-for the chain): numpy drops the edges inside a component before the
-union-find loop sees a block of the order.  The same union-find gives a
-subset's component positions and patch distance, so tree runs never load
-scipy; matching families load it when they are built.
+A weight vector has one tree scan, the filter-Kruskal (Osipov, Sanders &
+Singler 2009) that makes its chain: numpy drops the edges inside a class
+before the union-find loop sees a block of the order.  Every tree solver
+reads the chain: the optimum and each distance witness are prefixes of
+it, and a completion merges the chain edges between a subset's components
+into that subset's union-find.  The same union-find gives a subset's
+component positions and patch distance, so tree runs never load scipy;
+matching families load it when they are built.
 
 A weight vector has one memo slot, owned by the last family that read it
 (Family._memo).  The slot holds one _Memo record: every family keeps its
@@ -194,7 +196,7 @@ class _Memo:
     solved maps each distance r < ell asked for to its SolveResult.  Only
     spanning-tree families fill in the rest: order is a prefix of the
     (weight, index) edge order, _order_prefix at k = head, grown while scans
-    need more; chain is the edges `_greedy_forest` accepts on K_n itself.
+    need more; chain is the Kruskal chain of K_n (_chain).
     """
 
     family: Family
@@ -485,26 +487,21 @@ class SpanningTreeFamily(Family):
             memo.order = self._order_prefix(w.values, memo.head)
         return memo
 
-    def _greedy_forest(self, w: WeightAssignment, subset=()) -> list[int]:
-        """Kruskal over the (weight, index) edge order, its union-find seeded
-        with the components of (V, subset) (_classes).  Returns the accepted
-        edges in acceptance order: their first k form the cheapest k-edge
-        forest extending the subset, and all of them its cheapest patch;
-        [] if the subset already spans, without reading the memo.
+    def _chain(self, w: WeightAssignment) -> np.ndarray:
+        """The Kruskal chain of `w`: the edges a Kruskal scan over the
+        (weight, index) edge order accepts on K_n, in acceptance order
+        (read-only intp), made once.
 
-        The scan reads the memo's head of the order (see _order_memo).  If
-        the head runs out first, the memo's k grows fourfold, up to N (the
-        whole order), and the scan starts over from the seed.
+        Its first k edges are the minimum-weight k-edge forest, so the
+        optimum, every budget prefix, every distance witness and every
+        completion read it.  The scan reads the memo's head of the order
+        (see _order_memo).  If the head runs out first, the memo's k grows
+        fourfold, up to N (the whole order), and the scan starts over.
         """
-        # A rescan reads the subset again, so a one-shot iterator becomes a tuple.
-        subset = tuple(subset) if iter(subset) is subset else subset
-        classes = self._classes(subset)
-        if classes.count == 1:
-            return []
         memo = self._order_memo(w)
         step = max(self.n, 512)  # a floor: most chains at n <= 100 end in block one
-        while True:  # at most ceil(log4(N / k0)) + 1 scans: the whole order spans K_n
-            chosen: list[int] = []
+        while memo.chain is None:  # at most ceil(log4(N / k0)) + 1 scans
+            classes, chosen = _UnionFind(self.n), []
             for s in range(0, memo.order.size, step):
                 # A block becomes lists when the loop reaches it, and only its
                 # edges between two classes (the loop would reject the rest).
@@ -516,21 +513,12 @@ class SpanningTreeFamily(Family):
                     keep = us != vs
                     block, us, vs = block[keep], us[keep], vs[keep]
                 if classes.merge(block.tolist(), us.tolist(), vs.tolist(), chosen):
-                    return chosen
-            memo.head = min(_HEAD_GROWTH * memo.head, w.values.size)
-            memo.order = self._order_prefix(w.values, memo.head)
-            classes = self._classes(subset)
-
-    def _chain(self, w: WeightAssignment) -> np.ndarray:
-        """The unseeded Kruskal chain of `w` (read-only intp), made once.
-
-        Its first k edges are the minimum-weight k-edge forest, so the
-        optimum, every budget prefix and every distance witness read it.
-        """
-        memo = self._order_memo(w)
-        if memo.chain is None:
-            memo.chain = np.array(self._greedy_forest(w), dtype=np.intp)
-            memo.chain.flags.writeable = False
+                    memo.chain = np.array(chosen, dtype=np.intp)
+                    memo.chain.flags.writeable = False
+                    break
+            else:  # the whole order spans K_n, so this ends
+                memo.head = min(_HEAD_GROWTH * memo.head, w.values.size)
+                memo.order = self._order_prefix(w.values, memo.head)
         return memo.chain
 
     def budget_forest(self, w: WeightAssignment, budget: float) -> list[int]:
@@ -552,8 +540,6 @@ class SpanningTreeFamily(Family):
         """The components of the spanning subgraph (V, subset), merged by the
         union-find of the Kruskal scan."""
         classes = _UnionFind(self.n)
-        if isinstance(subset, tuple) and not subset:  # the chain's seed: no check
-            return classes
         idx = self._check_subset(subset)
         classes.merge(idx.tolist(), self.edge_u[idx].tolist(),
                       self.edge_v[idx].tolist(), [])
@@ -574,10 +560,19 @@ class SpanningTreeFamily(Family):
         return position[label]
 
     def cheapest_completion(self, subset, w: WeightAssignment):
-        """Kruskal from the subset's components (_greedy_forest): the edges
-        that join them into one tree are the cheapest patch."""
+        """The chain edges (_chain) that join the subset's components, merged
+        in chain order, are the cheapest patch: each edge a Kruskal scan from
+        those components accepts is the lightest across a cut that splits no
+        component, so it lies on the chain (the MST cut property)."""
         self._check_weights(w)
-        patch = tuple(sorted(self._greedy_forest(w, subset)))
+        classes, patch = self._classes(subset), []
+        if classes.count > 1:  # a spanning subset reads no memo
+            chain, root = self._chain(w), classes.roots()
+            us, vs = root[self.edge_u[chain]], root[self.edge_v[chain]]
+            keep = us != vs
+            classes.merge(chain[keep].tolist(), us[keep].tolist(), vs[keep].tolist(),
+                          patch)
+        patch = tuple(sorted(patch))
         return SolveResult(value=w.total(patch), witness=patch)
 
     def component_completion(self, subset, w: WeightAssignment) -> SolveResult:

@@ -443,6 +443,19 @@ def coupling_experiment(
     x, y, y_prime = weights.split_coupling_batch(spec, s, rng, trials)
     if not all(np.isfinite(a).all() for a in (x, y, y_prime)):
         raise InvalidInput("weights must be finite")
+    # independence on a 4x4 grid of empirical-quartile cells
+    bins_y = np.searchsorted(np.quantile(y, (0.25, 0.5, 0.75)), y, side="right")
+    bins_r = np.searchsorted(
+        np.quantile(y_prime, (0.25, 0.5, 0.75)), y_prime, side="right"
+    )
+    table = np.bincount(4 * bins_y + bins_r, minlength=16).reshape(4, 4)
+    if not (table.any(axis=0).all() and table.any(axis=1).all()):
+        raise InvalidInput(
+            f"coupling draws tie at q={spec.q}: {trials - np.unique(y).size} green "
+            f"and {trials - np.unique(y_prime).size} red draws repeat another "
+            "(they underflow to 0 or round to 1), so a quartile of the 4x4 "
+            "independence table is empty"
+        )
     from scipy import stats as scipy_stats  # only here: it slows every import
 
     violations = weights.coupling_violations(x, y, y_prime, s, spec.q)
@@ -455,12 +468,6 @@ def coupling_experiment(
     ks_red = float(scipy_stats.kstest(y_prime, law_cdf).pvalue)
     ks_pair = float(scipy_stats.ks_2samp(y, y_prime).pvalue)
     pearson_p = float(scipy_stats.pearsonr(y, y_prime).pvalue)
-    # independence on a 4x4 grid of empirical-quartile cells
-    bins_y = np.searchsorted(np.quantile(y, (0.25, 0.5, 0.75)), y, side="right")
-    bins_r = np.searchsorted(
-        np.quantile(y_prime, (0.25, 0.5, 0.75)), y_prime, side="right"
-    )
-    table = np.bincount(4 * bins_y + bins_r, minlength=16).reshape(4, 4)
     chi2_p = float(scipy_stats.chi2_contingency(table).pvalue)
     return CouplingReport(
         q=spec.q,

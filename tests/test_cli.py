@@ -181,6 +181,19 @@ class TestExitCodes:
         assert (code, out) == (EXIT_USAGE, "")
         assert "overflow" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("q, ties", [("1e-3", "52 green and 39 red"),
+                                         ("1e300", "99 green and 99 red")])
+    def test_coupling_ties_are_a_usage_error(self, q, ties, capsys):
+        # U^(1/q) underflows to 0 (q = 1e-3) or rounds to 1 (q = 1e300), so
+        # a quartile of the independence table is empty.
+        code, out, err = invoke(
+            f"coupling --s 0.5 --trials 100 --q {q}".split(), capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            f"error: coupling draws tie at q={float(q)}: {ties} draws repeat another "
+            "(they underflow to 0 or round to 1), so a quartile of the 4x4 "
+            "independence table is empty\n")
+
     def test_coupling_overflow_is_a_usage_error(self, capsys):
         # E^(1/q) overflows to inf for most exponential draws at q = 1e-3.
         code, out, err = invoke(
@@ -521,6 +534,52 @@ class TestBoundsCommand:
         flags, expected = self.PINNED[op]
         argv = ["bounds", "--op", op, *flags.split()]
         assert invoke(argv, capsys) == (EXIT_OK, expected, "")
+
+    @pytest.mark.parametrize("argv, expected", [
+        # t^q, Gamma(1 + 1/q), 2^(p+1) and (u + v)^(p+1) overflow: each
+        # result is the float limit of its quantity.
+        ("--op upper-tail --t 2 --q 2000", "probability = 0\n"),
+        ("--op upper-tail --t 1e200 --q 2", "probability = 0\n"),
+        ("--op mean-median --q 0.001", "ratio = inf\n"),
+        ("--op ab-min --a 1 --b 1 --p 2000",
+         "s0 = 0.5\nfmin = inf\nsecant_bound = inf\n"),
+        # 2^(p+1) overflows, but a tiny a brings both results back into range.
+        ("--op ab-min --a 1e-300 --b 1e-300 --p 1100",
+         "s0 = 0.5\nfmin = 2.7165970580990875e+31\n"
+         "secant_bound = 2.7165970580987718e+31\n"),
+        ("--op concentration --L 1 --lam 1 --q 0.0009", "bound = inf\n"),
+    ], ids=["upper-tail-q", "upper-tail-t", "mean-median", "ab-min", "ab-min-tiny-a",
+            "concentration"])
+    def test_a_result_beyond_double_range_is_its_limit(self, argv, expected, capsys):
+        assert invoke(["bounds", *argv.split()], capsys) == (EXIT_OK, expected, "")
+
+    @pytest.mark.parametrize("c, q", [("3", "0.001"), ("1e-300", "0.001"),
+                                      ("3", "200")],
+                             ids=["over", "under", "gamma"])
+    def test_first_moment_c0_beyond_double_range_is_usage_error(self, c, q, capsys):
+        argv = (f"bounds --op first-moment --q {q} --ell0 5 --ell1 10 --beta 0.5 "
+                f"--c {c} --t 0.1").split()
+        assert invoke(argv, capsys) == (
+            EXIT_USAGE, "", "error: bad value for --op first-moment: c0 = c^(1/q) "
+            f"Gamma(1+q)^(1/q) e/q overflows or underflows at c={float(c)}, "
+            f"q={float(q)}\n")
+
+    @pytest.mark.parametrize("argv, bound_lines, mean_bound", [
+        ("--t-grid 0,1 --q 0.005",
+         ["t=0: survival=1 bound=1 se=0 ok=True",
+          "t=1: survival=0 bound=1 se=0 ok=True"], "ratio_bound=inf: True"),
+        ("--t-grid 1e300 --q 1e300",
+         ["t=1.0000000000000001e+300: survival=0 bound=0 se=0 ok=True"],
+         "ratio_bound=8: True"),
+    ], ids=["small-q", "large-t"])
+    def test_tail_bounds_beyond_double_range(self, argv, bound_lines, mean_bound,
+                                             capsys):
+        code, _, err = invoke(["tail", "--n", "5", "--trials", "4", *argv.split()],
+                              capsys)
+        lines = err.splitlines()
+        assert code == EXIT_OK
+        assert lines[1:-1] == bound_lines
+        assert lines[-1].endswith(mean_bound)
 
     @pytest.mark.parametrize("argv, flag", [
         ("--op mean-median --a 3", "--a"),

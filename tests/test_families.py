@@ -960,23 +960,15 @@ def test_head_regrows_fourfold_up_to_the_full_order(case, monkeypatch):
     rng = stream(51, list(REGROWTH_CASES).index(case))
     values = make(fam, rng)
     g = _depleted_member(fam, rng)
-    sorts = _count_sorts(monkeypatch)
-    scans = []  # each scan seeds its union-find once
-    original = SpanningTreeFamily._classes
-
-    def counted(self, subset):
-        scans.append(subset)
-        return original(self, subset)
-
-    monkeypatch.setattr(SpanningTreeFamily, "_classes", counted)
+    sorts = _count_sorts(monkeypatch)  # each scan reads one sort of the order
     most = math.ceil(math.log(fam.ground_size / fam._head, 4)) + 1
-    assert fam._greedy_forest(WeightAssignment(values)) == _textbook_forest(fam, values)
+    assert fam._chain(WeightAssignment(values)).tolist() == _textbook_forest(fam, values)
     assert sorts == expected
-    assert len(scans) <= most
-    del scans[:]
-    completion = fam._greedy_forest(WeightAssignment(values), g)
-    assert completion == _textbook_forest(fam, values, g)
-    assert len(scans) <= most
+    assert len(sorts) <= most
+    del sorts[:]
+    completion = fam.cheapest_completion(g, WeightAssignment(values)).witness
+    assert completion == tuple(sorted(_textbook_forest(fam, values, g)))
+    assert len(sorts) <= most
 
 
 def _textbook_labels(fam, subset):
@@ -1037,12 +1029,12 @@ _SCAN_SUBSETS = {
 )
 def test_filtered_scans_match_textbook_kruskal(n, kind, subset_kind, seed):
     """The Kruskal scan filters each block of the order down to the edges
-    between two components, its union-find seeded with the components of
-    a subset (empty, spanning or between); it must accept exactly a plain
-    Kruskal's edges, in its order.  On cheap-clique weights at n = 40 the
-    chain, and the completion of a subset with cycles, scan past the first
-    block (512 edges) of the full order; n <= 3 reads the whole order as
-    its head."""
+    between two classes; it must accept exactly a plain Kruskal's edges, in
+    its order.  The completion of a subset (empty, spanning or between)
+    must be a plain Kruskal's from the subset's components, and lie on the
+    chain.  On cheap-clique weights at n = 40 the chain scans past the
+    first block (512 edges) of the full order; n <= 3 reads the whole order
+    as its head."""
     fam = SpanningTreeFamily(n)
     rng = np.random.default_rng(seed)
     values = _SCAN_WEIGHTS[kind](fam, rng)
@@ -1051,12 +1043,12 @@ def test_filtered_scans_match_textbook_kruskal(n, kind, subset_kind, seed):
     ranking = np.argsort(np.argsort(np.bincount(labels), kind="stable"))
     assert fam._component_positions(g).tolist() == ranking[labels].tolist()
     w = WeightAssignment(values)
-    assert fam._greedy_forest(w) == _textbook_forest(fam, values)
+    assert fam._chain(w).tolist() == _textbook_forest(fam, values)
     completion = _textbook_forest(fam, values, g)
-    assert fam._greedy_forest(WeightAssignment(values), g) == completion
     patch = tuple(sorted(completion))
     assert fam.cheapest_completion(g, WeightAssignment(values)) == SolveResult(
         w.total(patch), patch)
+    assert set(patch) <= set(fam._chain(w).tolist())  # the cut property
     heuristic = component_patch(fam, g, WeightAssignment(values))
     assert heuristic.witness == _textbook_component_patch(fam, values, g)
 

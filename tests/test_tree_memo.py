@@ -3,7 +3,7 @@
 A WeightAssignment has one memo slot, owned by the last family that read it.
 Every family keeps its distance answers (SolveResults) there by r < ell
 (every r >= ell is the empty set, never solved); a spanning-tree family
-also keeps its edge order and unseeded Kruskal chain.  Every answer must
+also keeps its edge order and Kruskal chain.  Every answer must
 equal the one a fresh family gives on a fresh copy of the weights, whatever
 the call order and whichever family owned the slot before, and each
 distinct witness of a trial is summed once.
@@ -61,22 +61,49 @@ def _depleted(fam, rng, r):
     return tuple(sorted(member[int(i)] for i in keep))
 
 
+def _count_scans(monkeypatch):
+    """Record each Kruskal scan of a tree edge order: each union-find
+    (families._UnionFind) but those that hold a subset's components
+    (SpanningTreeFamily._classes)."""
+    scans = []
+
+    class Counted(families._UnionFind):
+        def __init__(self, c):
+            super().__init__(c)
+            scans.append(self)
+
+    classes = SpanningTreeFamily._classes
+
+    def counted_classes(self, subset):
+        found = classes(self, subset)
+        scans.remove(found)
+        return found
+
+    monkeypatch.setattr(families, "_UnionFind", Counted)
+    monkeypatch.setattr(SpanningTreeFamily, "_classes", counted_classes)
+    return scans
+
+
 class TestTreeOrderMemo:
     def test_dual_trial_runs_kruskal_once(self, monkeypatch):
         fam = SpanningTreeFamily(100)
         w = WeightAssignment(stream(61).random(fam.ground_size))
-        seeds = []
-        original = SpanningTreeFamily._greedy_forest
-
-        def counted(self, w, subset=()):
-            seeds.append(subset)
-            return original(self, w, subset)
-
-        monkeypatch.setattr(SpanningTreeFamily, "_greedy_forest", counted)
+        scans = _count_scans(monkeypatch)
         defect_under_budget(fam, w, 0.6)
         cheapest_within_distance(fam, w, 10)
         fam.min_weight(w)
-        assert seeds == [()]  # one unseeded Kruskal scan
+        assert len(scans) == 1  # one Kruskal scan
+
+    def test_patch_trial_runs_kruskal_once(self, monkeypatch):
+        # The completion reads the chain that the optimum then reuses.
+        fam = SpanningTreeFamily(100)
+        rng = stream(65)
+        w = WeightAssignment(rng.random(fam.ground_size))
+        g = _depleted(fam, rng, 10)
+        scans = _count_scans(monkeypatch)
+        exact_patch(fam, g, w)
+        fam.min_weight(w)
+        assert len(scans) == 1
 
     @pytest.mark.parametrize("solve", [
         lambda fam, g, w: fam.cheapest_completion(g, w),
@@ -94,9 +121,9 @@ class TestTreeOrderMemo:
             assert w._memo is None
 
     def test_rescan_reads_a_one_shot_subset_again(self):
-        # The edges inside vertices 0..29 outnumber the head and vertex 39
-        # is isolated in g, so the scan runs out of the head and starts over
-        # on the whole order, from the subset's components once more.
+        # The edges inside vertices 0..29 outnumber the head, so the chain
+        # scan runs out of the head and starts over on the whole order; the
+        # subset is read once, for its components.
         fam = SpanningTreeFamily(40)
         rng = stream(64)
         values = np.where(fam.edge_v < 30, 1e-3, 1.0) * rng.random(fam.ground_size)
