@@ -167,6 +167,16 @@ def _solve_geometric_constant(q: float, ell0: int, t: float) -> float:
     return lo
 
 
+def _gamma_root(q: float) -> float:
+    """Gamma(1+q)^(1/q).  Gamma(1+q) leaves the double range above q ~ 170,
+    and only there is the root taken from lgamma: below, the log form would
+    move the last bits of c0 (q = 2, c = 3: 3.3292017284021669 -> ...660)."""
+    try:
+        return math.gamma(1.0 + q) ** (1.0 / q)
+    except OverflowError:
+        return math.exp(math.lgamma(1.0 + q) / q)
+
+
 def first_moment_lower_bound(
     q: float, ell0: int, ell1: int, beta: float, c: float, t: float
 ) -> FirstMomentBound:
@@ -193,7 +203,7 @@ def first_moment_lower_bound(
     from scipy.special import gammaln, logsumexp  # only here: slow to import
 
     try:
-        c0 = c ** (1.0 / q) * math.gamma(1.0 + q) ** (1.0 / q) * math.e / q
+        c0 = c ** (1.0 / q) * _gamma_root(q) * math.e / q
     except OverflowError:
         c0 = math.inf
     if not 0.0 < c0 < math.inf:

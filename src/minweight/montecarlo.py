@@ -221,7 +221,8 @@ def _patch_trial(config, fam, rng) -> dict:
 def _split_trial(config, fam, rng) -> dict:
     spec = config.spec
     x, y, y_prime = weights.split_coupling_batch(spec, config.s, rng, fam.ground_size)
-    # Fresh arrays that nothing else holds: the weight vectors keep them uncopied.
+    # Rows of one fresh block that nothing else holds: the weight vectors
+    # keep them uncopied.
     value = fam.min_weight(WeightAssignment.adopt(x)).value
     green = dual.cheapest_within_distance(fam, WeightAssignment.adopt(y), config.r)
     red = patching.exact_patch(fam, green.witness, WeightAssignment.adopt(y_prime))

@@ -147,11 +147,12 @@ def quantile(spec: WeightSpec, p):
 
 
 def _couple_base(
-    g: np.ndarray, r: np.ndarray, s: float, base: BaseLaw
+    g: np.ndarray, r: np.ndarray, s: float, base: BaseLaw, out=None
 ) -> np.ndarray:
     """Couple in q-power space: given independent base draws (g, r), return a
-    fresh base-law draw wx with wx <= min(g / (1-s), r / s) surely."""
-    w = g / (1.0 - s)
+    base-law draw wx with wx <= min(g / (1-s), r / s) surely, written into
+    `out` (a fresh array when None); g and r are left as they are."""
+    w = np.divide(g, 1.0 - s, out=out)
     np.minimum(w, r / s, out=w)
     if base is BaseLaw.EXPONENTIAL_POWER:
         return w
@@ -173,24 +174,33 @@ def split_coupling_batch(
     x <= min(y/(1-s)^(1/q), y_prime/s^(1/q)) holds elementwise with exact
     float comparison (the bound itself is the clamp).
 
-    Each step writes over an array it already has or into one temporary,
-    so at most four weight-sized arrays (and a boolean mask) are alive at
-    once: x is min(F, y c_green) and then min(x, y' c_red), where F is the
-    coupled draw (uniform base only); min is associative, so no separate
-    bound array is needed.
+    x, y and y_prime are the three rows of one C-contiguous (3, size)
+    block, so a call makes one large allocation, not three.  The green and
+    red base draws go straight into rows 1 and 2 (the variates two `sample`
+    calls would draw), and every later step writes over a row or into one
+    temporary, so the block, one weight-sized temporary and a boolean mask
+    are the most alive at once.  x is min(F, y c_green) and then
+    min(x, y' c_red), where F is the coupled draw (uniform base only); min
+    is associative, so no separate bound array is needed.
     """
     c_green, c_red = split_constants(s, spec.q)
-    g = _base_sample(spec, rng, size)
-    r = _base_sample(spec, rng, size)
+    block = np.empty((3, size))
+    x, y, y_prime = block
+    draws = block[1:]
+    if spec.base is BaseLaw.UNIFORM_POWER:
+        # 1 - U keeps draws inside (0, 1], as in `sample`.
+        np.subtract(1.0, rng.random(out=draws), out=draws)
+    else:
+        rng.standard_exponential(out=draws)
     inv_q = 1.0 / spec.q
-    if spec.base is BaseLaw.UNIFORM_POWER:  # F reads g and r before they are raised
-        x = _power_in_place(_couple_base(g, r, s, spec.base), inv_q)
-    y, y_prime = _power_in_place(g, inv_q), _power_in_place(r, inv_q)
+    if spec.base is BaseLaw.UNIFORM_POWER:  # F reads rows 1-2 before they are raised
+        _power_in_place(_couple_base(y, y_prime, s, spec.base, out=x), inv_q)
+    _power_in_place(draws, inv_q)
     with np.errstate(over="ignore"):  # as in `sample`
         if spec.base is BaseLaw.UNIFORM_POWER:
             np.minimum(x, y * c_green, out=x)
         else:
-            x = y * c_green
+            np.multiply(y, c_green, out=x)
         np.minimum(x, y_prime * c_red, out=x)
     return x, y, y_prime
 

@@ -187,6 +187,17 @@ class TestFirstMomentLowerBound:
             )
         assert res.log_markov_sum == pytest.approx(float(mpmath.log(total)), rel=1e-10)
 
+    def test_c0_past_gamma_overflow_against_mpmath(self):
+        # Gamma(201) overflows a double, but c0 = c^(1/q) Gamma(1+q)^(1/q) e/q
+        # is near 1, and the Markov total still meets the tail exp(-t ell0).
+        res = first_moment_lower_bound(q=200.0, ell0=5, ell1=10, beta=0.5, c=3.0,
+                                       t=0.1)
+        with mpmath.workdps(60):
+            q = mpmath.mpf(200)
+            want = 3 ** (1 / q) * mpmath.gamma(1 + q) ** (1 / q) * mpmath.e / q
+        assert res.c0 == pytest.approx(float(want), rel=1e-14)
+        assert res.log_markov_sum < -0.1 * 5
+
     def test_refined_below_coarse(self):
         res = first_moment_lower_bound(**self.CASE)
         assert np.all(res.log_size_bounds_refined <= res.log_size_bounds + 1e-9)

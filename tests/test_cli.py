@@ -553,9 +553,8 @@ class TestBoundsCommand:
     def test_a_result_beyond_double_range_is_its_limit(self, argv, expected, capsys):
         assert invoke(["bounds", *argv.split()], capsys) == (EXIT_OK, expected, "")
 
-    @pytest.mark.parametrize("c, q", [("3", "0.001"), ("1e-300", "0.001"),
-                                      ("3", "200")],
-                             ids=["over", "under", "gamma"])
+    @pytest.mark.parametrize("c, q", [("3", "0.001"), ("1e-300", "0.001")],
+                             ids=["over", "under"])
     def test_first_moment_c0_beyond_double_range_is_usage_error(self, c, q, capsys):
         argv = (f"bounds --op first-moment --q {q} --ell0 5 --ell1 10 --beta 0.5 "
                 f"--c {c} --t 0.1").split()
@@ -563,6 +562,36 @@ class TestBoundsCommand:
             EXIT_USAGE, "", "error: bad value for --op first-moment: c0 = c^(1/q) "
             f"Gamma(1+q)^(1/q) e/q overflows or underflows at c={float(c)}, "
             f"q={float(q)}\n")
+
+    @pytest.mark.parametrize("q, expected", [
+        # Gamma(1+q) in range: c0 from math.gamma (lgamma would end q=2's in ...660).
+        ("1",
+         "l_lower = 0.19401816834514177\n"
+         "failure_prob_bound = 0.60653065971263342\n"
+         "c0 = 8.1548454853771357\n"
+         "c1 = 0.70757606661833661\n"
+         "small_sets_dominate = True\n"
+         "log_markov_sum = -3.0212638684965238\n"),
+        ("2",
+         "l_lower = 0.84483901039143283\n"
+         "failure_prob_bound = 0.60653065971263342\n"
+         "c0 = 3.3292017284021669\n"
+         "c1 = 0.84117540775889099\n"
+         "small_sets_dominate = True\n"
+         "log_markov_sum = -3.678119289079087\n"),
+        # Gamma(201) overflows a double; c0 itself is near 1.
+        ("200",
+         "l_lower = 4.8566511474741025\n"
+         "failure_prob_bound = 0.60653065971263342\n"
+         "c0 = 1.0236100370141137\n"
+         "c1 = 0.99827194410796338\n"
+         "small_sets_dominate = True\n"
+         "log_markov_sum = -6.1024502089724137\n"),
+    ], ids=["q1", "q2", "past-gamma"])
+    def test_first_moment_across_gamma_range(self, q, expected, capsys):
+        argv = (f"bounds --op first-moment --q {q} --ell0 5 --ell1 10 --beta 0.5 "
+                "--c 3 --t 0.1").split()
+        assert invoke(argv, capsys) == (EXIT_OK, expected, "")
 
     @pytest.mark.parametrize("argv, bound_lines, mean_bound", [
         ("--t-grid 0,1 --q 0.005",

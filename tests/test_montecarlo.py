@@ -224,8 +224,9 @@ class TestRun:
     @pytest.mark.parametrize("base", list(BaseLaw))
     @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
     def test_split_trial_holds_four_weight_sized_arrays(self, base, q):
-        # The coupling makes x, y and y' with one temporary, in place, and
-        # the trial's weight vectors keep those three arrays uncopied.
+        # The coupling draws x, y and y' into the rows of one (3, N) block
+        # and works in place with one temporary at a time; the trial's
+        # weight vectors keep those rows uncopied.
         n = 400
         fam = SpanningTreeFamily(n)
         config = ExperimentConfig(family="trees", n=n, kind="split", r=5, s=0.5,

@@ -142,6 +142,10 @@ class TestSplitCoupling:
             x = np.minimum(coupled ** inv_q, bound)
         for arr, want in zip(got, (x, y, yp)):
             assert arr.tobytes() == want.tobytes()
+        # x, y and y' are the rows of one block: one allocation, not three.
+        block = got[0].base
+        assert (block.shape == (3, 5000) and block.flags.c_contiguous
+                and all(arr.base is block for arr in got))
 
     def test_rejects_bad_fraction(self):
         spec = WeightSpec(q=1.0)
