@@ -687,7 +687,10 @@ class MatchingFamily(Family):
     one call to scipy's linear_sum_assignment: k = n for the optimum and
     the completion, and k = n - r for distance r.  Family.distance_witness
     memoises the answers by r, so the optimum, the budget search and the
-    assignment ladder solve each k once per vector.
+    assignment ladder solve each k once per vector.  Weights within a ratio
+    of 2**26 reach the solver as an exact dual shift of the padded square,
+    which has the same optimal assignments and starts the solver near its
+    optimal duals; a zero or a wider range reaches it unshifted.
     """
 
     def __init__(self, n: int) -> None:
@@ -714,15 +717,51 @@ class MatchingFamily(Family):
         """Minimum-weight matching with exactly k edges, as a sorted edge tuple.
 
         The n x n costs are padded with n - k dummy rows and columns: dummy
-        to real costs 0 and dummy to dummy is forbidden, so every assignment
-        pairs each dummy with a real vertex and keeps exactly k real edges.
-        A 0 dummy keeps the duals on the scale of the weights, however small.
+        to dummy is forbidden, so every assignment pairs each dummy with a
+        real vertex and keeps exactly k real edges.
+
+        The padded square is handed to scipy as an exact dual shift, the
+        column reduction that Jonker and Volgenant start from (scipy's
+        solver starts from zero duals).  Each real column loses its least
+        weight m_j, and its dummy-row entries hold -m_j; each real-row to
+        dummy-column entry holds one price p.  An assignment matches every
+        real column once and sends exactly n - k real rows to dummy columns,
+        so every assignment's cost moves by the same constant,
+        (n - k) p - sum_j m_j: the optimal set is unchanged, and the solver
+        starts nearer its optimal duals.  The m_j and p are rounded down to
+        multiples of spacing(max weight), so every shifted entry is exact.
+
+        p is twice the (k+1)-th smallest of the shifted rows' minima, capped
+        so that it stays finite.  The square wants exactly k real edges when
+        p lies between the marginal costs of the k-th and (k+1)-th edge,
+        C(k) - C(k-1) and C(k+1) - C(k); since rows compete for columns,
+        those measured 1.5 to 6 times that row minimum on uniform and
+        exponential draws at n = 100.  Twice it starts nearer: one solve at
+        k = 0.85n to 0.9n, where a dual trial's solves cluster, took 13-17%
+        less time than with p at the minimum itself (9% more at k = 0.98n;
+        scipy 1.17 on one x86-64 core).
+
+        Only weights within a ratio of 2**26 are shifted.  A zero or a wider
+        range (q <= 0.02, or 1e-300 next to 1) keeps the plain square, 0 at
+        dummy to real: there the shift's rounding can change which optimum
+        scipy's float duals reach.
         """
         n = self.n
         size = 2 * n - k
+        weights = values.reshape(n, n)
         cost = np.zeros((size, size))
-        cost[:n, :n] = values.reshape(n, n)
         cost[n:, n:] = np.inf
+        least, top = weights.min(axis=0), values.max()
+        if 0 < top / 2**26 <= least.min():
+            grid = np.spacing(top)
+            least = np.floor(least / grid) * grid
+            np.subtract(weights, least, out=cost[:n, :n])
+            cost[n:, :n] = -least
+            if k < n:
+                slack = np.partition(cost[:n, :n].min(axis=1), k)[k]
+                cost[:n, n:] = np.floor(min(slack, top / 2) / grid) * 2 * grid
+        else:
+            cost[:n, :n] = weights
         rows, cols = self._assign(cost)
         real = (rows < n) & (cols < n)
         return tuple(sorted((rows[real] * n + cols[real]).tolist()))
