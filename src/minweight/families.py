@@ -42,6 +42,10 @@ the aim whenever the bracket falls behind halving every two probes, so any
 curve takes O(log ell) probes.  The answer d is certified by two probes:
 r = d affordable and r = d - 1 not (or d = 0).
 
+A subset (or WeightAssignment.total's indices) is any iterable or array of
+integer element indices; a float, a bool or an index out of range raises
+ValueError rather than being truncated or wrapped.
+
 Determinism: tree and explicit tie-breaks prefer the smallest element index,
 and a matching witness is an optimum fixed by the vector; solver values are
 canonical sums (_canonical_sum: numpy's pairwise sum of the witness weights
@@ -59,14 +63,21 @@ to 65536): 2 to 4 bytes per edge.  They are only indexed with, compared
 and turned into lists; arithmetic on vertices widens to intp first, as
 _first_outgoing does, since a narrow dtype wraps.
 
-A weight vector has one tree scan, the filter-Kruskal (Osipov, Sanders &
-Singler 2009) that makes its chain: numpy drops the edges inside a class
-before the union-find loop sees a block of the order.  Every tree solver
-reads the chain: the optimum and each distance witness are prefixes of
-it, and a completion merges the chain edges between a subset's components
-into that subset's union-find.  The same union-find gives a subset's
-component positions and patch distance, so tree runs never load scipy;
-matching families load it when they are built.
+Trees have one scan routine, the filter-Kruskal (Osipov, Sanders & Singler
+2009) over a weight vector's edge order from a given union-find: numpy
+drops the edges inside a class before the union-find loop sees a block of
+the order.  From the empty forest it makes the vector's chain, once: the
+optimum and each distance witness are prefixes of it.  Seeded with a
+subset's components it makes that subset's cheapest completion, the
+minimum spanning tree of K_n with the subset contracted, and builds no
+chain.  The same union-find gives a subset's component positions and patch
+distance, so tree runs never load scipy; matching families load it when
+they are built.
+
+A tree family also keeps one subset memo: the components of the last
+subset tuple it read, as an immutable snapshot that every caller gets a
+copy of.  A tuple that extends that subset, such as the subset plus its
+patch that patching checks, merges only the added elements.
 
 A weight vector has one memo slot, owned by the last family that read it
 (Family._memo).  The slot holds one _Memo record: every family keeps its
@@ -110,6 +121,28 @@ _INF_BITS = np.float64(np.inf).view(np.uint64)  # NaNs and sign bits lie above
 def _canonical_sum(values: np.ndarray, idx: np.ndarray) -> float:
     """numpy's pairwise sum of the weights at `idx` (ascending, in range)."""
     return float(values[idx].sum())
+
+
+def _indices(subset) -> np.ndarray:
+    """The elements of `subset` (an array or any iterable) as intp, unsorted.
+
+    Each must be an integer: a float or a bool raises instead of being
+    truncated, and an integer beyond intp raises as out of range (a uint64
+    array's wraps to a negative index, which the caller's range check
+    rejects)."""
+    if isinstance(subset, np.ndarray):
+        if subset.size and subset.dtype.kind not in "iu":
+            raise ValueError(f"subset elements must be integers, got {subset.dtype}")
+        return subset.astype(np.intp, copy=False)
+    if not isinstance(subset, (tuple, list)):
+        subset = tuple(subset)
+    for kind in set(map(type, subset)):
+        if kind is bool or not issubclass(kind, (int, np.integer)):
+            raise ValueError(f"subset elements must be integers, got {kind.__name__}")
+    try:
+        return np.fromiter(subset, dtype=np.intp, count=len(subset))
+    except OverflowError:
+        raise ValueError("subset indices out of range") from None
 
 
 class WeightAssignment:
@@ -157,8 +190,9 @@ class WeightAssignment:
 
     def total(self, indices) -> float:
         """Canonical subset sum: numpy's pairwise sum of the weights gathered
-        in ascending index order (_canonical_sum)."""
-        idx = np.asarray(indices, dtype=np.intp)
+        in ascending index order (_canonical_sum).  Every index must be an
+        integer in range."""
+        idx = _indices(indices)
         if idx.size == 0:
             return 0.0
         idx = np.sort(idx)
@@ -196,7 +230,9 @@ class _Memo:
     solved maps each distance r < ell asked for to its SolveResult.  Only
     spanning-tree families fill in the rest: order is a prefix of the
     (weight, index) edge order, _order_prefix at k = head, grown while scans
-    need more; chain is the Kruskal chain of K_n (_chain).
+    need more; chain is the Kruskal chain of K_n (_chain), None until a
+    solver needs it: a vector only completed (the split trial's red draw)
+    has an order but no chain.
     """
 
     family: Family
@@ -368,9 +404,8 @@ class Family(ABC):
                              f"{self.ground_size}")
 
     def _check_subset(self, subset) -> np.ndarray:
-        if not isinstance(subset, np.ndarray):
-            subset = np.fromiter(subset, dtype=np.intp)
-        idx = np.sort(subset.astype(np.intp, copy=False), axis=None)
+        """The sorted distinct elements of `subset`, each an integer in range."""
+        idx = np.sort(_indices(subset), axis=None)
         if idx.size and (idx[0] < 0 or idx[-1] >= self.ground_size):
             raise ValueError("subset indices out of range")
         # np.unique without its extra passes: drop each repeat of its left neighbour.
@@ -406,6 +441,13 @@ class _UnionFind:
 
     def __init__(self, c: int) -> None:
         self.parent, self.size, self.count = list(range(c)), [1] * c, c
+
+    def copy(self, kind=list) -> _UnionFind:
+        """The same classes in containers of their own: lists to merge into,
+        or tuples (kind=tuple) for a snapshot that nothing can merge into."""
+        other = object.__new__(_UnionFind)
+        other.parent, other.size, other.count = kind(self.parent), kind(self.size), self.count
+        return other
 
     def merge(self, edges, us, vs, chosen: list) -> bool:
         """Join u and v for each edge (i, u, v) in turn, appending each i that
@@ -447,6 +489,7 @@ class SpanningTreeFamily(Family):
         self.ground_size = self.edge_u.size
         self.ell = n - 1
         self._head = int(n / 2 * (math.log(n) + _HEAD_C)) + 64  # the first k
+        self._subset_memo = None  # _classes' key, its element types, its classes
 
     @staticmethod
     def check_size(n: int) -> int:
@@ -487,21 +530,21 @@ class SpanningTreeFamily(Family):
             memo.order = self._order_prefix(w.values, memo.head)
         return memo
 
-    def _chain(self, w: WeightAssignment) -> np.ndarray:
-        """The Kruskal chain of `w`: the edges a Kruskal scan over the
-        (weight, index) edge order accepts on K_n, in acceptance order
-        (read-only intp), made once.
+    def _kruskal(self, w: WeightAssignment, start: _UnionFind) -> list[int]:
+        """The edges a Kruskal scan over the (weight, index) edge order of `w`
+        accepts from the classes of `start` (two or more), in acceptance
+        order: from the empty forest, the chain; from a subset's components,
+        its cheapest patch, the minimum spanning tree of K_n with the subset
+        contracted.  The scan merges into a copy; `start` stays as it is.
 
-        Its first k edges are the minimum-weight k-edge forest, so the
-        optimum, every budget prefix, every distance witness and every
-        completion read it.  The scan reads the memo's head of the order
-        (see _order_memo).  If the head runs out first, the memo's k grows
-        fourfold, up to N (the whole order), and the scan starts over.
+        The scan reads the memo's head of the order (see _order_memo).  If
+        the head runs out first, the memo's k grows fourfold, up to N (the
+        whole order), and the scan starts over from a fresh copy of `start`.
         """
         memo = self._order_memo(w)
         step = max(self.n, 512)  # a floor: most chains at n <= 100 end in block one
-        while memo.chain is None:  # at most ceil(log4(N / k0)) + 1 scans
-            classes, chosen = _UnionFind(self.n), []
+        while True:  # at most ceil(log4(N / k0)) + 1 scans
+            classes, chosen = start.copy(), []
             for s in range(0, memo.order.size, step):
                 # A block becomes lists when the loop reaches it, and only its
                 # edges between two classes (the loop would reject the rest).
@@ -513,12 +556,22 @@ class SpanningTreeFamily(Family):
                     keep = us != vs
                     block, us, vs = block[keep], us[keep], vs[keep]
                 if classes.merge(block.tolist(), us.tolist(), vs.tolist(), chosen):
-                    memo.chain = np.array(chosen, dtype=np.intp)
-                    memo.chain.flags.writeable = False
-                    break
-            else:  # the whole order spans K_n, so this ends
-                memo.head = min(_HEAD_GROWTH * memo.head, w.values.size)
-                memo.order = self._order_prefix(w.values, memo.head)
+                    return chosen
+            # The whole order spans K_n, so this ends.
+            memo.head = min(_HEAD_GROWTH * memo.head, w.values.size)
+            memo.order = self._order_prefix(w.values, memo.head)
+
+    def _chain(self, w: WeightAssignment) -> np.ndarray:
+        """The Kruskal chain of `w`: the edges _kruskal accepts from the empty
+        forest, in acceptance order (read-only intp), made once.
+
+        Its first k edges are the minimum-weight k-edge forest, so the
+        optimum, every budget prefix and every distance witness read it.
+        """
+        memo = self._order_memo(w)
+        if memo.chain is None:
+            memo.chain = np.array(self._kruskal(w, _UnionFind(self.n)), dtype=np.intp)
+            memo.chain.flags.writeable = False
         return memo.chain
 
     def budget_forest(self, w: WeightAssignment, budget: float) -> list[int]:
@@ -537,13 +590,35 @@ class SpanningTreeFamily(Family):
         return tuple(sorted(self.edge_indices(prufer_decode(seq, self.n))))
 
     def _classes(self, subset) -> _UnionFind:
-        """The components of the spanning subgraph (V, subset), merged by the
-        union-find of the Kruskal scan."""
+        """The components of the spanning subgraph (V, subset), as a union-find
+        of the caller's own to merge into.
+
+        The family keeps the classes of the last subset tuple it built them
+        for, as a snapshot (parent, size and count in tuples) under that
+        tuple, and hands out copies.  A tuple whose leading elements are that
+        key, element by element of the same type and value, is read as the
+        key's classes plus its other elements, which are checked and merged
+        alone: patching._verify_patch's subset plus its patch merges only
+        the patch.  Any other subset is checked and merged whole, and a tuple
+        becomes the key."""
+        if isinstance(subset, tuple) and self._subset_memo is not None:
+            key, kinds, snapshot = self._subset_memo
+            head = subset[:len(key)]
+            if tuple(map(type, head)) == kinds and head == key:
+                classes = snapshot.copy()
+                if len(subset) > len(key):
+                    self._merge(classes, self._check_subset(subset[len(key):]))
+                return classes
         classes = _UnionFind(self.n)
-        idx = self._check_subset(subset)
+        self._merge(classes, self._check_subset(subset))
+        if isinstance(subset, tuple):
+            self._subset_memo = subset, tuple(map(type, subset)), classes.copy(tuple)
+        return classes
+
+    def _merge(self, classes: _UnionFind, idx: np.ndarray) -> None:
+        """Merge the checked edges `idx` into `classes`."""
         classes.merge(idx.tolist(), self.edge_u[idx].tolist(),
                       self.edge_v[idx].tolist(), [])
-        return classes
 
     def min_patch_size(self, subset) -> int:
         return self._classes(subset).count - 1
@@ -560,19 +635,13 @@ class SpanningTreeFamily(Family):
         return position[label]
 
     def cheapest_completion(self, subset, w: WeightAssignment):
-        """The chain edges (_chain) that join the subset's components, merged
-        in chain order, are the cheapest patch: each edge a Kruskal scan from
-        those components accepts is the lightest across a cut that splits no
-        component, so it lies on the chain (the MST cut property)."""
+        """The cheapest patch is what a Kruskal scan of the edge order accepts
+        from the subset's components (_kruskal over the memo's head of the
+        order of w): the minimum spanning tree of K_n with the subset
+        contracted.  It builds no chain; a spanning subset reads no memo."""
         self._check_weights(w)
-        classes, patch = self._classes(subset), []
-        if classes.count > 1:  # a spanning subset reads no memo
-            chain, root = self._chain(w), classes.roots()
-            us, vs = root[self.edge_u[chain]], root[self.edge_v[chain]]
-            keep = us != vs
-            classes.merge(chain[keep].tolist(), us[keep].tolist(), vs[keep].tolist(),
-                          patch)
-        patch = tuple(sorted(patch))
+        classes = self._classes(subset)
+        patch = tuple(sorted(self._kruskal(w, classes))) if classes.count > 1 else ()
         return SolveResult(value=w.total(patch), witness=patch)
 
     def component_completion(self, subset, w: WeightAssignment) -> SolveResult:

@@ -50,7 +50,11 @@ class GStrategy(Enum):
 
 def _verify_patch(fam: Family, solve, subset, w: WeightAssignment) -> SolveResult:
     """solve(subset, w), its patch checked to complete `subset` (both read
-    `subset`, so a one-shot iterator is read into a tuple first)."""
+    `subset`, so a one-shot iterator is read into a tuple first).
+
+    The check merges every patch element into the subset's components.  On
+    a tree family those components come from its subset memo, which the
+    solve filled for a tuple subset, so the check merges the patch alone."""
     subset = tuple(subset) if iter(subset) is subset else subset
     found = solve(subset, w)
     if fam.min_patch_size(tuple(subset) + found.witness) != 0:

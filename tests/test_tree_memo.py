@@ -1,12 +1,15 @@
-"""The per-vector memo: distance answers, tree edge orders and chains.
+"""The per-vector memo: distance answers, tree edge orders and chains; and
+the tree family's subset memo.
 
 A WeightAssignment has one memo slot, owned by the last family that read it.
 Every family keeps its distance answers (SolveResults) there by r < ell
 (every r >= ell is the empty set, never solved); a spanning-tree family
-also keeps its edge order and Kruskal chain.  Every answer must
-equal the one a fresh family gives on a fresh copy of the weights, whatever
-the call order and whichever family owned the slot before, and each
-distinct witness of a trial is summed once.
+also keeps its edge order and Kruskal chain.  A spanning-tree family also
+keeps the components of the last subset tuple it read, and extends them for
+a tuple that starts with that subset.  Every answer must equal the one a
+fresh family gives on a fresh copy of the weights, whatever the call order
+and whichever family owned the slot before, and each distinct witness of a
+trial is summed once.
 """
 
 import numpy as np
@@ -23,8 +26,15 @@ from minweight.families import (
     SpanningTreeFamily,
     WeightAssignment,
 )
-from minweight.patching import component_patch, exact_patch
+from minweight.patching import (
+    GStrategy,
+    _verify_patch,
+    component_patch,
+    estimate_patchability,
+    exact_patch,
+)
 from minweight.rngs import stream
+from minweight.weights import WeightSpec
 
 SOLVERS = ("min_weight", "budget_witness", "distance_witness",
            "cheapest_completion", "component_patch")
@@ -62,25 +72,17 @@ def _depleted(fam, rng, r):
 
 
 def _count_scans(monkeypatch):
-    """Record each Kruskal scan of a tree edge order: each union-find
-    (families._UnionFind) but those that hold a subset's components
-    (SpanningTreeFamily._classes)."""
+    """Record each Kruskal scan (SpanningTreeFamily._kruskal) as its weight
+    vector and the number of classes it starts from: n for a chain, fewer
+    for a completion from a subset's components."""
     scans = []
+    kruskal = SpanningTreeFamily._kruskal
 
-    class Counted(families._UnionFind):
-        def __init__(self, c):
-            super().__init__(c)
-            scans.append(self)
+    def counted(self, w, start):
+        scans.append((w, start.count))
+        return kruskal(self, w, start)
 
-    classes = SpanningTreeFamily._classes
-
-    def counted_classes(self, subset):
-        found = classes(self, subset)
-        scans.remove(found)
-        return found
-
-    monkeypatch.setattr(families, "_UnionFind", Counted)
-    monkeypatch.setattr(SpanningTreeFamily, "_classes", counted_classes)
+    monkeypatch.setattr(SpanningTreeFamily, "_kruskal", counted)
     return scans
 
 
@@ -92,18 +94,84 @@ class TestTreeOrderMemo:
         defect_under_budget(fam, w, 0.6)
         cheapest_within_distance(fam, w, 10)
         fam.min_weight(w)
-        assert len(scans) == 1  # one Kruskal scan
+        assert scans == [(w, fam.n)]  # one Kruskal scan: the chain
 
-    def test_patch_trial_runs_kruskal_once(self, monkeypatch):
-        # The completion reads the chain that the optimum then reuses.
+    def test_patch_trial_builds_one_chain(self, monkeypatch):
+        # Both patches of a depleted set at distance 10 and the optimum: the
+        # completion scans from the set's 11 components, and the optimum
+        # builds the one chain of w.
         fam = SpanningTreeFamily(100)
         rng = stream(65)
         w = WeightAssignment(rng.random(fam.ground_size))
         g = _depleted(fam, rng, 10)
         scans = _count_scans(monkeypatch)
         exact_patch(fam, g, w)
+        component_patch(fam, g, w)
         fam.min_weight(w)
-        assert len(scans) == 1
+        assert scans == [(w, 11), (w, fam.n)]
+
+    def test_patch_trial_builds_one_union_find_per_subset(self, monkeypatch):
+        # The depleted set's components are merged once; the two checks
+        # and the component patch read copies of them.
+        fam = SpanningTreeFamily(100)
+        rng = stream(66)
+        w = WeightAssignment(rng.random(fam.ground_size))
+        g = _depleted(fam, rng, 10)
+        built = []
+        init = families._UnionFind.__init__
+
+        def counted(self, c):
+            built.append(c)
+            init(self, c)
+
+        monkeypatch.setattr(families._UnionFind, "__init__", counted)
+        exact_patch(fam, g, w)
+        component_patch(fam, g, w)
+        fam.min_weight(w)
+        assert built == [fam.n, fam.n]  # g's components, then the chain's forest
+
+    def test_split_trial_builds_chains_for_x_and_y_only(self, monkeypatch):
+        # The red vector y' is only completed from the green witness's
+        # r + 1 components: its memo has an order head and no chain.
+        scans = _count_scans(monkeypatch)
+        config = montecarlo.ExperimentConfig(family="trees", kind="split", n=100,
+                                             r=10, s=0.1, trials=1)
+        montecarlo.run(config)
+        assert [count for _, count in scans] == [100, 100, 11]
+        x, y, y_prime = (w for w, _ in scans)
+        assert len({id(x), id(y), id(y_prime)}) == 3
+        assert x._memo.chain is not None and y._memo.chain is not None
+        assert y_prime._memo.order is not None and y_prime._memo.chain is None
+
+    def test_patchability_cell_builds_no_chain(self, monkeypatch):
+        fam = SpanningTreeFamily(60)
+        scans = _count_scans(monkeypatch)
+        estimate = estimate_patchability(fam, WeightSpec(1.0), 5, 0.2,
+                                         GStrategy.REMOVE_FROM_RANDOM_MEMBER,
+                                         trials=3, g_samples=2)
+        assert estimate.costs.shape == (2, 3)
+        assert [count for _, count in scans] == [6] * 6  # one completion a cell
+        assert all(w._memo.chain is None for w, _ in scans)
+
+    def test_verify_patch_on_a_tree_merges_only_the_patch(self, monkeypatch):
+        fam = SpanningTreeFamily(100)
+        rng = stream(67)
+        w = WeightAssignment(rng.random(fam.ground_size))
+        g = _depleted(fam, rng, 10)
+        found = fam.cheapest_completion(g, w)  # g's components are now memoised
+        merged = []
+        merge = families._UnionFind.merge
+
+        def counted(self, edges, us, vs, chosen):
+            merged.append(list(edges))
+            return merge(self, edges, us, vs, chosen)
+
+        monkeypatch.setattr(families._UnionFind, "merge", counted)
+        assert _verify_patch(fam, lambda subset, w: found, g, w) is found
+        assert merged == [list(found.witness)]
+        with pytest.raises(RuntimeError, match="solver bug"):  # still a real check
+            _verify_patch(fam, lambda subset, w: SolveResult(0.0, found.witness[1:]),
+                          g, w)
 
     @pytest.mark.parametrize("solve", [
         lambda fam, g, w: fam.cheapest_completion(g, w),
@@ -121,9 +189,10 @@ class TestTreeOrderMemo:
             assert w._memo is None
 
     def test_rescan_reads_a_one_shot_subset_again(self):
-        # The edges inside vertices 0..29 outnumber the head, so the chain
-        # scan runs out of the head and starts over on the whole order; the
-        # subset is read once, for its components.
+        # The edges inside vertices 0..29 outnumber the head, so the
+        # completion's scan runs out of the head before it reaches vertex 39
+        # and starts over on the whole order, from a saved copy of the
+        # subset's components; the subset is read once, for its components.
         fam = SpanningTreeFamily(40)
         rng = stream(64)
         values = np.where(fam.edge_v < 30, 1e-3, 1.0) * rng.random(fam.ground_size)
@@ -153,6 +222,21 @@ class TestTreeOrderMemo:
         for fam, w, name, param in calls:
             values = first if w is not w2 else second
             assert _solve(fam, w, name, g, param) == _fresh(fam, values, name, g, param)
+
+
+    def test_subset_memo_reads_a_key_equal_by_value_as_a_miss(self):
+        # Floats and bools equal to the key's integers are not integers: the
+        # memo does not extend the key with them, and the fresh check rejects
+        # them.  Numpy integers equal to the key's are read afresh.
+        fam = SpanningTreeFamily(12)
+        g = (0, 1, 5, 9, 20)
+        assert fam.min_patch_size(g) == 6
+        for bad in (tuple(float(e) for e in g), (0, True) + g[2:] + (3,),
+                    tuple(np.float64(e) for e in g) + (3,)):
+            with pytest.raises(ValueError, match="must be integers"):
+                fam.min_patch_size(bad)
+        assert fam.min_patch_size(tuple(np.int64(e) for e in g) + (3,)) == 5
+        assert fam.min_patch_size(g + (3,)) == 5
 
 
 class TestMatchingMemo:
@@ -222,6 +306,103 @@ def test_memoised_answers_match_fresh_objects(instance):
         fam = _SHARED.setdefault((n, which), SpanningTreeFamily(n))
         g = _depleted(fam, np.random.default_rng([seed, param]), 1 + param % (n - 1))
         assert _solve(fam, w, name, g, param) == _fresh(fam, values, name, g, param)
+
+
+
+# How a subset memo call extends its base subset g: the tuple's other
+# elements, and the form the family reads (a tuple unless named).
+_EXTENSIONS = ("none", "patch", "duplicates", "inside", "numpy-ints",
+               "prefix-only", "float-prefix", "iterator", "ndarray", "out-of-range",
+               "mutate")
+_SUBSET_SOLVERS = ("min_patch_size", "cheapest_completion", "component_patch",
+                   "min_outgoing_edge_count")
+
+
+def _outcome(call):
+    """call()'s answer, or the type of the ValueError it raised."""
+    try:
+        return call()
+    except ValueError as err:
+        return type(err)
+
+
+def _subset_solve(fam, w, name, subset):
+    if name == "min_patch_size":
+        return _outcome(lambda: fam.min_patch_size(subset))
+    if name == "cheapest_completion":
+        return _outcome(lambda: fam.cheapest_completion(subset, w))
+    if name == "component_patch":
+        return _outcome(lambda: component_patch(fam, subset, w))
+    return _outcome(lambda: fam.min_outgoing_edge_count(subset))
+
+
+def _extended(fam, values, g, how, rng):
+    """The subset of one step as a tuple, before it takes the form `how`
+    names: g plus the elements `how` adds."""
+    size = fam.ground_size
+    if how == "patch":
+        return g + _copy(fam).cheapest_completion(g, WeightAssignment(values)).witness
+    if how == "duplicates":
+        return g + g[: 1 + len(g) // 2] + g[:1]
+    if how == "inside":  # edges whose ends lie in one component of g
+        root = _copy(fam)._classes(g).roots()
+        inside = np.flatnonzero(root[fam.edge_u] == root[fam.edge_v])
+        return g + tuple(rng.choice(inside, size=min(3, inside.size)).tolist())
+    if how == "numpy-ints":
+        return g + tuple(np.int64(e) for e in rng.integers(0, size, 3))
+    if how == "prefix-only":  # a different subset that starts like g
+        return g[: len(g) // 2] + tuple(rng.integers(0, size, 4).tolist())
+    if how == "float-prefix":  # equal to g by value, but not integers
+        return tuple(float(e) for e in g) + g[:1]
+    if how in ("iterator", "ndarray"):
+        return g + tuple(rng.integers(0, size, 2).tolist())
+    return g
+
+
+@st.composite
+def _subset_memo_instances(draw):
+    n = draw(st.sampled_from([2, 3, 5, 12, 30]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    steps = draw(st.lists(
+        st.tuples(st.sampled_from(_SUBSET_SOLVERS), st.sampled_from(_EXTENSIONS),
+                  st.integers(0, 1), st.integers(0, 2**16)),
+        min_size=1, max_size=12,
+    ))
+    return n, seed, steps
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(_subset_memo_instances())
+def test_subset_memo_answers_match_fresh_objects(instance):
+    # Every step reads one of two base subsets, plain or extended, so the
+    # memo's key is hit, extended, missed and replaced in every order.
+    n, seed, steps = instance
+    fam = SpanningTreeFamily(n)
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 4, fam.ground_size) / 4.0  # ties and zeros
+    w = WeightAssignment(values)
+    bases = tuple(_depleted(fam, rng, r) for r in (n // 3, 1 + n // 2))
+    for name, how, which, param in steps:
+        g, step_rng = bases[which], np.random.default_rng([seed, param])
+        if how == "float-prefix":
+            fam.min_patch_size(g)  # g becomes the key, or extends it
+        if how == "out-of-range":
+            bad = g + (int(step_rng.integers(0, fam.ground_size)),
+                       (-1, fam.ground_size)[param % 2])
+            for solver in (fam, _copy(fam)):
+                with pytest.raises(ValueError, match="out of range"):
+                    solver.min_patch_size(bad)
+            continue
+        if how == "mutate":  # a caller's union-find is its own
+            classes = fam._classes(g)
+            classes.merge(range(fam.ground_size), fam.edge_u.tolist(),
+                          fam.edge_v.tolist(), [])
+            classes.parent[0], classes.count = n - 1, 0
+            continue
+        subset = _extended(fam, values, g, how, step_rng)
+        read = {"iterator": iter, "ndarray": np.array}.get(how, tuple)(subset)
+        expected = _subset_solve(_copy(fam), WeightAssignment(values), name, subset)
+        assert _subset_solve(fam, w, name, read) == expected
 
 
 @st.composite
