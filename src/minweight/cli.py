@@ -267,16 +267,8 @@ def _write_records(records, fmt: str, out: typing.TextIO) -> list[TrialRecord]:
 
 
 def render_csv(records: list[TrialRecord]) -> str:
-    return _render(records, "csv")
-
-
-def render_json(records: list[TrialRecord]) -> str:
-    return _render(records, "json")
-
-
-def _render(records: list[TrialRecord], fmt: str) -> str:
     text = io.StringIO()
-    _write_records(records, fmt, text)
+    _write_records(records, "csv", text)
     return text.getvalue()
 
 

@@ -42,8 +42,9 @@ the aim whenever the bracket falls behind halving every two probes, so any
 curve takes O(log ell) probes.  The answer d is certified by two probes:
 r = d affordable and r = d - 1 not (or d = 0).
 
-A subset (or WeightAssignment.total's indices) is any iterable or array of
-integer element indices; a float, a bool or an index out of range raises
+A subset (or an explicit family's member, or WeightAssignment.total's
+indices) is any iterable or array of integer element indices, read by one
+routine, _sorted_indices; a float, a bool or an index out of range raises
 ValueError rather than being truncated or wrapped.
 
 Determinism: tree and explicit tie-breaks prefer the smallest element index,
@@ -74,10 +75,13 @@ chain.  The same union-find gives a subset's component positions and patch
 distance, so tree runs never load scipy; matching families load it when
 they are built.
 
-A tree family also keeps one subset memo: the components of the last
-subset tuple it read, as an immutable snapshot that every caller gets a
-copy of.  A tuple that extends that subset, such as the subset plus its
-patch that patching checks, merges only the added elements.
+A tree family also keeps one subset memo: the last non-empty subset tuple
+it read, as the key, and that subset's components, which every caller gets
+a copy of.  A tuple extends the key when its leading elements are the key's
+own objects, checked when the key was stored; such a tuple, like the subset
+plus its patch that patching checks, merges only its other elements.  An
+equal element that is another object (a float, a bool, a numpy integer) is
+read afresh, and an empty key is never extended.
 
 A weight vector has one memo slot, owned by the last family that read it
 (Family._memo).  The slot holds one _Memo record: every family keeps its
@@ -92,6 +96,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -123,26 +128,32 @@ def _canonical_sum(values: np.ndarray, idx: np.ndarray) -> float:
     return float(values[idx].sum())
 
 
-def _indices(subset) -> np.ndarray:
-    """The elements of `subset` (an array or any iterable) as intp, unsorted.
+def _sorted_indices(subset, size: int) -> np.ndarray:
+    """The elements of `subset` (an array or any iterable) as sorted intp,
+    repeats kept: the one reader of a subset, a member or total's indices.
 
-    Each must be an integer: a float or a bool raises instead of being
-    truncated, and an integer beyond intp raises as out of range (a uint64
-    array's wraps to a negative index, which the caller's range check
-    rejects)."""
+    Each must be an integer in [0, size): a float or a bool raises instead
+    of being truncated, and an index out of range instead of wrapping (a
+    uint64 array's beyond intp wraps to a negative one, which the range
+    check rejects)."""
     if isinstance(subset, np.ndarray):
         if subset.size and subset.dtype.kind not in "iu":
             raise ValueError(f"subset elements must be integers, got {subset.dtype}")
-        return subset.astype(np.intp, copy=False)
-    if not isinstance(subset, (tuple, list)):
-        subset = tuple(subset)
-    for kind in set(map(type, subset)):
-        if kind is bool or not issubclass(kind, (int, np.integer)):
-            raise ValueError(f"subset elements must be integers, got {kind.__name__}")
-    try:
-        return np.fromiter(subset, dtype=np.intp, count=len(subset))
-    except OverflowError:
-        raise ValueError("subset indices out of range") from None
+        idx = subset.astype(np.intp, copy=False)
+    else:
+        if not isinstance(subset, (tuple, list)):
+            subset = tuple(subset)
+        for kind in set(map(type, subset)):
+            if kind is bool or not issubclass(kind, (int, np.integer)):
+                raise ValueError(f"subset elements must be integers, got {kind.__name__}")
+        try:
+            idx = np.fromiter(subset, dtype=np.intp, count=len(subset))
+        except OverflowError:
+            raise ValueError("subset indices out of range") from None
+    idx = np.sort(idx, axis=None)
+    if idx.size and (idx[0] < 0 or idx[-1] >= size):
+        raise ValueError("subset indices out of range")
+    return idx
 
 
 class WeightAssignment:
@@ -192,13 +203,7 @@ class WeightAssignment:
         """Canonical subset sum: numpy's pairwise sum of the weights gathered
         in ascending index order (_canonical_sum).  Every index must be an
         integer in range."""
-        idx = _indices(indices)
-        if idx.size == 0:
-            return 0.0
-        idx = np.sort(idx)
-        if idx[0] < 0 or idx[-1] >= self.values.size:  # no wrap-around
-            raise ValueError("subset indices out of range")
-        return _canonical_sum(self.values, idx)
+        return _canonical_sum(self.values, _sorted_indices(indices, self.values.size))
 
 
 @dataclass(frozen=True)
@@ -405,9 +410,7 @@ class Family(ABC):
 
     def _check_subset(self, subset) -> np.ndarray:
         """The sorted distinct elements of `subset`, each an integer in range."""
-        idx = np.sort(_indices(subset), axis=None)
-        if idx.size and (idx[0] < 0 or idx[-1] >= self.ground_size):
-            raise ValueError("subset indices out of range")
+        idx = _sorted_indices(subset, self.ground_size)
         # np.unique without its extra passes: drop each repeat of its left neighbour.
         return idx[np.append(True, idx[1:] != idx[:-1])] if idx.size else idx
 
@@ -442,11 +445,10 @@ class _UnionFind:
     def __init__(self, c: int) -> None:
         self.parent, self.size, self.count = list(range(c)), [1] * c, c
 
-    def copy(self, kind=list) -> _UnionFind:
-        """The same classes in containers of their own: lists to merge into,
-        or tuples (kind=tuple) for a snapshot that nothing can merge into."""
+    def copy(self) -> _UnionFind:
+        """The same classes in lists of their own to merge into."""
         other = object.__new__(_UnionFind)
-        other.parent, other.size, other.count = kind(self.parent), kind(self.size), self.count
+        other.parent, other.size, other.count = list(self.parent), list(self.size), self.count
         return other
 
     def merge(self, edges, us, vs, chosen: list) -> bool:
@@ -489,7 +491,7 @@ class SpanningTreeFamily(Family):
         self.ground_size = self.edge_u.size
         self.ell = n - 1
         self._head = int(n / 2 * (math.log(n) + _HEAD_C)) + 64  # the first k
-        self._subset_memo = None  # _classes' key, its element types, its classes
+        self._subset_memo = (), None  # _classes' key tuple and its classes
 
     @staticmethod
     def check_size(n: int) -> int:
@@ -575,7 +577,7 @@ class SpanningTreeFamily(Family):
         return memo.chain
 
     def budget_forest(self, w: WeightAssignment, budget: float) -> list[int]:
-        """Largest affordable prefix of the greedy forest, in chain order."""
+        """Largest affordable prefix of the Kruskal chain, in chain order."""
         # Kept only as a trace target of perfbench/tracing.py and a test subject.
         defect = self.budget_witness(w, budget).defect
         return self._chain(w)[:self.n - 1 - defect].tolist()
@@ -593,26 +595,26 @@ class SpanningTreeFamily(Family):
         """The components of the spanning subgraph (V, subset), as a union-find
         of the caller's own to merge into.
 
-        The family keeps the classes of the last subset tuple it built them
-        for, as a snapshot (parent, size and count in tuples) under that
-        tuple, and hands out copies.  A tuple whose leading elements are that
-        key, element by element of the same type and value, is read as the
-        key's classes plus its other elements, which are checked and merged
-        alone: patching._verify_patch's subset plus its patch merges only
-        the patch.  Any other subset is checked and merged whole, and a tuple
-        becomes the key."""
-        if isinstance(subset, tuple) and self._subset_memo is not None:
-            key, kinds, snapshot = self._subset_memo
-            head = subset[:len(key)]
-            if tuple(map(type, head)) == kinds and head == key:
-                classes = snapshot.copy()
-                if len(subset) > len(key):
-                    self._merge(classes, self._check_subset(subset[len(key):]))
-                return classes
+        The family keeps the classes of the last non-empty subset tuple it
+        built them for, under that tuple as the key, and hands out copies.
+        A tuple whose leading elements are the key's own objects (`is`, not
+        `==`) is read as the key's classes plus its other elements, which
+        are checked and merged alone: the key's objects were checked when it
+        was stored.  So patching._verify_patch's subset plus its patch
+        merges only the patch.  An empty key is never extended, since every
+        tuple would extend it.  Any other subset is checked and merged
+        whole, and a non-empty tuple becomes the key."""
+        key, snapshot = self._subset_memo
+        if (isinstance(subset, tuple) and key and len(subset) >= len(key)
+                and all(map(operator.is_, subset, key))):
+            classes = snapshot.copy()
+            if len(subset) > len(key):
+                self._merge(classes, self._check_subset(subset[len(key):]))
+            return classes
         classes = _UnionFind(self.n)
         self._merge(classes, self._check_subset(subset))
-        if isinstance(subset, tuple):
-            self._subset_memo = subset, tuple(map(type, subset)), classes.copy(tuple)
+        if isinstance(subset, tuple) and subset:
+            self._subset_memo = subset, classes.copy()
         return classes
 
     def _merge(self, classes: _UnionFind, idx: np.ndarray) -> None:
@@ -894,12 +896,7 @@ class ExplicitFamily(Family):
                 f"ground size must be in [1, {_EXPLICIT_MAX_GROUND}], got "
                 f"{ground_size}"
             )
-        sets = []
-        for m in members:
-            fs = frozenset(int(x) for x in m)
-            if any(x < 0 or x >= ground_size for x in fs):
-                raise ValueError("member element out of range")
-            sets.append(fs)
+        sets = [frozenset(self._check_subset(m).tolist()) for m in members]
         if not sets:
             raise ValueError("family must have at least one member")
         minimal = []
@@ -917,12 +914,12 @@ class ExplicitFamily(Family):
         return self._members
 
     def min_patch_size(self, subset) -> int:
-        idx = set(int(i) for i in self._check_subset(subset))
+        idx = set(self._check_subset(subset).tolist())
         return min(len(ms - idx) for ms in self._member_sets)
 
     def cheapest_completion(self, subset, w: WeightAssignment):
         self._check_weights(w)
-        idx = set(int(i) for i in self._check_subset(subset))
+        idx = set(self._check_subset(subset).tolist())
         best = None
         for ms in self._member_sets:
             patch = tuple(sorted(ms - idx))

@@ -49,15 +49,12 @@ class GStrategy(Enum):
 
 
 def _verify_patch(fam: Family, solve, subset, w: WeightAssignment) -> SolveResult:
-    """solve(subset, w), its patch checked to complete `subset` (both read
-    `subset`, so a one-shot iterator is read into a tuple first).
-
-    The check merges every patch element into the subset's components.  On
-    a tree family those components come from its subset memo, which the
-    solve filled for a tuple subset, so the check merges the patch alone."""
-    subset = tuple(subset) if iter(subset) is subset else subset
+    """solve(subset, w), its patch checked to complete `subset`: the subset
+    plus the patch must be at patch distance 0.  Both read `subset` as one
+    tuple, made once."""
+    subset = tuple(subset)
     found = solve(subset, w)
-    if fam.min_patch_size(tuple(subset) + found.witness) != 0:
+    if fam.min_patch_size(subset + found.witness) != 0:
         raise RuntimeError("patch failed to complete the subset; solver bug")
     return found
 

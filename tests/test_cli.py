@@ -5,6 +5,7 @@ the module entry point.
 """
 
 import hashlib
+import io
 import json
 import re
 import subprocess
@@ -23,10 +24,10 @@ from minweight.cli import (
     EXIT_USAGE,
     EXIT_VERIFY,
     _experiment_config,
+    _write_records,
     build_parser,
     main,
     render_csv,
-    render_json,
 )
 from minweight.families import MatchingFamily, SolveResult, SpanningTreeFamily
 from minweight.montecarlo import ExperimentConfig, run
@@ -368,7 +369,9 @@ class TestRecordEmission:
 
     def test_empty_renders_header_only(self):
         assert render_csv([]) == "trial,n,q,seed,value\n"
-        assert render_json([]) == "[]\n"
+        text = io.StringIO()
+        _write_records([], "json", text)
+        assert text.getvalue() == "[]\n"
 
     # sha256 of stdout at seed 7, in each format.  A change that alters
     # records on purpose updates these digests and says so.

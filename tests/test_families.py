@@ -352,7 +352,8 @@ def test_bad_budget_rejected(fam, budget):
 
 
 # Boundary sizes: ell = 1 (trees n=2, matchings n=1) and ell = 2^j - 1
-# (trees n=8, matchings n=7), where the gallop's last probe lands on ell.
+# (trees n=8, matchings n=7), where halving the bracket [0, ell] can end on
+# r = ell, which the search answers without a solve.
 _BUDGET_FAMILIES = (
     SpanningTreeFamily(2), SpanningTreeFamily(5), SpanningTreeFamily(8),
     MatchingFamily(1), MatchingFamily(4), MatchingFamily(7),
@@ -637,9 +638,8 @@ class TestMatchingFamily:
     def test_dual_trial_solves(self, monkeypatch):
         # The budget defect, the cheapest set within r = 10 and the
         # optimum, the search first.  The aimed search averages 4.4 solves
-        # here, the secant search it replaced 4.65, the gallop plus bisect
-        # before that 8.35; a dual trial solves r = 10 first and makes fewer
-        # (the next test).
+        # here; a dual trial solves r = 10 first and makes fewer (the next
+        # test).
         fam = MatchingFamily(100)
         solved = _count_k_matchings(monkeypatch)
         for seed in range(20):
@@ -818,6 +818,22 @@ class TestExplicitFamily:
             ExplicitFamily(3, [(5,)])
         with pytest.raises(ValueError):
             ExplicitFamily(30, [(0,)])
+
+    @pytest.mark.parametrize("bad", [(0.5, 1.5), (True, 3), (np.float64(1.0),),
+                                     (-1,), (4,), (2**70,)],
+                             ids=["floats", "bool", "numpy-float", "negative",
+                                  "ground-size", "huge"])
+    def test_rejects_a_member_it_would_truncate(self, bad):
+        # Members are read like subsets: (0.5, 1.5) once became the member
+        # (0, 1), and (True, 3) the member (1, 3).
+        with pytest.raises(ValueError, match="subset (elements must be integers|"
+                                             "indices out of range)"):
+            ExplicitFamily(4, [(2, 3), bad])
+
+    def test_reads_numpy_integer_and_repeated_member_elements(self):
+        fam = ExplicitFamily(4, [(np.int64(1), np.int32(0), 1), np.array([3, 2, 3])])
+        assert fam.members == ((0, 1), (2, 3))
+        assert all(type(e) is int for m in fam.members for e in m)
 
 
 class TestTieHandling:

@@ -5,8 +5,8 @@ A WeightAssignment has one memo slot, owned by the last family that read it.
 Every family keeps its distance answers (SolveResults) there by r < ell
 (every r >= ell is the empty set, never solved); a spanning-tree family
 also keeps its edge order and Kruskal chain.  A spanning-tree family also
-keeps the components of the last subset tuple it read, and extends them for
-a tuple that starts with that subset.  Every answer must equal the one a
+keeps the components of the last non-empty subset tuple it read, and
+extends them for a tuple that starts with that tuple's own elements.  Every answer must equal the one a
 fresh family gives on a fresh copy of the weights, whatever the call order
 and whichever family owned the slot before, and each distinct witness of a
 trial is summed once.
@@ -173,6 +173,30 @@ class TestTreeOrderMemo:
             _verify_patch(fam, lambda subset, w: SolveResult(0.0, found.witness[1:]),
                           g, w)
 
+    @pytest.mark.parametrize("before", [None, ()], ids=["fresh", "after-empty"])
+    def test_exact_patch_merges_the_subset_once(self, monkeypatch, before):
+        # The completion merges g into its components once; the check reads
+        # them from the subset memo.  An empty subset read before leaves no
+        # key that every later tuple would extend.
+        fam = SpanningTreeFamily(100)
+        rng = stream(68)
+        w = WeightAssignment(rng.random(fam.ground_size))
+        g = _depleted(fam, rng, 10)
+        if before is not None:
+            assert fam.min_patch_size(before) == fam.ell
+        merged = []
+        merge = families._UnionFind.merge
+
+        def counted(self, edges, us, vs, chosen):
+            edges = list(edges)
+            merged.extend(edges)
+            return merge(self, edges, us, vs, chosen)
+
+        monkeypatch.setattr(families._UnionFind, "merge", counted)
+        exact_patch(fam, g, w)
+        edges = set(g)
+        assert sorted(e for e in merged if e in edges) == list(g)
+
     @pytest.mark.parametrize("solve", [
         lambda fam, g, w: fam.cheapest_completion(g, w),
         lambda fam, g, w: exact_patch(fam, g, w),
@@ -313,7 +337,7 @@ def test_memoised_answers_match_fresh_objects(instance):
 # elements, and the form the family reads (a tuple unless named).
 _EXTENSIONS = ("none", "patch", "duplicates", "inside", "numpy-ints",
                "prefix-only", "float-prefix", "iterator", "ndarray", "out-of-range",
-               "mutate")
+               "mutate", "after-empty")
 _SUBSET_SOLVERS = ("min_patch_size", "cheapest_completion", "component_patch",
                    "min_outgoing_edge_count")
 
@@ -386,6 +410,8 @@ def test_subset_memo_answers_match_fresh_objects(instance):
         g, step_rng = bases[which], np.random.default_rng([seed, param])
         if how == "float-prefix":
             fam.min_patch_size(g)  # g becomes the key, or extends it
+        if how == "after-empty":
+            fam.min_patch_size(())  # never a key that every tuple extends
         if how == "out-of-range":
             bad = g + (int(step_rng.integers(0, fam.ground_size)),
                        (-1, fam.ground_size)[param % 2])
