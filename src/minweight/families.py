@@ -39,8 +39,12 @@ bracket it aims at the defect: it scales that bound's drop to the cost
 solved at the bracket's end, probes where the scaled curve meets the
 budget, then that probe's certifying neighbour.  A bisect step replaces
 the aim whenever the bracket falls behind halving every two probes, so any
-curve takes O(log ell) probes.  The answer d is certified by two probes:
-r = d affordable and r = d - 1 not (or d = 0).
+curve takes O(log ell) probes.  The answer d is certified by r = d probed
+affordable and r = d - 1 shown unaffordable (or d = 0), by a probe or by
+the chord floor: on a family whose totals are convex in r (trees and
+matchings) the chords through the totals solved nearest on either side
+bound an unsolved r from below, and a floor above the budget takes no
+solve.
 
 A subset (or an explicit family's member, or WeightAssignment.total's
 indices) is any iterable or array of integer element indices, read by one
@@ -252,6 +256,9 @@ class Family(ABC):
 
     ground_size: int  # N, the elements are 0..N-1
     ell: int  # largest member size
+    # Whether the distance totals are convex in r; budget_witness then
+    # bounds an unsolved r by the solved ones (_chord_floor).
+    _convex = False
 
     @abstractmethod
     def min_patch_size(self, subset) -> int:
@@ -323,7 +330,8 @@ class Family(ABC):
         While no r > 0 is solved the probe is the bracket's midpoint.  After
         that each probe aims at the defect: the bound's drop below the
         optimum, scaled to the drop solved at the bracket's lower end (its
-        upper end if the lower is r = 0), meets the budget at the aimed r.
+        upper end if the lower is r = 0 or unsolved), meets the budget at
+        the aimed r.
         The next probe is the aimed one's certifying neighbour, r - 1 if it
         was affordable and r + 1 if not.  On trees the bound is exact (a
         distance witness is the chain less its r heaviest edges), so the
@@ -333,35 +341,56 @@ class Family(ABC):
         pace that starts at its first width and shrinks by sqrt 2 a probe);
         whenever it falls behind, a bisect step replaces the aimed probe,
         which keeps any curve (an explicit family's need not be anything
-        like the bound) to O(log ell) probes.  The aim only guides the
-        probes: the defect d is returned once r = d was probed affordable
-        and r = d - 1 probed unaffordable (or d = 0), so the answer does not
-        depend on what was solved before.  The bracket top is a hint, not a
-        proof: if it probes unaffordable, say by rounding, the search goes
-        on up to ell.  r = ell is never solved; its witness is the empty
-        set.
+        like the bound) to O(log ell) probes.
+
+        A family that declares its totals convex in r (_convex: trees and
+        matchings; not explicit families, whose minimum over members need
+        not be) gets a probe's answer for free when convexity decides it:
+        before solving an r, the search extends the chords through the two
+        solved totals nearest below r and the two nearest above (the empty
+        witness, 0.0 at ell, counts) to r.  Each bounds the total at r from
+        below (_chord_floor), and if the larger is above the budget by more
+        than rounding, r is unaffordable and stays unsolved.
+
+        The aim only guides the probes: the defect d is returned once r = d
+        was probed affordable and r = d - 1 shown unaffordable, by a probe
+        or by the chord floor (or d = 0), so the answer does not depend on
+        what was solved before.  The bracket top is a hint, not a proof: if
+        it probes unaffordable, say by rounding, the search goes on up to
+        ell.  r = ell is never solved; its witness is the empty set.
         """
         self._check_weights(w)
         budget = float(budget)
         if not budget >= 0:  # also rejects NaN
             raise InvalidInput(f"budget must be non-negative, got {budget}")
 
-        def affordable(r: int) -> bool:
-            return self.distance_witness(w, r).value <= budget
-
         def answer(defect: int) -> DualResult:
             found = self.distance_witness(w, defect)
             return DualResult(budget, defect, found.witness, found.value)
 
-        if affordable(0):  # always, if ell = 0
+        optimum = self.distance_witness(w, 0)
+        if optimum.value <= budget:  # always, if ell = 0
             return answer(0)
-        # lo: the largest r solved unaffordable; hi: the smallest r solved
+        solved = self._memo(w).solved
+        # tol: each total is within ell 2^-53 D(0) of its exact sum (D(0),
+        # the optimum, tops every total and, here, the budget), and a chord
+        # extended to r weighs its two ends' errors by 2 ell + 1 at most;
+        # 2^10 more covers solver optima that miss by a rounding (q <=
+        # 0.02).  A floor or tol that is not finite never prunes.
+        tol = (2 * self.ell + 1) * self.ell * 2.0**-43 * optimum.value
+
+        def affordable(r: int) -> bool:
+            if self._convex and r not in solved:
+                floor = self._chord_floor(solved, r) - tol
+                if math.isfinite(floor) and floor > budget:
+                    return False  # unaffordable by convexity, left unsolved
+            return self.distance_witness(w, r).value <= budget
+
+        # lo: the largest r known unaffordable; hi: the smallest r solved
         # affordable (or ell); top: the bracket's upper end, hi or the
         # unproven bound below it.  Every distance solved before is a probe.
-        solved = self._memo(w).solved
         hi = min((r for r, s in solved.items() if s.value <= budget), default=self.ell)
         lo = max(r for r, s in solved.items() if r < hi and s.value > budget)
-        optimum = solved[0]
         ascending = np.sort(w.values[np.asarray(optimum.witness, dtype=np.intp)])
         lightest = np.cumsum(ascending)
         bound_r = lightest.size - int(np.searchsorted(lightest, budget, side="right"))
@@ -380,8 +409,8 @@ class Family(ABC):
             if aimed is not None:  # the aimed probe's certifying neighbour
                 probe, aimed = (lo + 1 if aimed == lo else top - 1), None
             elif width <= pace and (lo > 0 or hi < self.ell):  # on pace: aim
-                anchor = lo if lo > 0 else hi
-                gain = optimum.value - solved[anchor].value
+                anchor = lo if lo > 0 and lo in solved else hi  # hi is solved or ell
+                gain = optimum.value - self.distance_witness(w, anchor).value
                 probe = top - 1
                 if gain > 0:  # Python floats: an overflow is inf, not a warning
                     scale = float(drop[min(anchor, drop.size - 1)]) / gain
@@ -393,6 +422,21 @@ class Family(ABC):
             else:
                 lo = probe
             pace /= math.sqrt(2)
+
+    def _chord_floor(self, solved: dict[int, SolveResult], r: int) -> float:
+        """A lower bound on the total at an unsolved r of a convex distance
+        curve, -inf if it has none.  Outside the span of two points a convex
+        curve lies above their chord: so the chord through the two solved
+        totals nearest below r, extended to r, bounds it, and so does the
+        one through the two nearest above (0.0 at ell counts as solved)."""
+        totals = {k: s.value for k, s in solved.items()}
+        totals[self.ell] = 0.0
+        below = sorted(k for k in totals if k < r)[:-3:-1]  # nearest first
+        above = sorted(k for k in totals if k > r)[:2]
+        floor = -math.inf
+        for a, b in (pair for pair in (below, above) if len(pair) == 2):
+            floor = max(floor, totals[a] + (totals[a] - totals[b]) * (r - a) / (a - b))
+        return floor
 
     def _memo(self, w: WeightAssignment) -> _Memo:
         """This family's record in the memo slot of `w`; when another family
@@ -484,6 +528,10 @@ class _UnionFind:
 class SpanningTreeFamily(Family):
     """Spanning trees of K_n.  Element i is the i-th edge in lexicographic
     order; ell = n - 1."""
+
+    # The witness at r is the chain less its r heaviest edges: each step
+    # in r drops a lighter edge than the last.
+    _convex = True
 
     def __init__(self, n: int) -> None:
         self.n = n = self.check_size(n)
@@ -763,6 +811,9 @@ class MatchingFamily(Family):
     which has the same optimal assignments and starts the solver near its
     optimal duals; a zero or a wider range reaches it unshifted.
     """
+
+    # A min-cost k-matching's cost is convex in k (successive shortest paths).
+    _convex = True
 
     def __init__(self, n: int) -> None:
         self.n = n = self.check_size(n)

@@ -158,9 +158,12 @@ def _build_member_subsets(fam: Family) -> MemberSubsets:
     for col in bits.T:
         subsets = np.hstack([subsets, subsets | col[:, None]])
     masks = np.unique(subsets)
-    defect = reduce(
-        np.minimum, (np.bitwise_count(mm & ~masks) for mm in member_masks)
-    ).astype(np.intp)
+    if all(len(member) == fam.ell for member in members):
+        # Each subset S of a member M has defect ell - |S|: M misses that
+        # many, and any member misses at least its ell less |S|.
+        defect = fam.ell - np.bitwise_count(masks).astype(np.intp)
+    else:
+        defect = _reduce_defects(member_masks, masks)
     rows = np.full((masks.size, fam.ell), num, dtype=np.uint8)
     rest = masks.copy()
     for col in range(fam.ell):
@@ -171,6 +174,14 @@ def _build_member_subsets(fam: Family) -> MemberSubsets:
         arr.setflags(write=False)  # one table serves every caller
     return MemberSubsets(size=num, member_masks=member_masks, masks=masks,
                          defect=defect, rows=rows)
+
+
+def _reduce_defects(member_masks: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """min over members M of |M - S| for each subset mask S, member by
+    member."""
+    return reduce(
+        np.minimum, (np.bitwise_count(mm & ~masks) for mm in member_masks)
+    ).astype(np.intp)
 
 
 def oracle_defect_under_budget(fam: Family, w: WeightAssignment, budget: float):

@@ -429,6 +429,65 @@ def test_budget_witness_does_not_depend_on_the_memo(which, kind, seed, data):
             WeightAssignment(values), budget)
 
 
+# Families that declare a convex distance curve, and the weight kinds they
+# are checked on: every budget kind; q = 0.01, where the solver's optima
+# can be off by a rounding (ROADMAP item 14); and weights near 2^1021,
+# whose totals are finite but whose chords can overflow.
+_CONVEX_FAMILIES = tuple(fam for fam in _BUDGET_FAMILIES
+                         if isinstance(fam, (SpanningTreeFamily, MatchingFamily)))
+_CONVEX_WEIGHTS = {
+    **_BUDGET_WEIGHTS,
+    "q=0.01": lambda rng, size: sample(WeightSpec(q=0.01), rng, size),
+    "huge": lambda rng, size: rng.uniform(0.9, 1.1, size) * 2.0**1021,
+}
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(
+    st.sampled_from(range(len(_CONVEX_FAMILIES))),
+    st.sampled_from(sorted(_CONVEX_WEIGHTS)),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_chord_floor_prunes_only_unaffordable_distances(which, kind, seed, data):
+    """On a family that declares its curve convex, budget_witness returns
+    the same DualResult as with the declaration withdrawn (every probe
+    solved), at every attained total, at 0 and between consecutive totals,
+    after any set of distances was solved first."""
+    fam = _CONVEX_FAMILIES[which]
+    assert fam._convex
+    values = _CONVEX_WEIGHTS[kind](np.random.default_rng(seed), fam.ground_size)
+    first = data.draw(st.sets(st.integers(0, fam.ell - 1)), label="solved first")
+    totals = sorted({fam.distance_witness(WeightAssignment(values), r).value
+                     for r in range(fam.ell + 1)})
+    budgets = totals + [0.0] + [(a + b) / 2 for a, b in zip(totals, totals[1:])]
+
+    def search(budget):
+        w = WeightAssignment(values)
+        for r in first:
+            fam.distance_witness(w, r)
+        return fam.budget_witness(w, budget)
+
+    for budget in budgets:
+        pruned = search(budget)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(type(fam), "_convex", False)
+            assert search(budget) == pruned
+
+
+def test_chord_floor_that_overflows_never_prunes():
+    # Seven equal weights near 2^1021 add to a finite optimum, but the chord
+    # through r = 4 and the empty witness at ell = 7, extended to r = 1,
+    # overflows to inf.  The bracket top is r = 1, which is affordable.
+    fam = SpanningTreeFamily(8)
+    values = np.full(fam.ground_size, 2.28e307)
+    w = WeightAssignment(values)
+    fam.distance_witness(w, 4)
+    found = fam.budget_witness(w, 1.4e308)
+    assert found == fam.budget_witness(WeightAssignment(values), 1.4e308)
+    assert found.defect == 1
+
+
 def test_budget_witness_reads_a_probe_past_the_optimum_size():
     # The optimum (2, 3) has 2 elements and ell = 4: the solved r = 3 tops
     # the bracket, and the aim scales by the optimum's drop there, all of it.
@@ -487,13 +546,21 @@ _CURVES = {
     "convex": lambda r, ell: (ell - r) ** 2,
     "concave": lambda r, ell: ell**2 - r**2 + 1,
     "staircase": lambda r, ell: 4 * ((ell - r + 2) // 3),
-    # Convex, flat from ell/4 to ell/2.
+    # Flat from ell/4 to ell/2, then falling again: not convex.
     "flat-runs": lambda r, ell: (
         (ell - min(r, ell // 4) - max(0, r - ell // 2)) ** 2 + 1
     ),
-    # Convex, with one sharp drop halfway: the bracket drops that element
-    # first, so it falls short of the defect.
+    # One sharp drop halfway, larger than the drops before it: not convex.
+    # The bracket drops that element first, so it falls short of the defect.
     "dip": lambda r, ell: (ell - r) ** 2 // (1 if r < ell // 2 else 4) + 1,
+}
+# Curves convex up to c(ell) = 0: each drop c(r - 1) - c(r) is at most the
+# one before it.
+_CONVEX_CURVES = {
+    "convex": _CURVES["convex"],
+    "linear": lambda r, ell: 3 * (ell - r),
+    "zero-tail": lambda r, ell: max(ell // 2 - r, 0) ** 2,
+    "geometric": lambda r, ell: 2 ** (ell - r),
 }
 
 
@@ -522,6 +589,45 @@ def test_budget_search_on_scripted_curves(shape):
                 assert len(fam.probes) <= 2 * math.ceil(math.log2(ell + 1)) + 2
                 assert len(set(fam.probes)) == len(fam.probes)
                 assert all(r < ell for r in fam.probes)
+
+
+class _ConvexScriptedFamily(_ScriptedFamily):
+    """The scripted stub, declaring its curve convex."""
+
+    _convex = True
+
+
+@pytest.mark.parametrize("shape", list(_CONVEX_CURVES))
+def test_budget_search_prunes_convex_scripted_curves(shape):
+    """Declared convex, the stub's search still equals a linear scan, probes
+    each r at most once, and never makes more probes than the undeclared
+    stub on the same curve, budget and r0: fewer over all of them."""
+    probes = {_ScriptedFamily: 0, _ConvexScriptedFamily: 0}
+    for ell in (*range(1, 33), 47, 64):
+        curve = [_CONVEX_CURVES[shape](r, ell) for r in range(ell)]
+        drops = [a - b for a, b in zip(curve, curve[1:] + [0])]
+        assert all(a >= b for a, b in zip(drops, drops[1:]))
+        totals = sorted(set(curve) | {0})
+        budgets = totals + [(a + b) / 2 for a, b in zip(totals, totals[1:])]
+        scan = _ScriptedFamily(curve)
+        for budget in budgets:
+            defect = next((r for r, c in enumerate(curve) if c <= budget), ell)
+            expected = (defect, scan.distance_witness(scan.weights(), defect).witness)
+            for r0 in (None, 1, ell // 2, ell - 1):
+                made = {}
+                for kind in probes:
+                    fam = kind(curve)
+                    w = fam.weights()
+                    if r0 is not None:
+                        fam.distance_witness(w, r0)
+                    del fam.probes[:]
+                    found = fam.budget_witness(w, budget)
+                    assert (found.defect, found.witness) == expected
+                    assert len(set(fam.probes)) == len(fam.probes)
+                    made[kind] = len(fam.probes)
+                    probes[kind] += made[kind]
+                assert made[_ConvexScriptedFamily] <= made[_ScriptedFamily]
+    assert probes[_ConvexScriptedFamily] < probes[_ScriptedFamily]
 
 
 class TestPrufer:
@@ -637,9 +743,9 @@ class TestMatchingFamily:
 
     def test_dual_trial_solves(self, monkeypatch):
         # The budget defect, the cheapest set within r = 10 and the
-        # optimum, the search first.  The aimed search averages 4.4 solves
-        # here; a dual trial solves r = 10 first and makes fewer (the next
-        # test).
+        # optimum, the search first: 4.35 solves a trial here, 3.8 of them
+        # the search's.  A dual trial solves r = 10 first and makes fewer
+        # (the next test).
         fam = MatchingFamily(100)
         solved = _count_k_matchings(monkeypatch)
         for seed in range(20):
@@ -651,16 +757,30 @@ class TestMatchingFamily:
 
     def test_dual_trial_search_reads_its_r(self, monkeypatch):
         # montecarlo's dual trial solves its r before the budget search,
-        # which reads it: r = 0, 10, d and d - 1 are the fewest solves that
-        # certify d (3.65 a trial on these 80), and the trial makes 3.76
-        # (4.73 when it searched first).
-        solved = _count_k_matchings(monkeypatch)
+        # which reads it.  Besides r = 0 and 10 the search solves d, whose
+        # witness it returns, and proves d - 1 unaffordable by a probe or
+        # by the chord floor of the totals solved so far: 3.29 solves a
+        # trial on these 80, at most 4 each (3.76 and up to 7 when every
+        # d - 1 was solved, 4.73 when the search came first).
+        per_trial, last = [], [None]
+        original = MatchingFamily._k_matching
+
+        def counted(self, values, k):
+            if values is not last[0]:  # a trial solves one vector's values
+                last[0] = values
+                per_trial.append(0)
+            per_trial[-1] += 1
+            return original(self, values, k)
+
+        monkeypatch.setattr(MatchingFamily, "_k_matching", counted)
         for c in range(20):
             montecarlo.run(montecarlo.ExperimentConfig(
                 family="matchings", n=100, trials=4, master_seed=7 + c * 2**32,
                 kind="dual", budget=1.0, r=10,
             ))
-        assert len(solved) / 80 <= 3.9
+        assert len(per_trial) == 80
+        assert sum(per_trial) / 80 <= 3.4
+        assert max(per_trial) <= 4
 
     def test_min_weight_reads_the_budget_probe(self, monkeypatch):
         fam = MatchingFamily(100)
@@ -718,9 +838,8 @@ class TestMatchingFamily:
                 plain = tuple(sorted((rows[real] * n + cols[real]).tolist()))
                 assert fam.distance_witness(w, n - k).witness == plain, (q, k)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_distance_witness_matches_oracle_at_every_r(self, n):
-        # n = 7's member-subset table alone takes seconds to build.
         fam = MatchingFamily(n)
         laws = itertools.product((0.1, 0.5, 1.0, 3.0), BaseLaw)
         draws = [sample(WeightSpec(q=q, base=base), stream(48, n, i), fam.ground_size)

@@ -24,6 +24,7 @@ from minweight.families import (
 )
 from minweight.oracles import (
     OracleCheck,
+    _reduce_defects,
     member_subsets,
     oracle_cheapest_completion,
     oracle_cheapest_within_distance,
@@ -74,6 +75,26 @@ class TestMemberSubsets:
             assert row.tolist() == elems + [num] * (fam.ell - len(elems))
             assert any(mask & ~mm == 0 for mm in member_masks)
             assert defect == min((mm & ~mask).bit_count() for mm in member_masks)
+
+    @pytest.mark.parametrize("fam", [
+        *(SpanningTreeFamily(n) for n in range(2, 7)),
+        *(MatchingFamily(n) for n in range(1, 7)),
+        ExplicitFamily(6, [(0, 1, 2), (2, 3), (0, 1, 4, 5)]),
+        ExplicitFamily(8, [(0, 1, 2, 3, 4, 5, 6), (7,), (1, 7)]),
+        ExplicitFamily(6, [(0, 1, 2), (2, 3, 4), (1, 4, 5)]),
+    ], ids=[*(f"tree-{n}" for n in range(2, 7)),
+            *(f"matching-{n}" for n in range(1, 7)),
+            "explicit-unequal-6", "explicit-unequal-8", "explicit-equal-6"])
+    def test_defects_equal_the_member_by_member_reduce(self, fam):
+        # Where every member has ell elements the table reads a subset's
+        # defect as ell - |S|; that closed form holds exactly there.
+        table = member_subsets(fam)
+        reduced = _reduce_defects(table.member_masks, table.masks)
+        assert table.defect.dtype == reduced.dtype
+        assert np.array_equal(table.defect, reduced)
+        closed = fam.ell - np.bitwise_count(table.masks).astype(np.intp)
+        uniform = all(len(m) == fam.ell for m in fam.enumerate_members())
+        assert np.array_equal(closed, reduced) == uniform
 
     def test_one_table_per_family_object(self):
         fam = MatchingFamily(3)
@@ -330,6 +351,24 @@ def test_explicit_family_at_the_ground_limit():
     for r in range(fam.ell + 1):
         assert oracle_cheapest_within_distance(fam, w, r) == \
             dual.cheapest_within_distance(fam, w, r).value
+
+
+def test_budget_witness_matches_oracle_on_seven_by_seven_matchings():
+    # The first exhaustive check of the budget search above n = 6, chord
+    # floor included: at every attained total, just below it and at 0.
+    # Seven weights add in the same order both ways, so totals agree.
+    fam = MatchingFamily(7)
+    laws = [(1.0, BaseLaw.UNIFORM_POWER), (0.5, BaseLaw.EXPONENTIAL_POWER),
+            (3.0, BaseLaw.UNIFORM_POWER)]
+    for index, (q, base) in enumerate(laws):
+        spec = WeightSpec(q=q, base=base)
+        w = WeightAssignment.draw(spec, stream(33, 7, index), fam.ground_size)
+        totals = [fam.distance_witness(w, r).value for r in range(fam.ell + 1)]
+        for budget in [*totals, *np.nextafter(totals[:-1], -np.inf)]:
+            found = dual.defect_under_budget(fam, WeightAssignment(w.values), budget)
+            assert found.defect == oracle_defect_under_budget(fam, w, budget), budget
+            assert fam.min_patch_size(found.witness) == found.defect
+            assert found.weight_used == w.total(found.witness) <= budget
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: pairwise total")
