@@ -392,9 +392,8 @@ class Family(ABC):
         hi = min((r for r, s in solved.items() if s.value <= budget), default=self.ell)
         lo = max(r for r, s in solved.items() if r < hi and s.value > budget)
         ascending = np.sort(w.values[np.asarray(optimum.witness, dtype=np.intp)])
-        lightest = np.cumsum(ascending)
-        bound_r = lightest.size - int(np.searchsorted(lightest, budget, side="right"))
         drop = np.concatenate(([0.0], np.cumsum(ascending[::-1])))  # r heaviest, summed
+        bound_r = int(np.searchsorted(drop, optimum.value - budget))
         top = min(max(bound_r, lo + 1), hi)
         pace = float(top - lo)
         aimed = None  # the last probe aimed at the defect, until its neighbour

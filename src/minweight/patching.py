@@ -129,10 +129,6 @@ class PatchabilityEstimate:
         return self.costs.shape[0]
 
     @property
-    def trials(self) -> int:
-        return self.costs.shape[1]
-
-    @property
     def per_g_quantiles(self) -> tuple[float, ...]:
         """The midpoint (1 - eps)-quantile of each depleted set's costs."""
         quantiles = np.quantile(self.costs, 1.0 - self.eps, axis=1, method="midpoint")

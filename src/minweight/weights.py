@@ -82,14 +82,6 @@ def split_constants(s: float, q: float) -> tuple[float, float]:
         raise InvalidInput(f"split constants overflow at s={s}, q={q}") from None
 
 
-def _power(values: np.ndarray, expo: float) -> np.ndarray:
-    """`values ** expo`; an overflow leaves inf, as in _power_in_place."""
-    if expo == 1.0:
-        return values
-    with np.errstate(over="ignore"):
-        return values ** expo
-
-
 def _power_in_place(values: np.ndarray, expo: float) -> np.ndarray:
     """`values ** expo` written over `values` (the same numpy fast paths).
 
@@ -101,21 +93,18 @@ def _power_in_place(values: np.ndarray, expo: float) -> np.ndarray:
     return values
 
 
-def _base_sample(spec: WeightSpec, rng: np.random.Generator, size) -> np.ndarray:
+def _base_draw(spec: WeightSpec, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill `out` with draws of the base law (the law of a weight's q-th power)."""
     if spec.base is BaseLaw.UNIFORM_POWER:
         # 1 - U keeps draws inside (0, 1]; rng.random() can return 0.0.
-        u = rng.random(size)
-        return 1.0 - u if size is None else np.subtract(1.0, u, out=u)
-    return rng.exponential(size=size)
+        return np.subtract(1.0, rng.random(out=out), out=out)
+    return rng.standard_exponential(out=out)
 
 
-def sample(spec: WeightSpec, rng: np.random.Generator, size=None):
-    """Draw weights from `spec`; scalar when size is None, else one fresh
-    array (transformed in place, so no second array is made)."""
-    values, expo = _base_sample(spec, rng, size), 1.0 / spec.q
-    if size is None:
-        return float(_power(np.float64(values), expo))  # inf, not OverflowError
-    return _power_in_place(values, expo)
+def sample(spec: WeightSpec, rng: np.random.Generator, size) -> np.ndarray:
+    """Draw `size` weights from `spec` into one fresh array: `_base_draw`
+    fills it and `_power_in_place` raises it to 1/q, so no second array is made."""
+    return _power_in_place(_base_draw(spec, rng, np.empty(size)), 1.0 / spec.q)
 
 
 def cdf(spec: WeightSpec, x):
@@ -175,23 +164,20 @@ def split_coupling_batch(
     float comparison (the bound itself is the clamp).
 
     x, y and y_prime are the three rows of one C-contiguous (3, size)
-    block, so a call makes one large allocation, not three.  The green and
-    red base draws go straight into rows 1 and 2 (the variates two `sample`
-    calls would draw), and every later step writes over a row or into one
-    temporary, so the block, one weight-sized temporary and a boolean mask
-    are the most alive at once.  x is min(F, y c_green) and then
-    min(x, y' c_red), where F is the coupled draw (uniform base only); min
-    is associative, so no separate bound array is needed.
+    block, so a call makes one large allocation, not three.  `_base_draw`,
+    the one draw routine `sample` also uses, fills rows 1 and 2 with the
+    green and red base draws (so y, y_prime read as
+    `sample(spec, rng, 2 * size).reshape(2, size)`), and every later step
+    writes over a row or into one temporary, so the block, one weight-sized
+    temporary and a boolean mask are the most alive at once.  x is
+    min(F, y c_green) and then min(x, y' c_red), where F is the coupled draw
+    (uniform base only); min is associative, so no separate bound array is
+    needed.
     """
     c_green, c_red = split_constants(s, spec.q)
     block = np.empty((3, size))
     x, y, y_prime = block
-    draws = block[1:]
-    if spec.base is BaseLaw.UNIFORM_POWER:
-        # 1 - U keeps draws inside (0, 1], as in `sample`.
-        np.subtract(1.0, rng.random(out=draws), out=draws)
-    else:
-        rng.standard_exponential(out=draws)
+    draws = _base_draw(spec, rng, block[1:])
     inv_q = 1.0 / spec.q
     if spec.base is BaseLaw.UNIFORM_POWER:  # F reads rows 1-2 before they are raised
         _power_in_place(_couple_base(y, y_prime, s, spec.base, out=x), inv_q)
@@ -215,7 +201,8 @@ def iterated_coupling_batch(
 
     Built by k - 1 nested couplings: at stage j the split fraction is the
     remaining-mass share 1/(k - j + 1), so copy j ends up with overall mass
-    1/k.
+    1/k.  The copies are the `_base_draw` block raised in place, so they read
+    as `sample(spec, rng, k * size).reshape(k, size)`.
     """
     k = int(k)
     if k < 1:
@@ -226,15 +213,17 @@ def iterated_coupling_batch(
     except OverflowError:
         raise InvalidInput(f"coupling constant k^(1/q) overflows at k={k}, "
                            f"q={spec.q}") from None
-    base_draws = _base_sample(spec, rng, (k, size))
-    g = base_draws[k - 1]
+    copies = _base_draw(spec, rng, np.empty((k, size)))
+    x = copies[k - 1]
     for j in range(k - 1, 0, -1):
         # Stage j couples the running green draw to copy j-1 (0-based).
-        g = _couple_base(g, base_draws[j - 1], 1.0 / (k - j + 1), spec.base)
-    copies = _power(base_draws, inv_q)
-    with np.errstate(over="ignore"):  # as in `_power`
-        bound = scale * copies.min(axis=0)
-    x = np.minimum(_power(g, inv_q), bound)
+        x = _couple_base(x, copies[j - 1], 1.0 / (k - j + 1), spec.base)
+    _power_in_place(copies, inv_q)
+    if k == 1:  # x is copy 0, raised with the block
+        return x, copies
+    _power_in_place(x, inv_q)
+    with np.errstate(over="ignore"):  # as in `_power_in_place`
+        np.minimum(x, scale * copies.min(axis=0), out=x)
     return x, copies
 
 

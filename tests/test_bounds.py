@@ -213,6 +213,9 @@ class TestFirstMomentLowerBound:
 
         assert log_excess(res.c1) <= 1e-9
         assert log_excess(res.c1 * (1.0 + 1e-6)) > 0.0
+        # At q = 1e12 the condition holds up to 1: c1 stops at its cap.
+        capped = first_moment_lower_bound(1e12, 5, 10, 0.5, 3.0, 0.1)
+        assert capped.c1 == 1.0 - 1e-12
 
     def test_beta_at_q_flattens_scale(self):
         a = first_moment_lower_bound(q=1.0, ell0=8, ell1=32, beta=1.0, c=1.0, t=1.0)

@@ -7,6 +7,7 @@ the module entry point.
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import minweight
 from minweight import montecarlo
 from minweight.cli import (
     EXIT_CONFIG,
@@ -287,6 +289,34 @@ class TestExitCodes:
         assert code == expected
         assert len(out.splitlines()) == 10
         assert "std slope: undefined" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("tolerance, expected, message", [
+        ("0", EXIT_VERIFY, "FAIL: slope -0.2414 above cap -0.2500"),
+        ("0.2", EXIT_OK, "slope cap: -0.049999999999999989"),
+    ], ids=["above-cap", "below-cap"])
+    def test_the_std_slope_is_held_to_its_cap(self, tolerance, expected,
+                                              message, capsys):
+        argv = "mst --n-grid 8,16,32 --trials 10 --seed 7 --tolerance".split()
+        code, _, err = invoke(argv + [tolerance], capsys)
+        assert code == expected
+        assert message in err
+
+    @pytest.mark.parametrize("argv, fields, message", [
+        ("patch --n 8 --r 2 --trials 1",
+         dict(patch_cost=0.5, component_cost=0.25),
+         "FAIL: component patch beat the exact patch 1 times"),
+        ("dual --n 8 --L 1.0 --r 2 --trials 1",
+         dict(defect=5, near_value=0.5),
+         "FAIL: budget/distance duality violated"),
+    ], ids=["patch-dominance", "duality"])
+    def test_a_doctored_record_fails_verification(self, argv, fields, message,
+                                                  monkeypatch, capsys):
+        record = montecarlo.TrialRecord(trial=0, n=8, q=1.0, seed=0, value=1.0,
+                                        **fields)
+        monkeypatch.setattr(montecarlo, "trials", lambda config: iter([record]))
+        code, _, err = invoke(argv.split(), capsys)
+        assert code == EXIT_VERIFY
+        assert message in err
 
     @pytest.mark.parametrize("argv, message", [
         (["mst", "--n", "20", "--q", "2"], "needs --q 1"),
@@ -756,6 +786,12 @@ class TestExperimentCommands:
         assert "matchings n=6" in err
 
 
+# Child interpreters import the minweight this process imported, installed or not.
+_SRC = str(Path(minweight.__file__).resolve().parents[1])
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
         proc = subprocess.run(
@@ -763,6 +799,7 @@ class TestModuleEntryPoint:
              "--a", "4", "--b", "1", "--p", "1"],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         assert proc.returncode == EXIT_OK
         assert "fmin = 9" in proc.stdout
@@ -771,7 +808,8 @@ class TestModuleEntryPoint:
         # A reader that stops early, as `| head -1` does, ends the run.
         proc = subprocess.Popen(
             [sys.executable, "-m", "minweight", "mst", "--n", "30", "--trials",
-             "100000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             "100000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=CHILD_ENV)
         assert proc.stdout.readline() == b"trial,n,q,seed,value\n"
         proc.stdout.close()
         assert proc.wait(timeout=120) == EXIT_IO
@@ -786,6 +824,7 @@ class TestModuleEntryPoint:
              "print('scipy.stats' in sys.modules)"],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
@@ -804,7 +843,7 @@ class TestModuleEntryPoint:
             "print('scipy.optimize' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True)
+                              text=True, env=CHILD_ENV)
         assert (proc.returncode, proc.stdout) == (0, "[]\nTrue\n"), proc.stderr
 
 

@@ -82,9 +82,14 @@ HEAD_CASES = {
 
 
 class TestWeightAssignment:
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            WeightAssignment([0.5, -0.1])
+    @pytest.mark.parametrize("values, message", [
+        ([0.5, -0.1], "non-negative"),
+        ([[0.5, 1.0]], "one-dimensional"),
+        ([], "non-empty"),
+    ], ids=["negative", "2-d", "empty"])
+    def test_rejects_a_malformed_vector(self, values, message):
+        with pytest.raises(ValueError, match=f"^weights must be {message}$"):
+            WeightAssignment(values)
 
     def test_total_is_canonical_ascending_sum(self):
         w = WeightAssignment([0.1, 0.2, 0.3, 0.4, 0.5])
@@ -170,11 +175,6 @@ class TestWeightAssignment:
             drawn = WeightAssignment.draw(spec, stream(70, k), 500).values
             copied = WeightAssignment(sample(spec, stream(70, k), 500)).values
             assert drawn.tobytes() == copied.tobytes()
-        rng = stream(71)
-        u = 1.0 - rng.random() if base is BaseLaw.UNIFORM_POWER else rng.exponential()
-        scalar = sample(spec, stream(71))
-        assert isinstance(scalar, float)
-        assert scalar == (u if q == 1.0 else u ** (1.0 / q))
 
     def test_drawn_vector_is_immutable(self):
         w = WeightAssignment.draw(SPEC, stream(72), 6)
@@ -667,9 +667,11 @@ class TestMatchingFamily:
         res2 = fam2.min_weight(WeightAssignment([1.0, 2.0, 3.0, 4.0]))
         assert res2.value == 5.0  # both pairings tie at 5
 
-    def test_rejects_zero(self):
+    def test_rejects_sizes_out_of_range(self):
         with pytest.raises(ValueError):
             MatchingFamily(0)
+        with pytest.raises(ValueError, match="limited to n <= 8"):
+            MatchingFamily(9).enumerate_members()
 
     def test_identity_diagonal(self):
         n = 3

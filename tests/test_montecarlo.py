@@ -334,14 +334,23 @@ class TestSplitExperiment:
             ).split
             assert report.best_split == expect
 
-    def test_full_radius_frees_green(self):
+    @pytest.mark.parametrize("r, best_split", [
+        (0, 0.0), (3, 0.6479781255450637), (5, 1.0),
+    ], ids=["red-free", "red-above-green", "green-free"])
+    def test_best_split_at_each_radius(self, r, best_split):
+        # r = 0 leaves red nothing to patch; the full radius r = 5 frees green.
         config = ExperimentConfig(
             family="trees", n=6, trials=20, master_seed=7,
-            kind="split", r=5, s=0.3, spec=Q1,
+            kind="split", r=r, s=0.3, spec=Q1,
         )
         report = split_experiment(config, run(config))
-        assert report.median_green == 0.0
-        assert report.best_split == 1.0
+        assert (report.median_red == 0.0) == (r == 0)
+        assert (report.median_green == 0.0) == (r == 5)
+        assert report.best_split == best_split
+        if r == 3:
+            assert report.median_red > report.median_green
+            assert best_split == 1.0 - split_cost_minimum(
+                report.median_red, report.median_green, 1.0).split
         assert report.violations == 0
 
     def test_reproducible(self):

@@ -443,19 +443,14 @@ class TestEstimatePatchability:
                 g_strategy=GStrategy.REMOVE_FROM_OPTIMUM, trials=5, exhaustive=True,
             )
 
-    def test_rejects_bad_eps(self):
-        fam = SpanningTreeFamily(5)
-        with pytest.raises(ValueError):
-            estimate_patchability(
-                fam, SPEC, r=1, eps=0.0,
-                g_strategy=GStrategy.REMOVE_FROM_OPTIMUM, trials=5,
-            )
-
-    def test_rejects_no_g_samples(self):
-        fam = SpanningTreeFamily(5)
-        with pytest.raises(ValueError, match="g_samples"):
-            estimate_patchability(
-                fam, SPEC, r=1, eps=0.1,
-                g_strategy=GStrategy.REMOVE_FROM_OPTIMUM, trials=5, g_samples=0,
-            )
+    @pytest.mark.parametrize("bad, message", [
+        (dict(eps=0.0), "eps must lie in"),
+        (dict(r=5), "outside"),
+        (dict(trials=0), "trials must be positive"),
+        (dict(g_samples=0), "g_samples must be positive"),
+    ], ids=["eps", "r", "trials", "g_samples"])
+    def test_rejects_bad_arguments(self, bad, message):
+        good = dict(r=1, eps=0.1, g_strategy=GStrategy.REMOVE_FROM_OPTIMUM, trials=5)
+        with pytest.raises(ValueError, match=message):
+            estimate_patchability(SpanningTreeFamily(5), SPEC, **{**good, **bad})
 

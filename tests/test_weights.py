@@ -65,18 +65,6 @@ class TestSample:
         draws = sample(spec, stream(3), 10**6)
         assert abs(draws.mean() - 1.0) < 0.01
 
-    def test_scalar_draw(self):
-        spec = WeightSpec(q=1.0)
-        x = sample(spec, stream(4))
-        assert isinstance(x, float)
-        assert 0.0 < x <= 1.0
-
-    @pytest.mark.filterwarnings("error")
-    def test_scalar_overflow_is_inf(self):
-        # E^(1/q) overflows a float; the array draw gives inf, and so does this.
-        spec = WeightSpec(q=1e-3, base=BaseLaw.EXPONENTIAL_POWER)
-        assert sample(spec, stream(4)) == np.inf
-
 
 class TestCdfQuantile:
     def test_uniform_identity(self):
@@ -146,6 +134,9 @@ class TestSplitCoupling:
         block = got[0].base
         assert (block.shape == (3, 5000) and block.flags.c_contiguous
                 and all(arr.base is block for arr in got))
+        # y and y' come from the one draw routine `sample` uses.
+        drawn = sample(spec, stream(19), 10000).reshape(2, 5000)
+        assert block[1:].tobytes() == drawn.tobytes()
 
     def test_rejects_bad_fraction(self):
         spec = WeightSpec(q=1.0)
@@ -206,6 +197,7 @@ class TestIteratedCoupling:
         spec = WeightSpec(q=2.0)
         x, copies = iterated_coupling_batch(spec, 1, stream(21), 500)
         assert np.array_equal(x, copies[0])
+        assert copies.tobytes() == sample(spec, stream(21), 500).tobytes()
 
     @pytest.mark.parametrize("spec", SPECS)
     @pytest.mark.parametrize("k", [2, 3, 4, 7])
@@ -213,6 +205,9 @@ class TestIteratedCoupling:
         x, copies = iterated_coupling_batch(spec, k, stream(22), 10**4)
         bound = k ** (1.0 / spec.q) * copies.min(axis=0)
         assert np.all(x <= bound)
+        # The copies come from the one draw routine `sample` uses.
+        drawn = sample(spec, stream(22), k * 10**4).reshape(k, 10**4)
+        assert copies.tobytes() == drawn.tobytes()
 
     def test_q2_k4_factor_two(self):
         # 4^{1/2} = 2: x never exceeds twice the smallest copy
