@@ -9,11 +9,8 @@ families are provided:
 * perfect matchings of the complete bipartite graph K_{n,n} (the n^2 edges),
 * an explicit list of members over an abstract ground set (N <= 24).
 
-A family is one class implementing five primitives:
+A family is one class implementing three primitives:
 
-* min_patch_size(G): the fewest elements that must be added to G so that it
-  contains a member (Hamming distance to the upward closure);
-* cheapest_completion(G, w): the cheapest such addition, as a SolveResult;
 * _distance_witness(w, r): the cheapest subset at patch distance r < ell,
   as a SolveResult;
 * random_member(rng): a uniformly random member;
@@ -25,11 +22,18 @@ the empty witness without a solve, and otherwise returns the memoised
 SolveResult, the witness with its canonical total; min_weight(w), the
 optimum, is the answer at r = 0; budget_witness(w, L), the smallest patch
 distance of a subset of total weight <= L, is its inverse and returns a
-DualResult.  Every answer that names a weighted subset carries that
-subset's canonical total, summed once where the subset is found.  Every
-other module reaches a family only through these seven public methods and
-the trees' own two: component_completion, the component heuristic's patch,
-and min_outgoing_edge_count, the lemma behind its bound.
+DualResult.  Two more are optima of derived vectors: cheapest_completion(G,
+w), the cheapest addition P with G + P containing a member, is the optimum
+of w zeroed on G, less G; min_patch_size(G), the fewest elements such a P
+needs (Hamming distance to the upward closure), is the optimum of the
+vector 0 on G and 1 elsewhere.  Three overrides are faster: the trees'
+completion (a Kruskal scan seeded with G's components) and patch size (a
+union-find count), and the matchings' patch size (Hopcroft-Karp).  Every
+answer that names a weighted subset carries that subset's canonical total,
+summed once where the subset is found.  Every other module reaches a family
+only through these seven public methods and the trees' own two:
+component_completion, the component heuristic's patch, and
+min_outgoing_edge_count, the lemma behind its bound.
 
 budget_witness searches r with few distance_witness calls, since on
 matchings each is an assignment solve.  Every distance the memo already
@@ -55,6 +59,12 @@ Determinism: tree and explicit tie-breaks prefer the smallest element index,
 and a matching witness is an optimum fixed by the vector; solver values are
 canonical sums (_canonical_sum: numpy's pairwise sum of the witness weights
 in ascending element-index order), so equal witnesses give bit-equal values.
+An explicit family's completion is the patch of its zeroed optimum, the
+least (zeroed member total, member): on exact ties that can be another
+cheapest patch than the least (patch total, patch).  From 8 elements up a
+member's zeroed total and its patch's total are different pairwise sums,
+so on near-ties the patch can cost a rounding more than the least patch
+total.
 
 A weight vector holds one N-float array: WeightAssignment(values) copies
 the caller's once, WeightAssignment.adopt keeps a fresh array handed over
@@ -260,17 +270,29 @@ class Family(ABC):
     # bounds an unsolved r by the solved ones (_chord_floor).
     _convex = False
 
-    @abstractmethod
     def min_patch_size(self, subset) -> int:
-        """Fewest elements to add to `subset` so it contains a member."""
+        """Fewest elements to add to `subset` so it contains a member: the
+        optimum of the vector that is 0 on `subset` and 1 elsewhere, a sum
+        of ones and so exact."""
+        ones = np.ones(self.ground_size)
+        ones[self._check_subset(subset)] = 0.0
+        return int(self.min_weight(WeightAssignment.adopt(ones)).value)
 
-    @abstractmethod
     def cheapest_completion(self, subset, w: WeightAssignment) -> SolveResult:
-        """Cheapest addition P with subset + P containing a member.
+        """Cheapest addition P with subset + P containing a member: the
+        optimum of w with the subset's weights set to 0, less the subset.
+        A member F costs w(F - subset) under the zeroed weights.
 
         The witness is the patch, disjoint from `subset`; the value is its
         canonical sum.
         """
+        self._check_weights(w)
+        idx = self._check_subset(subset)
+        zeroed = w.values.copy()
+        zeroed[idx] = 0.0
+        member = self.min_weight(WeightAssignment.adopt(zeroed)).witness
+        patch = tuple(sorted(set(member).difference(idx.tolist())))
+        return SolveResult(value=w.total(patch), witness=patch)
 
     @abstractmethod
     def _distance_witness(self, w: WeightAssignment, r: int) -> SolveResult:
@@ -670,6 +692,7 @@ class SpanningTreeFamily(Family):
                       self.edge_v[idx].tolist(), [])
 
     def min_patch_size(self, subset) -> int:
+        """Components less one: a union-find count, not a 0/1 vector's chain."""
         return self._classes(subset).count - 1
 
     def _component_positions(self, subset) -> np.ndarray:
@@ -684,10 +707,12 @@ class SpanningTreeFamily(Family):
         return position[label]
 
     def cheapest_completion(self, subset, w: WeightAssignment):
-        """The cheapest patch is what a Kruskal scan of the edge order accepts
+        """Overrides Family's zeroed optimum: this seeded scan builds no chain.
+
+        The cheapest patch is what a Kruskal scan of the edge order accepts
         from the subset's components (_kruskal over the memo's head of the
         order of w): the minimum spanning tree of K_n with the subset
-        contracted.  It builds no chain; a spanning subset reads no memo."""
+        contracted.  A spanning subset reads no memo."""
         self._check_weights(w)
         classes = self._classes(subset)
         patch = tuple(sorted(self._kruskal(w, classes))) if classes.count > 1 else ()
@@ -888,21 +913,14 @@ class MatchingFamily(Family):
         return tuple(sorted((rows[real] * n + cols[real]).tolist()))
 
     def min_patch_size(self, subset) -> int:
-        """n minus the maximum matching inside the subset (Hopcroft-Karp)."""
+        """n minus the maximum matching inside the subset: Hopcroft-Karp, 2 to
+        20 times faster than Family's 0/1 assignment solve."""
         idx, n = self._check_subset(subset), self.n
         # idx ascends, so its rows are the CSR rows in order.
         indptr = np.searchsorted(idx, np.arange(0, n * n + 1, n))
         graph = self._csr((np.ones(idx.size), idx % n, indptr), shape=(n, n))
         row_match = self._max_matching(graph, perm_type="column")
         return n - int(np.count_nonzero(row_match >= 0))
-
-    def cheapest_completion(self, subset, w: WeightAssignment):
-        self._check_weights(w)
-        idx = self._check_subset(subset)
-        masked = w.values.copy()
-        masked[idx] = 0.0
-        patch = tuple(sorted(set(self._k_matching(masked, self.n)) - set(idx.tolist())))
-        return SolveResult(value=w.total(patch), witness=patch)
 
     def assignment_ladder(self, w: WeightAssignment):
         """Minimum-weight k-matchings for every cardinality k = 0..n.
@@ -956,27 +974,7 @@ class ExplicitFamily(Family):
             if fs not in minimal:
                 minimal.append(fs)
         self._members = tuple(tuple(sorted(fs)) for fs in minimal)
-        self._member_sets = tuple(minimal)
         self.ell = max(len(m) for m in self._members)
-
-    @property
-    def members(self) -> tuple[tuple[int, ...], ...]:
-        return self._members
-
-    def min_patch_size(self, subset) -> int:
-        idx = set(self._check_subset(subset).tolist())
-        return min(len(ms - idx) for ms in self._member_sets)
-
-    def cheapest_completion(self, subset, w: WeightAssignment):
-        self._check_weights(w)
-        idx = set(self._check_subset(subset).tolist())
-        best = None
-        for ms in self._member_sets:
-            patch = tuple(sorted(ms - idx))
-            cand = (w.total(patch), patch)
-            if best is None or cand < best:
-                best = cand
-        return SolveResult(*best)
 
     def _distance_witness(self, w: WeightAssignment, r: int) -> SolveResult:
         best = None

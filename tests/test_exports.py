@@ -103,7 +103,6 @@ UNREACHED = {
     "MatchingFamily.assignment_ladder": "item 4 (a perfbench trace target)",
     "families.ExplicitFamily": "the paper's general family F at small sizes, "
                                "which the oracle and budget-search tests need",
-    "ExplicitFamily.members": "ExplicitFamily's member list, kept with it",
 }
 EXPORTING = ("bounds", "dual", "families", "montecarlo", "patching", "rngs", "weights")
 FAMILY_CLASSES = ("Family", "SpanningTreeFamily", "MatchingFamily", "ExplicitFamily")

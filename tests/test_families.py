@@ -24,7 +24,12 @@ from minweight.families import (
     complete_graph_edges,
     prufer_decode,
 )
-from minweight.oracles import oracle_cheapest_within_distance, oracle_min_weight
+from minweight.oracles import (
+    oracle_cheapest_completion,
+    oracle_cheapest_within_distance,
+    oracle_min_patch_size,
+    oracle_min_weight,
+)
 from minweight.patching import GStrategy, component_patch, sample_depleted_set
 from minweight.rngs import stream
 from minweight.weights import BaseLaw, InvalidInput, WeightSpec, sample
@@ -529,12 +534,6 @@ class _ScriptedFamily(Family):
             witness = (self.ell - 1 + r,) if r < self.ell else ()
         return SolveResult(w.total(witness), witness)
 
-    def min_patch_size(self, subset):
-        raise NotImplementedError
-
-    def cheapest_completion(self, subset, w):
-        raise NotImplementedError
-
     def random_member(self, rng):
         raise NotImplementedError
 
@@ -928,8 +927,9 @@ class TestExplicitFamily:
 
     def test_minimality_enforced(self):
         fam = ExplicitFamily(4, [(0, 1), (0, 1, 2), (2, 3)])
-        assert (0, 1, 2) not in fam.members
-        assert set(fam.members) == {(0, 1), (2, 3)}
+        members = tuple(fam.enumerate_members())
+        assert (0, 1, 2) not in members
+        assert set(members) == {(0, 1), (2, 3)}
         assert fam.ell == 2
 
     def test_rejects_bad_input(self):
@@ -953,8 +953,9 @@ class TestExplicitFamily:
 
     def test_reads_numpy_integer_and_repeated_member_elements(self):
         fam = ExplicitFamily(4, [(np.int64(1), np.int32(0), 1), np.array([3, 2, 3])])
-        assert fam.members == ((0, 1), (2, 3))
-        assert all(type(e) is int for m in fam.members for e in m)
+        members = tuple(fam.enumerate_members())
+        assert members == ((0, 1), (2, 3))
+        assert all(type(e) is int for m in members for e in m)
 
 
 class TestTieHandling:
@@ -1078,6 +1079,84 @@ class TestTieHandling:
         k0 = fam._head
         assert sorts.count(k0) == 20 + 13
         assert all(k in (k0, 4 * k0) and k < fam.ground_size for k in sorts)
+
+
+# -- completions and patch sizes: the zeroed optimum and its overrides --------
+
+
+def test_a_family_implements_three_primitives():
+    assert Family.__abstractmethods__ == {"_distance_witness", "random_member",
+                                          "enumerate_members"}
+
+
+def _patch_run(fam, r, trials, master_seed):
+    """Each depleted set of a seeded patch run with its weight draw, as
+    montecarlo's patch trial makes them, for every GStrategy, and beside it
+    a random subset (repeats and cycles allowed) from the same stream."""
+    for strategy in GStrategy:
+        for i in range(trials):
+            rng = stream(master_seed, fam.n, i)
+            g = sample_depleted_set(fam, SPEC, r, strategy, rng)
+            w = WeightAssignment.draw(SPEC, rng, fam.ground_size)
+            yield g, tuple(rng.integers(0, fam.ground_size, 2 * fam.n).tolist()), w
+
+
+@pytest.mark.parametrize("n, r, trials", [(50, 5, 20), (400, 20, 8)])
+def test_tree_overrides_equal_the_zeroed_optimum(n, r, trials):
+    # Drawn weights are positive.  With zeros elsewhere the zeroed optimum
+    # may take a zero-weight edge outside the subset that the seeded scan
+    # leaves out: another cheapest patch.
+    fam = SpanningTreeFamily(n)
+    for g, random_subset, w in _patch_run(fam, r, trials, 11):
+        for subset in (g, random_subset):
+            found = fam.cheapest_completion(subset, w)
+            generic = Family.cheapest_completion(fam, subset, w)
+            assert found.witness == generic.witness
+            assert np.float64(found.value).tobytes() == np.float64(generic.value).tobytes()
+            assert fam.min_patch_size(subset) == Family.min_patch_size(fam, subset)
+        assert fam.min_patch_size(g) == r
+
+
+@pytest.mark.parametrize("n, r, trials", [(9, 3, 20), (30, 3, 10), (100, 10, 6)])
+def test_matching_completion_is_the_plain_masked_assignment(n, r, trials):
+    # The completion posed a second way: scipy's plain solve of the n x n
+    # weights with the subset's set to 0, less the subset.  Hopcroft-Karp's
+    # patch size must be the 0/1 optimum's.
+    fam = MatchingFamily(n)
+    for g, random_subset, w in _patch_run(fam, r, trials, 11):
+        masked = w.values.copy()
+        masked[list(g)] = 0.0
+        rows, cols = linear_sum_assignment(masked.reshape(n, n))
+        patch = tuple(sorted(set((rows * n + cols).tolist()).difference(g)))
+        assert fam.cheapest_completion(g, w) == SolveResult(w.total(patch), patch)
+        for subset in (g, random_subset):
+            assert fam.min_patch_size(subset) == Family.min_patch_size(fam, subset)
+
+
+def test_explicit_completion_is_the_patch_of_the_zeroed_optimum():
+    # The completion is the zeroed optimum's patch: the least (zeroed member
+    # total, member), which on exact ties can be another cheapest patch than
+    # the oracle's least (patch total, patch).  Halves (zeros included) on
+    # at most 24 elements sum exactly, so every such patch has the oracle's
+    # value.
+    differs = 0
+    for t in range(300):
+        rng = stream(98, t)
+        size = int(rng.integers(2, 25))
+        fam = ExplicitFamily(size, [
+            rng.choice(size, int(rng.integers(1, min(size, 16) + 1)), replace=False)
+            for _ in range(int(rng.integers(1, 9)))
+        ])
+        w = WeightAssignment(rng.integers(0, 4, size) / 2.0)
+        g = rng.choice(size, int(rng.integers(0, size + 1)), replace=False).tolist()
+        zeroed = WeightAssignment(np.where(np.isin(np.arange(size), g), 0.0, w.values))
+        _, member = min((zeroed.total(m), m) for m in fam.enumerate_members())
+        patch = tuple(e for e in member if e not in g)
+        cost, oracle_patch = oracle_cheapest_completion(fam, g, w)
+        assert fam.cheapest_completion(g, w) == SolveResult(cost, patch)
+        assert fam.min_patch_size(g) == oracle_min_patch_size(fam, g)
+        differs += patch != oracle_patch
+    assert differs > 0  # the two rules part on some of these ties
 
 
 def _textbook_forest(fam, values, seed=()):

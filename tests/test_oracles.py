@@ -46,7 +46,7 @@ def _explicit(ground_size, sizes, key):
     fam = ExplicitFamily(ground_size, [
         rng.choice(ground_size, size, replace=False) for size in sizes
     ])
-    assert len(fam.members) == len(sizes)
+    assert len(fam.enumerate_members()) == len(sizes)
     return fam
 
 

@@ -57,7 +57,7 @@ def _solve(fam, w, name, g, param):
 def _copy(fam):
     """A fresh family equal to `fam`."""
     if isinstance(fam, ExplicitFamily):
-        return ExplicitFamily(fam.ground_size, fam.members)
+        return ExplicitFamily(fam.ground_size, fam.enumerate_members())
     return type(fam)(fam.n)
 
 
@@ -525,4 +525,4 @@ def test_explicit_distance_solve_sums_each_candidate_once(monkeypatch):
     found = fam.distance_witness(w, 1)
     assert found == expected
     assert found.value == original(w, found.witness)
-    assert len(summed) == len(fam.members)
+    assert len(summed) == len(fam.enumerate_members())
