@@ -99,10 +99,12 @@ read afresh, and an empty key is never extended.
 
 A weight vector has one memo slot, owned by the last family that read it
 (Family._memo).  The slot holds one _Memo record: every family keeps its
-distance answers there by r, and a tree family also its edge order and
-Kruskal chain, so the solvers of one trial sort, scan, solve and sum each
-once.  A family that finds another owner replaces the record with a fresh
-one; the memo cannot go stale because a WeightAssignment never changes.
+distance answers there by r, a tree family also its edge order and
+Kruskal chain, and a matching family the vector's dual shift (its rounded
+column minima and one price per k, O(n) floats), so the solvers of one
+trial sort, scan, shift, solve and sum each once.  A family that finds
+another owner replaces the record with a fresh one; the memo cannot go
+stale because a WeightAssignment never changes.
 """
 
 from __future__ import annotations
@@ -246,12 +248,14 @@ class DualResult:
 class _Memo:
     """What `family` keeps in a weight vector's memo slot (Family._memo).
 
-    solved maps each distance r < ell asked for to its SolveResult.  Only
-    spanning-tree families fill in the rest: order is a prefix of the
-    (weight, index) edge order, _order_prefix at k = head, grown while scans
-    need more; chain is the Kruskal chain of K_n (_chain), None until a
-    solver needs it: a vector only completed (the split trial's red draw)
-    has an order but no chain.
+    solved maps each distance r < ell asked for to its SolveResult.  A
+    spanning-tree family fills in order, head and chain: order is a prefix
+    of the (weight, index) edge order, _order_prefix at k = head, grown
+    while scans need more; chain is the Kruskal chain of K_n (_chain), None
+    until a solver needs it: a vector only completed (the split trial's red
+    draw) has an order but no chain.  A matching family fills in shift, the
+    vector's dual shift (MatchingFamily._dual_shift), on its first solve:
+    two n-float arrays, never an n x n one.
     """
 
     family: Family
@@ -259,6 +263,7 @@ class _Memo:
     order: np.ndarray | None = None
     head: int = 0
     chain: np.ndarray | None = None
+    shift: tuple | None = None
 
 
 class Family(ABC):
@@ -833,7 +838,10 @@ class MatchingFamily(Family):
     assignment ladder solve each k once per vector.  Weights within a ratio
     of 2**26 reach the solver as an exact dual shift of the padded square,
     which has the same optimal assignments and starts the solver near its
-    optimal duals; a zero or a wider range reaches it unshifted.
+    optimal duals; a zero or a wider range reaches it unshifted.  The shift
+    is made on a vector's first solve and kept in its memo (_dual_shift),
+    so each later k only fills its square.  A witness is summed from the
+    solver's ascending edge indices and becomes a tuple once.
     """
 
     # A min-cost k-matching's cost is convex in k (successive shortest paths).
@@ -859,8 +867,30 @@ class MatchingFamily(Family):
             raise ValueError(f"matchings need n >= 1, got {n}")
         return n
 
-    def _k_matching(self, values: np.ndarray, k: int) -> tuple[int, ...]:
-        """Minimum-weight matching with exactly k edges, as a sorted edge tuple.
+    def _dual_shift(self, values: np.ndarray) -> tuple:
+        """(least, price), the exact dual shift that _k_matching hands scipy
+        for the vector `values`, or (None, None) where the ratio guard keeps
+        the plain square.  Made once per vector and kept in its memo.
+
+        least holds each column's least weight m_j, rounded down to a
+        multiple of grid = spacing(max weight), so every shifted entry
+        w_ij - m_j is exact.  price[k] is the unmatched price p of a
+        k-matching, k < n: twice the (k+1)-th smallest of the shifted rows'
+        minima, capped at the max weight, rounded down to the grid.  Both
+        are n floats; the shifted n x n block is not kept.
+        """
+        weights = values.reshape(self.n, self.n)
+        least, top = weights.min(axis=0), values.max()
+        if not 0 < top / 2**26 <= least.min():
+            return None, None
+        grid = np.spacing(top)
+        least = np.floor(least / grid) * grid
+        slack = np.sort((weights - least).min(axis=1))
+        return least, np.floor(np.minimum(slack, top / 2) / grid) * 2 * grid
+
+    def _k_matching(self, w: WeightAssignment, k: int) -> np.ndarray:
+        """Minimum-weight matching with exactly k edges, as its ascending
+        edge indices (intp).
 
         The n x n costs are padded with n - k dummy rows and columns: dummy
         to dummy is forbidden, so every assignment pairs each dummy with a
@@ -868,14 +898,16 @@ class MatchingFamily(Family):
 
         The padded square is handed to scipy as an exact dual shift, the
         column reduction that Jonker and Volgenant start from (scipy's
-        solver starts from zero duals).  Each real column loses its least
-        weight m_j, and its dummy-row entries hold -m_j; each real-row to
-        dummy-column entry holds one price p.  An assignment matches every
-        real column once and sends exactly n - k real rows to dummy columns,
-        so every assignment's cost moves by the same constant,
-        (n - k) p - sum_j m_j: the optimal set is unchanged, and the solver
-        starts nearer its optimal duals.  The m_j and p are rounded down to
-        multiples of spacing(max weight), so every shifted entry is exact.
+        solver starts from zero duals), read from the memo of w
+        (_dual_shift, made on the vector's first solve).  Each real column
+        loses its least weight m_j, and its dummy-row entries hold -m_j;
+        each real-row to dummy-column entry holds one price p.  An
+        assignment matches every real column once and sends exactly n - k
+        real rows to dummy columns, so every assignment's cost moves by the
+        same constant, (n - k) p - sum_j m_j: the optimal set is unchanged,
+        and the solver starts nearer its optimal duals.  The m_j and p are
+        rounded down to multiples of spacing(max weight), so every shifted
+        entry is exact.
 
         p is twice the (k+1)-th smallest of the shifted rows' minima, capped
         so that it stays finite.  The square wants exactly k real edges when
@@ -891,26 +923,28 @@ class MatchingFamily(Family):
         range (q <= 0.02, or 1e-300 next to 1) keeps the plain square, 0 at
         dummy to real: there the shift's rounding can change which optimum
         scipy's float duals reach.
+
+        scipy returns the rows in order, one column each, so the real edges
+        row * n + column come out ascending.
         """
         n = self.n
-        size = 2 * n - k
-        weights = values.reshape(n, n)
-        cost = np.zeros((size, size))
+        memo = self._memo(w)
+        if memo.shift is None:
+            memo.shift = self._dual_shift(w.values)
+        least, price = memo.shift
+        weights = w.values.reshape(n, n)
+        cost = np.zeros((2 * n - k, 2 * n - k))
         cost[n:, n:] = np.inf
-        least, top = weights.min(axis=0), values.max()
-        if 0 < top / 2**26 <= least.min():
-            grid = np.spacing(top)
-            least = np.floor(least / grid) * grid
+        if least is None:
+            cost[:n, :n] = weights
+        else:
             np.subtract(weights, least, out=cost[:n, :n])
             cost[n:, :n] = -least
             if k < n:
-                slack = np.partition(cost[:n, :n].min(axis=1), k)[k]
-                cost[:n, n:] = np.floor(min(slack, top / 2) / grid) * 2 * grid
-        else:
-            cost[:n, :n] = weights
+                cost[:n, n:] = price[k]
         rows, cols = self._assign(cost)
         real = (rows < n) & (cols < n)
-        return tuple(sorted((rows[real] * n + cols[real]).tolist()))
+        return rows[real] * n + cols[real]
 
     def min_patch_size(self, subset) -> int:
         """n minus the maximum matching inside the subset: Hopcroft-Karp, 2 to
@@ -932,8 +966,8 @@ class MatchingFamily(Family):
         return np.asarray([s.value for s in ladder]), [s.witness for s in ladder]
 
     def _distance_witness(self, w: WeightAssignment, r: int) -> SolveResult:
-        witness = self._k_matching(w.values, self.n - r)
-        return SolveResult(value=w.total(witness), witness=witness)
+        edges = self._k_matching(w, self.n - r)
+        return SolveResult(_canonical_sum(w.values, edges), tuple(edges.tolist()))
 
     def random_member(self, rng: np.random.Generator) -> tuple[int, ...]:
         perm = rng.permutation(self.n)

@@ -136,18 +136,21 @@ def quantile(spec: WeightSpec, p):
 
 
 def _couple_base(
-    g: np.ndarray, r: np.ndarray, s: float, base: BaseLaw, out=None
+    g: np.ndarray, r: np.ndarray, s: float, base: BaseLaw, out=None, scratch=None
 ) -> np.ndarray:
     """Couple in q-power space: given independent base draws (g, r), return a
     base-law draw wx with wx <= min(g / (1-s), r / s) surely, written into
-    `out` (a fresh array when None); g and r are left as they are."""
+    `out` (a fresh array when None); g and r are left as they are.  r / s,
+    the exterior test's product and the quadratic term are each written
+    over `scratch` (one fresh array when None)."""
     w = np.divide(g, 1.0 - s, out=out)
-    np.minimum(w, r / s, out=w)
+    scratch = np.divide(r, s, out=scratch)
+    np.minimum(w, scratch, out=w)
     if base is BaseLaw.EXPONENTIAL_POWER:
         return w
-    exterior = w * max(s, 1.0 - s) >= 1.0
+    exterior = np.multiply(w, max(s, 1.0 - s), out=scratch) >= 1.0
     # w - s (1 - s) w^2 in place, in the float steps of w - s * (1 - s) * w * w.
-    quad = (s * (1.0 - s)) * w
+    quad = np.multiply(s * (1.0 - s), w, out=scratch)
     quad *= w
     np.subtract(w, quad, out=w)
     w[exterior] = 1.0
@@ -168,26 +171,29 @@ def split_coupling_batch(
     the one draw routine `sample` also uses, fills rows 1 and 2 with the
     green and red base draws (so y, y_prime read as
     `sample(spec, rng, 2 * size).reshape(2, size)`), and every later step
-    writes over a row or into one temporary, so the block, one weight-sized
-    temporary and a boolean mask are the most alive at once.  x is
-    min(F, y c_green) and then min(x, y' c_red), where F is the coupled draw
-    (uniform base only); min is associative, so no separate bound array is
-    needed.
+    writes over a row or over one weight-sized scratch array (r / s, the
+    exterior test's product and the quadratic term in `_couple_base`, then
+    y c_green and y' c_red).  So the block, the scratch array and a boolean
+    mask are the most alive at once, and a call makes two large allocations
+    besides the mask, not a fresh temporary per step.  x is min(F, y c_green)
+    and then min(x, y' c_red), where F is the coupled draw (uniform base
+    only); min is associative, so no separate bound array is needed.
     """
     c_green, c_red = split_constants(s, spec.q)
-    block = np.empty((3, size))
+    block, scratch = np.empty((3, size)), np.empty(size)
     x, y, y_prime = block
     draws = _base_draw(spec, rng, block[1:])
     inv_q = 1.0 / spec.q
     if spec.base is BaseLaw.UNIFORM_POWER:  # F reads rows 1-2 before they are raised
-        _power_in_place(_couple_base(y, y_prime, s, spec.base, out=x), inv_q)
+        _couple_base(y, y_prime, s, spec.base, out=x, scratch=scratch)
+        _power_in_place(x, inv_q)
     _power_in_place(draws, inv_q)
     with np.errstate(over="ignore"):  # as in `sample`
         if spec.base is BaseLaw.UNIFORM_POWER:
-            np.minimum(x, y * c_green, out=x)
+            np.minimum(x, np.multiply(y, c_green, out=scratch), out=x)
         else:
             np.multiply(y, c_green, out=x)
-        np.minimum(x, y_prime * c_red, out=x)
+        np.minimum(x, np.multiply(y_prime, c_red, out=scratch), out=x)
     return x, y, y_prime
 
 

@@ -228,7 +228,7 @@ class TestExitCodes:
     def test_value_error_inside_a_trial_is_internal_error(self, monkeypatch,
                                                           capsys):
         # Only InvalidInput marks rejected input; a solver's ValueError is a bug.
-        def broken(self, values, k):
+        def broken(self, w, k):
             raise ValueError("solver bug")
 
         monkeypatch.setattr(MatchingFamily, "_k_matching", broken)

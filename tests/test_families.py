@@ -60,12 +60,43 @@ def _count_k_matchings(monkeypatch):
     solved: list[int] = []
     original = MatchingFamily._k_matching
 
-    def counted(self, values, k):
+    def counted(self, w, k):
         solved.append(k)
-        return original(self, values, k)
+        return original(self, w, k)
 
     monkeypatch.setattr(MatchingFamily, "_k_matching", counted)
     return solved
+
+
+def _shift_cases(n):
+    """Uniform weights, the same with a zero, and the same with a max over
+    min of 2**27: one shifted vector and two that keep the plain square."""
+    uniform = sample(SPEC, stream(51, n), n * n)
+    zero, wide = uniform.copy(), uniform.copy()
+    zero[n + 1] = 0.0
+    wide[2 * n - 1] = uniform.min() * 2.0**27
+    return uniform, zero, wide
+
+
+def _fresh_square(values, k):
+    """The padded square of a k-matching of `values`, its dual shift built
+    afresh from the weights alone: what scipy must see for each solve."""
+    n = math.isqrt(values.size)
+    weights = values.reshape(n, n)
+    cost = np.zeros((2 * n - k, 2 * n - k))
+    cost[n:, n:] = np.inf
+    least, top = weights.min(axis=0), values.max()
+    if 0 < top / 2**26 <= least.min():
+        grid = np.spacing(top)
+        least = np.floor(least / grid) * grid
+        np.subtract(weights, least, out=cost[:n, :n])
+        cost[n:, :n] = -least
+        if k < n:
+            slack = np.partition(cost[:n, :n].min(axis=1), k)[k]
+            cost[:n, n:] = np.floor(min(slack, top / 2) / grid) * 2 * grid
+    else:
+        cost[:n, :n] = weights
+    return cost
 
 
 # (n, weight maker) pairs whose ground sets are larger than the head of the
@@ -766,12 +797,12 @@ class TestMatchingFamily:
         per_trial, last = [], [None]
         original = MatchingFamily._k_matching
 
-        def counted(self, values, k):
-            if values is not last[0]:  # a trial solves one vector's values
-                last[0] = values
+        def counted(self, w, k):
+            if w is not last[0]:  # a trial solves one weight vector
+                last[0] = w
                 per_trial.append(0)
             per_trial[-1] += 1
-            return original(self, values, k)
+            return original(self, w, k)
 
         monkeypatch.setattr(MatchingFamily, "_k_matching", counted)
         for c in range(20):
@@ -882,6 +913,47 @@ class TestMatchingFamily:
                 assert all(math.fsum(terms) == 0.0 for terms in zip(
                     values, np.tile(cost[n, :n], n), -cost[:n, :n].ravel()))
                 assert np.unique(cost[:n, n:]).size == 1
+
+    @pytest.mark.parametrize("n", [5, 30, 100])
+    def test_prepared_shift_gives_every_solve_its_own_square(self, n, monkeypatch):
+        # The shift is prepared on a vector's first solve.  Solving every r
+        # in a shuffled order, on three vectors of one family, scipy still
+        # sees the square built afresh for that vector and k, and each
+        # answer is, bit for bit, the one a fresh copy of the vector gives,
+        # with the canonical sum of its witness as its value.
+        fam = MatchingFamily(n)
+        squares = []
+        solve = fam._assign
+        monkeypatch.setattr(fam, "_assign",
+                            lambda cost: squares.append(cost.copy()) or solve(cost))
+        rng = stream(52, n)
+        for values in _shift_cases(n):
+            w = WeightAssignment(values)
+            for r in rng.permutation(n).tolist():
+                squares.clear()
+                got = fam.distance_witness(w, r)
+                assert squares[0].tobytes() == _fresh_square(values, n - r).tobytes()
+                fresh = fam.distance_witness(WeightAssignment(values), r)
+                assert (got.value.hex(), got.witness) == (fresh.value.hex(), fresh.witness)
+                assert got.value.hex() == w.total(got.witness).hex()
+
+    @pytest.mark.parametrize("n", [5, 30, 100])
+    def test_dual_trial_prepares_each_vector_once(self, n, monkeypatch):
+        prepared = []
+        original = MatchingFamily._dual_shift
+
+        def counted(self, values):
+            prepared.append(values.tobytes())
+            return original(self, values)
+
+        monkeypatch.setattr(MatchingFamily, "_dual_shift", counted)
+        solved = _count_k_matchings(monkeypatch)
+        montecarlo.run(montecarlo.ExperimentConfig(
+            family="matchings", n=n, trials=6, master_seed=7, kind="dual",
+            budget=1.0, r=max(n // 10, 1),
+        ))
+        assert len(prepared) == len(set(prepared)) == 6
+        assert len(solved) > 6
 
     @pytest.mark.xfail(strict=True, reason="tied optima with unequal float sums; ROADMAP item 1")
     def test_tied_decimal_optimum_matches_oracle(self):

@@ -8,7 +8,7 @@ import pytest
 
 from minweight import montecarlo
 from minweight.bounds import split_cost_minimum, upper_tail_bound
-from minweight.families import SpanningTreeFamily
+from minweight.families import MatchingFamily, SpanningTreeFamily
 from minweight.montecarlo import (
     SPANNING_TREE_LIMIT,
     ExperimentConfig,
@@ -231,6 +231,17 @@ class TestRun:
         fam = SpanningTreeFamily(n)
         config = ExperimentConfig(family="trees", n=n, kind="split", r=5, s=0.5,
                                   spec=WeightSpec(q=q, base=base))
+        assert _traced_trial_bytes(config, fam) < 4.5 * 8 * fam.ground_size
+
+    def test_matching_dual_trial_keeps_no_shifted_square(self):
+        # A matching dual trial peaks at about 4 weight-sized arrays: its
+        # drawn vector, one padded square (1.21 of them at k = 90) and what
+        # scipy and numpy's reduction buffers take while solving it.  The
+        # vector's dual shift keeps n-float arrays only: keeping the
+        # shifted n x n block as well would add a fifth.
+        n = 100
+        fam = MatchingFamily(n)
+        config = ExperimentConfig(family="matchings", n=n, kind="dual", budget=1.0, r=10)
         assert _traced_trial_bytes(config, fam) < 4.5 * 8 * fam.ground_size
 
 

@@ -6,6 +6,8 @@ rounding.  Marginal and independence checks are statistical, run on
 fixed seeds at significance 0.01.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -137,6 +139,23 @@ class TestSplitCoupling:
         # y and y' come from the one draw routine `sample` uses.
         drawn = sample(spec, stream(19), 10000).reshape(2, 5000)
         assert block[1:].tobytes() == drawn.tobytes()
+
+    def test_coupling_bits_are_pinned(self):
+        # The coupled block's bits over both laws and extreme q and s, from
+        # the empty batch to a split trial's N = 79800: writing the
+        # temporaries over one scratch array must not move a bit.  Like
+        # the CLI's record digests, q outside {1/2, 1, 2} reads numpy's
+        # power as dispatched on an AVX-512 CPU (ROADMAP item 20).
+        digest = hashlib.sha256()
+        for base in BaseLaw:
+            for q in (0.01, 0.5, 1.0, 2.0, 3.0, 50.0):
+                for s in (0.1, 0.5, 0.9):
+                    for size in (0, 1, 7, 1000, 79800):
+                        x, _, _ = split_coupling_batch(WeightSpec(q, base), s,
+                                                       stream(23, size), size)
+                        digest.update(x.base.tobytes())
+        assert digest.hexdigest() == \
+            "24fd959c806040bfb71a584de46ae7ae5f9e4d77387151ef8e080d6b9ffef183"
 
     def test_rejects_bad_fraction(self):
         spec = WeightSpec(q=1.0)
