@@ -86,8 +86,9 @@ optimum and each distance witness are prefixes of it.  Seeded with a
 subset's components it makes that subset's cheapest completion, the
 minimum spanning tree of K_n with the subset contracted, and builds no
 chain.  The same union-find gives a subset's component positions and patch
-distance, so tree runs never load scipy; matching families load it when
-they are built.
+distance, so tree runs never load scipy.  A matching family loads only
+scipy's compiled assignment routine when it is built (_assignment_solver),
+and scipy.sparse.csgraph on its first patch size.
 
 A tree family also keeps one subset memo: the last non-empty subset tuple
 it read, as the key, and that subset's components, which every caller gets
@@ -113,8 +114,11 @@ import heapq
 import itertools
 import math
 import operator
+import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 
@@ -827,6 +831,33 @@ def prufer_decode(seq, n: int) -> list[tuple[int, int]]:
     return edges
 
 
+def _assignment_solver():
+    """scipy's linear_sum_assignment, loaded without scipy.optimize.
+
+    The solver is a builtin of the compiled scipy.optimize._lsap module.
+    Importing it through scipy.optimize also loads scipy.linalg,
+    scipy.sparse.linalg and the linprog stack: about 0.35 s and 40 MB, most
+    of a matching run's set-up.  So the extension is loaded from its file,
+    which skips the package's __init__, after the bare scipy package (about
+    8 ms).  CPython keeps the loaded extension in sys.modules, and a later
+    import of scipy.optimize takes its solver from there, so both hand out
+    the same builtin.  That import then leaves the package without an _lsap
+    attribute; `from scipy.optimize import _lsap` still finds the module.
+    Where the file is not found, scipy.optimize is imported.
+    """
+    import scipy
+
+    finder = FileFinder(os.path.join(scipy.__path__[0], "optimize"),
+                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.optimize._lsap")
+    if spec is None:
+        from scipy.optimize import linear_sum_assignment
+        return linear_sum_assignment
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.linear_sum_assignment
+
+
 class MatchingFamily(Family):
     """Perfect matchings of K_{n,n}.  Element i*n + j is the edge from left
     vertex i to right vertex j; ell = n.
@@ -851,13 +882,9 @@ class MatchingFamily(Family):
         self.n = n = self.check_size(n)
         self.ground_size = n * n
         self.ell = n
-        # scipy loads with the first matching family, so a run pays it in
-        # set-up; tree runs never load it.
-        from scipy.optimize import linear_sum_assignment
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import maximum_bipartite_matching
-        self._assign, self._csr = linear_sum_assignment, csr_matrix
-        self._max_matching = maximum_bipartite_matching
+        # Only the assignment routine loads here, so a run pays it in set-up;
+        # the bipartite-matching solver loads with the first patch size.
+        self._assign = _assignment_solver()
 
     @staticmethod
     def check_size(n: int) -> int:
@@ -949,11 +976,14 @@ class MatchingFamily(Family):
     def min_patch_size(self, subset) -> int:
         """n minus the maximum matching inside the subset: Hopcroft-Karp, 2 to
         20 times faster than Family's 0/1 assignment solve."""
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import maximum_bipartite_matching
+
         idx, n = self._check_subset(subset), self.n
         # idx ascends, so its rows are the CSR rows in order.
         indptr = np.searchsorted(idx, np.arange(0, n * n + 1, n))
-        graph = self._csr((np.ones(idx.size), idx % n, indptr), shape=(n, n))
-        row_match = self._max_matching(graph, perm_type="column")
+        graph = csr_matrix((np.ones(idx.size), idx % n, indptr), shape=(n, n))
+        row_match = maximum_bipartite_matching(graph, perm_type="column")
         return n - int(np.count_nonzero(row_match >= 0))
 
     def assignment_ladder(self, w: WeightAssignment):

@@ -829,7 +829,9 @@ class TestModuleEntryPoint:
         assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
     def test_tree_trials_leave_scipy_unloaded(self):
-        # Tree trials never call scipy; a matching family loads it when built.
+        # Tree trials never call scipy.  A matching family loads only scipy's
+        # compiled assignment routine, and its first patch size the
+        # bipartite-matching solver.
         code = (
             "import sys, minweight, minweight.cli\n"
             "from minweight.montecarlo import ExperimentConfig, run\n"
@@ -840,11 +842,31 @@ class TestModuleEntryPoint:
             "                         **extra))\n"
             "print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])\n"
             "minweight.MatchingFamily(3)\n"
-            "print('scipy.optimize' in sys.modules)\n"
+            "run(ExperimentConfig(family='matchings', n=6, trials=1, kind='dual',\n"
+            "                     budget=1.0))\n"
+            "print([m in sys.modules for m in\n"
+            "       ('scipy.optimize._lsap', 'scipy.optimize', 'scipy.sparse')])\n"
+            "run(ExperimentConfig(family='matchings', n=6, trials=1, kind='patch',\n"
+            "                     r=2))\n"
+            "print('scipy.sparse.csgraph' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=CHILD_ENV)
-        assert (proc.returncode, proc.stdout) == (0, "[]\nTrue\n"), proc.stderr
+        assert (proc.returncode, proc.stdout) == (
+            0, "[]\n[True, False, False]\nTrue\n"), proc.stderr
+
+    @pytest.mark.parametrize("first", ["family", "scipy.optimize"])
+    def test_matching_family_solves_with_scipys_public_function(self, first):
+        # Loading the assignment routine from its file gives the builtin that
+        # scipy.optimize exports, whichever of the two loads first.
+        build = "fam = minweight.MatchingFamily(4)\n"
+        public = "import scipy.optimize\n"
+        code = ("import minweight\n"
+                + (build + public if first == "family" else public + build)
+                + "print(fam._assign is scipy.optimize.linear_sum_assignment)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=CHILD_ENV)
+        assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
 
 
 README =Path(__file__).resolve().parents[1] / "README.md"

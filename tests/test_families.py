@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from minweight import montecarlo
+from minweight import families, montecarlo
 from minweight.dual import cheapest_within_distance, defect_under_budget
 from minweight.families import (
     ExplicitFamily,
@@ -722,6 +722,21 @@ class TestMatchingFamily:
             value, witness = oracle_min_weight(fam, w)
             assert got.value == value
             assert got.witness == witness
+
+    def test_solver_falls_back_to_scipy_optimize(self, monkeypatch):
+        # Where the compiled extension is not found, scipy.optimize serves.
+        looked = []
+
+        class Missing:
+            def __init__(self, path, *loaders):
+                pass
+
+            def find_spec(self, name):
+                looked.append(name)
+
+        monkeypatch.setattr(families, "FileFinder", Missing)
+        assert MatchingFamily(3)._assign is linear_sum_assignment
+        assert looked == ["scipy.optimize._lsap"]
 
     def test_min_patch_size(self):
         fam = MatchingFamily(4)
